@@ -17,6 +17,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import american, blackscholes, european, fourier, montecarlo
 from .densities import Family, JumpDensity, fit_from_moments
 from .errors import AccuracyError, OutOfBandError, PricingError, ValidationError
@@ -34,7 +36,8 @@ def _fourier_spec(tol: float | None) -> QuadSpec:
     return QuadSpec(rel_tol=1e-9, abs_tol=FOURIER_TOL if tol is None else tol)
 
 
-def _transform_price(market, payoff, x: float, t_bar: float, tol: float | None) -> float:
+def _transform_price(market, payoff, x, t_bar: float, tol: float | None):
+    # x is a log-spot or a 1-D array of them (one figure column per call);
     # the two-point law prices exactly by jump-count conditioning; the
     # transform integral would converge only through the payoff tail
     if market.density.family is Family.DISCRETE:
@@ -169,13 +172,13 @@ def _fig_butterfly_rho(meta) -> FigureData:
     K, L, T, r, sigma = meta["K"], meta["L"], meta["T"], meta["r"], meta["sigma"]
     payoff = fourier.butterfly_payoff(K, L)
     grid = _grid(meta["grid"])
+    xs = np.log(grid)
+    columns = [_transform_price(m.market_params(), payoff, xs, T, meta["tol"])
+               for m in models.values()]
     cols = ["spot"] + list(models) + ["bs"]
     rows = []
-    for spot in grid:
-        x = math.log(spot)
-        row = [spot]
-        for m in models.values():
-            row.append(_transform_price(m.market_params(), payoff, x, T, meta["tol"]))
+    for i, spot in enumerate(grid):
+        row = [spot] + [col[i] for col in columns]
         row.append(_bs_butterfly(spot, K, L, r, sigma, T))
         rows.append(row)
     return FigureData(meta, cols, rows)
@@ -186,18 +189,14 @@ def _fig_butterfly_families(meta) -> FigureData:
     mu1, mu2 = meta["mu1"], meta["mu2"]
     payoff = fourier.butterfly_payoff(K, L)
     fams = [Family(f) for f in meta["families"]]
-    markets = {
-        f.value: MarketParams.risk_neutral(r, fit_from_moments(f, mu1, mu2))
-        for f in fams
-    }
     grid = _grid(meta["grid"])
-    rows = []
-    for spot in grid:
-        x = math.log(spot)
-        row = [spot]
-        for f in fams:
-            row.append(_transform_price(markets[f.value], payoff, x, T, meta["tol"]))
-        rows.append(row)
+    xs = np.log(grid)
+    columns = [
+        _transform_price(MarketParams.risk_neutral(r, fit_from_moments(f, mu1, mu2)),
+                         payoff, xs, T, meta["tol"])
+        for f in fams
+    ]
+    rows = [[spot] + [col[i] for col in columns] for i, spot in enumerate(grid)]
     return FigureData(meta, ["spot"] + [f.value for f in fams], rows)
 
 
@@ -289,22 +288,22 @@ def _add_contract(p: argparse.ArgumentParser):
     p.add_argument("--L", type=float, help="butterfly wing width")
 
 
-def _apply_config(args: argparse.Namespace):
-    if not getattr(args, "config", None):
-        return
-    with open(args.config) as fh:
-        conf = json.load(fh)
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The ``--config`` file's values, keyed by the subcommand's flag names."""
+    try:
+        with open(args.config) as fh:
+            conf = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config file: {exc}") from exc
+    if not isinstance(conf, dict):
+        raise ValidationError("config file must hold a JSON object")
+    defaults = {}
     for key, val in conf.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr in ("command", "func", "config") or not hasattr(args, attr):
             raise ValidationError(f"unknown config key {key!r}")
-        if getattr(args, attr) in (None, _DEFAULTS.get(attr)):
-            setattr(args, attr, val)
-
-
-_DEFAULTS = {"density": "exp", "rate": 0.04, "contract": "vanilla-call",
-             "style": "european", "T": 0.25, "spot": 1.0, "strike": 1.0,
-             "method": "closed", "paths": 100_000, "seed": 0}
+        defaults[attr] = val
+    return defaults
 
 
 def _build_density(args) -> JumpDensity:
@@ -490,7 +489,8 @@ def _cmd_validate(args) -> int:
     return 0 if diag.passed else 2
 
 
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(
         prog="ctrwpricer",
         description="Option pricing under pure-jump compound-Poisson market models",
@@ -540,13 +540,18 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="admissibility diagnostics")
     _add_common(p)
     p.set_defaults(func=_cmd_validate)
-    return ap
+    return ap, sub.choices
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _parser()
+    args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        if getattr(args, "config", None):
+            # config values become the subcommand's defaults, so explicit
+            # flags win over them and flags left out take them
+            commands[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -25,6 +25,14 @@ h~ behaves at large frequency:
   payoff's own O(w^-2) tail.  ``price_two_point_exact`` prices the same
   claim exactly by conditioning on the net jump count and should be
   preferred.
+
+The spot enters only through the phase e^{-iwx}.  Both pricers therefore
+take x as a float or as a 1-D array of log-prices: the frequency factor
+F(w) = Phi~(w) weight(h~(-w)) / 2pi is evaluated once per quadrature node
+and multiplied by the (n_x, nodes) phase block, and the grid is refined
+until the worst spot has converged, so every price keeps the certificate a
+single-spot call would give.  The figure builders price one column (one
+market, all spots) per call.
 """
 
 from __future__ import annotations
@@ -37,7 +45,7 @@ import numpy as np
 from scipy import integrate as _sciint
 from scipy import stats as _stats
 
-from .densities import Family, char_fn
+from .densities import Family, char_fn, mean_var
 from .errors import InvalidParametersError
 from .numerics import DEFAULT_QUAD, QuadSpec, expm1_complex, integrate_real_line
 from .riskneutral import MarketParams
@@ -68,7 +76,11 @@ class Payoff:
     |transform|.  ``value`` evaluates the profile pointwise; when missing,
     it is recovered by numerical Fourier inversion.  ``breakpoints`` are
     the log-price kinks of the profile, used to seed oscillation-aware
-    quadrature and to split piecewise-smooth averages.
+    quadrature and to split piecewise-smooth averages.  They must span the
+    profile's support (the smallest and largest breakpoint bound where the
+    profile is nonzero, or where a smooth profile carries its mass): the
+    transform then turns at no more than max |k - x| radians per unit of
+    frequency, and that bound seeds the quadrature.
     """
 
     transform: Callable[[np.ndarray], np.ndarray]
@@ -119,16 +131,32 @@ def payoff_transform(payoff: Payoff, omega):
     return payoff.transform(np.asarray(omega, dtype=complex))
 
 
-def _payoff_value(payoff: Payoff, x: float, spec: QuadSpec) -> float:
+def _spots(x):
+    """x as a 1-D array of log-prices, and a function that shapes a price
+    array like x (a float for a scalar x)."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1:
+        raise InvalidParametersError("x must be a scalar or a 1-D array of log-prices")
+    if np.ndim(x) == 0:
+        return xs, lambda prices: float(prices[0])
+    return xs, lambda prices: prices
+
+
+def _phase_block(f, w, xs):
+    """(n_x, nodes) integrand block f(w) e^{-iwx}, one row per spot."""
+    return f[None, :] * np.exp(-1j * np.outer(xs, w))
+
+
+def _payoff_value(payoff: Payoff, xs: np.ndarray, spec: QuadSpec) -> np.ndarray:
     if payoff.value is not None:
-        return float(payoff.value(x))
+        return np.array([float(payoff.value(x)) for x in xs])
     inv = integrate_real_line(
-        lambda w: payoff.transform(w) * np.exp(-1j * np.asarray(w) * x) / (2.0 * math.pi),
+        lambda w: _phase_block(payoff.transform(w) / (2.0 * math.pi), w, xs),
         payoff.tail_order,
         spec,
-        osc_hint=_osc_hint(payoff, x),
+        osc_hint=_osc_hint(payoff, xs, 0.0),
     )
-    return float(inv.real)
+    return inv.real
 
 
 def _one_jump_average(payoff: Payoff, x: float, lo: float, hi: float,
@@ -141,75 +169,82 @@ def _one_jump_average(payoff: Payoff, x: float, lo: float, hi: float,
     return val / (hi - lo)
 
 
-def _osc_hint(payoff: Payoff, x: float) -> float:
-    reach = max((abs(k) for k in payoff.breakpoints), default=1.0)
-    return abs(x) + max(1.0, reach)
+def _osc_hint(payoff: Payoff, xs: np.ndarray, drift: float) -> float:
+    """Bound on the integrand's phase speed in radians per unit frequency.
+
+    Over the payoff's support the phase is w (k - x), so the bound is
+    max |k - x| over breakpoints and spots, plus the jump law's drift
+    lam t_bar |E[J]|, which the weight's phase adds; floored at 1.
+    """
+    ks = np.asarray(payoff.breakpoints or (0.0,), dtype=float)
+    reach = float(np.max(np.abs(ks[:, None] - xs[None, :])))
+    return max(1.0, reach + drift)
 
 
-def price_fourier(params: MarketParams, payoff: Payoff, x: float, t_bar: float,
-                  spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Price a European claim with payoff profile ``payoff`` at log-price x."""
+def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
+                  spec: QuadSpec = DEFAULT_QUAD):
+    """Price a European claim with payoff profile ``payoff`` at log-price x.
+
+    ``x`` is a float (the price is a float) or a 1-D array of log-prices
+    (the prices are an ndarray); all spots share one frequency grid.
+    """
     if t_bar < 0:
         raise InvalidParametersError("remaining time must be non-negative")
+    xs, shaped = _spots(x)
     lam, r, d = params.lam, params.r, params.density
     if t_bar == 0.0:
-        return _payoff_value(payoff, x, spec)
+        return shaped(_payoff_value(payoff, xs, spec))
 
     lt = lam * t_bar
     disc = math.exp(-r * t_bar)
     fam = d.family
 
     if fam is Family.PARETO_HALF:
-        def integrand(w):
-            w = np.asarray(w, dtype=float)
-            h = char_fn(d, -w)
-            weight = disc * np.exp(-lt * (1.0 - h))
-            return payoff.transform(w) * weight * np.exp(-1j * w * x) / (2.0 * math.pi)
+        atom = 0.0
+        extra = 0.0
 
-        val = integrate_real_line(integrand, payoff.tail_order, spec,
-                                  osc_hint=_osc_hint(payoff, x))
-        return float(val.real)
-
-    atom = math.exp(-lt) * disc * _payoff_value(payoff, x, spec)
-    split_one_jump = fam is Family.CONSTANT and payoff.value is not None
-    if split_one_jump:
-        atom += lt * math.exp(-lt) * disc * _one_jump_average(payoff, x, d.a, d.b, spec)
-
-    if lt <= 30.0:
-        def weight_rest(h):
-            w = expm1_complex(lt * h)
-            if split_one_jump:
-                w = w - lt * h
-            return disc * math.exp(-lt) * w
+        def weight(h):
+            return disc * np.exp(-lt * (1.0 - h))
     else:
-        # exp(-lt) underflows; evaluate in the always-bounded form
-        def weight_rest(h):
-            return disc * (np.exp(lt * (h - 1.0)) - math.exp(-lt))
+        atom = math.exp(-lt) * disc * _payoff_value(payoff, xs, spec)
+        split_one_jump = fam is Family.CONSTANT and payoff.value is not None
+        if split_one_jump:
+            atom += lt * math.exp(-lt) * disc * np.array(
+                [_one_jump_average(payoff, xi, d.a, d.b, spec) for xi in xs])
+        extra = 2.0 if fam in _DECAYING_FAMILIES or split_one_jump else 0.0
+
+        if lt <= 30.0:
+            def weight(h):
+                w = expm1_complex(lt * h)
+                if split_one_jump:
+                    w = w - lt * h
+                return disc * math.exp(-lt) * w
+        else:
+            # exp(-lt) underflows; evaluate in the always-bounded form
+            def weight(h):
+                return disc * (np.exp(lt * (h - 1.0)) - math.exp(-lt))
 
     def integrand(w):
         w = np.asarray(w, dtype=float)
-        h = char_fn(d, -w)
-        return payoff.transform(w) * weight_rest(h) * np.exp(-1j * w * x) / (2.0 * math.pi)
+        f = payoff.transform(w) * weight(char_fn(d, -w)) / (2.0 * math.pi)
+        return _phase_block(f, w, xs)
 
-    extra = 0.0
-    if fam in _DECAYING_FAMILIES:
-        extra = 2.0
-    elif split_one_jump:
-        extra = 2.0
-    val = integrate_real_line(integrand, payoff.tail_order + extra, spec,
-                              osc_hint=_osc_hint(payoff, x))
-    return atom + float(val.real)
+    hint = _osc_hint(payoff, xs, lt * abs(mean_var(d)[0]))
+    val = integrate_real_line(integrand, payoff.tail_order + extra, spec, osc_hint=hint)
+    return shaped(atom + val.real)
 
 
-def price_two_point_exact(params: MarketParams, payoff: Payoff, x: float,
-                          t_bar: float, tail_mass: float = 1e-14) -> float:
+def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
+                          t_bar: float, tail_mass: float = 1e-14):
     """Exact price under the two-point jump law by net-jump-count conditioning.
 
     With jumps of +/- b the log-price after n_up - n_down net jumps is
     x + b (n_up - n_down), and the net count follows the difference of two
     independent Poisson laws.  The sum below is exact up to a Poisson tail
     of mass below ``tail_mass``; it replaces the transform route, which
-    converges slowly for lattice jump laws.
+    converges slowly for lattice jump laws.  ``x`` is a float or a 1-D
+    array of log-prices, as for ``price_fourier``; each spot's sum is
+    formed exactly as for a single-spot call.
     """
     d = params.density
     if d.family is not Family.DISCRETE:
@@ -218,8 +253,9 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x: float,
         raise InvalidParametersError("needs a pointwise payoff profile")
     if t_bar < 0:
         raise InvalidParametersError("remaining time must be non-negative")
+    xs, shaped = _spots(x)
     if t_bar == 0.0:
-        return float(payoff.value(x))
+        return shaped(_payoff_value(payoff, xs, DEFAULT_QUAD))
 
     up = params.lam * t_bar * d.a
     down = params.lam * t_bar * (1.0 - d.a)
@@ -229,5 +265,6 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x: float,
     m_max = int(math.ceil(total + 12.0 * math.sqrt(total) + 30.0 - math.log10(tail_mass)))
     m = np.arange(-m_max, m_max + 1)
     pmf = _stats.skellam.pmf(m, up, down)
-    values = np.array([payoff.value(x + d.b * mi) for mi in m])
-    return math.exp(-params.r * t_bar) * float(np.dot(pmf, values))
+    values = np.array([[payoff.value(xi + d.b * mi) for mi in m] for xi in xs])
+    # a row-wise sum, so a spot's price does not depend on the other spots
+    return shaped(math.exp(-params.r * t_bar) * (values * pmf).sum(axis=1))

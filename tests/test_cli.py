@@ -177,6 +177,40 @@ class TestConfigFile:
         baseline = run_json(capsys, "price", "--rho", "5", "--sigma", "0.1")
         assert payload["price"] == baseline["price"]
 
+    def test_explicit_flag_equal_to_its_default_beats_config(self, capsys, tmp_path):
+        # --rate 0.04 is also the flag's default; it must still win
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"rate": 0.05}))
+        args = ("mc", "--rho", "2", "--sigma", "0.1", "--paths", "2000",
+                "--seed", "5")
+        payload = run_json(capsys, *args, "--config", str(cfg), "--rate", "0.04")
+        explicit = run_json(capsys, *args, "--rate", "0.04")
+        from_config = run_json(capsys, *args, "--rate", "0.05")
+        assert payload == explicit
+        assert payload["price"] != from_config["price"]
+
+    def test_boolean_config_key_applies(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"antithetic": True}))
+        args = ("mc", "--density", "gaussian", "--a", "0.001", "--b", "0.01",
+                "--paths", "2000", "--seed", "3")
+        via_config = run_json(capsys, *args, "--config", str(cfg))
+        explicit = run_json(capsys, *args, "--antithetic")
+        plain = run_json(capsys, *args)
+        assert via_config == explicit
+        assert via_config["std_error"] != plain["std_error"]
+
+    @pytest.mark.parametrize("text", [None, '{"rho": 2,', '[2, 9]'])
+    def test_unreadable_config_exits_2(self, capsys, tmp_path, text):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run(capsys, "price", "--config", str(cfg),
+                             "--rho", "2", "--gamma", "9")
+        assert code == 2
+        assert out == ""
+        assert "config" in err
+
     def test_unknown_config_key_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"volatility": 0.1}))

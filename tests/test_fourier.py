@@ -259,3 +259,78 @@ class TestSmoothPayoffPricing:
         near = price_fourier(mp, pay, 0.0, T_BAR)
         far = price_fourier(mp, pay, 3.0, T_BAR)
         assert far < near
+
+
+BATCH_SPOTS = np.array([40.0, 92.0, 105.0, 300.0])
+BATCH_SPEC = QuadSpec(rel_tol=1e-9, abs_tol=1e-8)
+
+
+class TestBatchedSpots:
+    """An array of log-spots shares one frequency grid; each entry must
+    still carry the certificate of its own single-spot call."""
+
+    @pytest.mark.parametrize("t_bar", [0.25, 1.0])
+    @pytest.mark.parametrize("family", [
+        Family.EXPONENTIAL, Family.CONSTANT, Family.GAUSSIAN, Family.LOGISTIC,
+        Family.GUMBEL, Family.PARETO_HALF])
+    def test_matches_scalar_calls(self, family, t_bar):
+        # lam T is about 9.5 at t_bar = 0.25 and 38 at t_bar = 1, so both
+        # forms of the jump weight (lam T <= 30 and > 30) are exercised
+        pay = butterfly_payoff(100.0, 10.0)
+        mp = fitted_market(family)
+        assert (mp.lam * t_bar > 30.0) == (t_bar == 1.0)
+        xs = np.log(BATCH_SPOTS)
+        batch = price_fourier(mp, pay, xs, t_bar, BATCH_SPEC)
+        assert isinstance(batch, np.ndarray) and batch.shape == xs.shape
+        for x, got in zip(xs, batch):
+            single = price_fourier(mp, pay, float(x), t_bar, BATCH_SPEC)
+            assert isinstance(single, float)
+            assert abs(got - single) <= BATCH_SPEC.abs_tol
+
+    def test_profile_inversion_batched(self):
+        pay = gaussian_bump_payoff(0.3)
+        mp = fitted_market(Family.GAUSSIAN)
+        xs = np.array([-0.5, 0.3, 1.0])
+        got = price_fourier(mp, pay, xs, 0.0)
+        np.testing.assert_allclose(got, np.exp(-0.5 * (xs - 0.3) ** 2), atol=1e-8)
+
+    @pytest.mark.parametrize("t_bar", [0.0, T_BAR, 5.0])
+    def test_two_point_exact_matches_scalar_calls_exactly(self, t_bar):
+        pay = butterfly_payoff(100.0, 10.0)
+        mp = fitted_market(Family.DISCRETE)
+        xs = np.log(BATCH_SPOTS)
+        batch = price_two_point_exact(mp, pay, xs, t_bar)
+        assert batch.shape == xs.shape
+        for x, got in zip(xs, batch):
+            assert got == price_two_point_exact(mp, pay, float(x), t_bar)
+
+    def test_rejects_two_dimensional_spots(self):
+        pay = butterfly_payoff(100.0, 10.0)
+        with pytest.raises(InvalidParametersError):
+            price_fourier(fitted_market(Family.GAUSSIAN), pay, np.zeros((2, 2)), T_BAR)
+
+
+class TestPhaseSeed:
+    """The quadrature is seeded with the phase speed max |k - x| plus the
+    jump drift; spots far from the strike must still converge to the
+    closed-form replication (criterion 9), one by one and as a batch."""
+
+    @pytest.mark.parametrize("t_bar", [0.25, 5.0])
+    @pytest.mark.parametrize("market", ["reference", "fitted"])
+    def test_far_spots_match_replication(self, de_model, market, t_bar):
+        model = de_model if market == "reference" else DEModel.from_market(
+            fitted_market(Family.EXPONENTIAL))
+        mp = model.market_params()
+        pay = butterfly_payoff(100.0, 10.0)
+        xs = np.log([20.0, 500.0])
+
+        def legs(x):
+            call = lambda K: vanilla_call_price(
+                model, Contract(PayoffKind.VANILLA_CALL, K, t_bar), x)
+            return 2.0 * call(105.0) - call(100.0) - call(110.0)
+
+        batch = price_fourier(mp, pay, xs, t_bar)
+        for x, got in zip(xs, batch):
+            want = legs(float(x))
+            assert abs(got - want) <= 1e-4
+            assert abs(price_fourier(mp, pay, float(x), t_bar) - want) <= 1e-4

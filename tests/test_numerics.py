@@ -167,6 +167,31 @@ class TestRealLineQuadrature:
         with pytest.raises(TailBoundError):
             integrate_real_line(g, 3.0, QuadSpec(rel_tol=1e-9, abs_tol=1e-8))
 
+    def test_scalar_integrand_returns_complex_scalar(self):
+        val = integrate_real_line(lambda w: np.exp(-0.5 * w * w), 4.0, DEFAULT_QUAD)
+        assert isinstance(val, complex)
+
+    def test_batched_fourier_pairs(self):
+        # row i is e^{-w^2/2} e^{-i w x_i}; x = 60 oscillates far faster than
+        # the others and forces extra panel refinement for the whole batch
+        xs = np.array([0.0, 0.5, 1.0, 3.0, 60.0])
+        g = lambda w: np.exp(-0.5 * w * w)[None, :] * np.exp(-1j * np.outer(xs, w))
+        val = integrate_real_line(g, 4.0, DEFAULT_QUAD)
+        assert isinstance(val, np.ndarray) and val.shape == xs.shape
+        exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * xs * xs)
+        assert np.max(np.abs(val - exact)) <= 1e-9
+        for x, v in zip(xs, val):
+            single = integrate_real_line(
+                lambda w: np.exp(-0.5 * w * w - 1j * w * x), 4.0, DEFAULT_QUAD)
+            assert abs(v - single) <= 1e-9
+
+    def test_batch_tail_bound_violation_detected(self):
+        # one row decays like 1/w^1.2 against a declared cubic tail: the
+        # whole batch is refused
+        g = lambda w: np.vstack([np.exp(-0.5 * w * w), 1.0 / (1.0 + np.abs(w)) ** 1.2])
+        with pytest.raises(TailBoundError):
+            integrate_real_line(g, 3.0, QuadSpec(rel_tol=1e-9, abs_tol=1e-8))
+
     def test_node_budget_exhaustion_raises(self):
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-10, max_nodes=1 << 10)
         with pytest.raises(AccuracyError):
