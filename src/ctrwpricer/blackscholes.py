@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
 from .errors import InvalidParametersError, OutOfBandError
 from .numerics import normal_cdf
 
@@ -67,7 +65,9 @@ def bs_binary_put(spot, strike, r, sigma, T):
 def implied_vol(price, spot, strike, r, T, kind: str = "vanilla-call") -> float:
     """Invert a Black-Scholes price for sigma on [1e-4, 5].
 
-    Bracketed root search (bisection/secant hybrid); the residual at the
+    Newton steps on the closed-form vega inside a bracket that shrinks
+    around the root; a step that would leave the bracket, as it does where
+    the vega is tiny, is replaced by bisection.  The residual at the
     returned sigma is at most 1e-10 * strike.  Prices outside the
     attainable band raise OutOfBandError.
     """
@@ -86,7 +86,18 @@ def implied_vol(price, spot, strike, r, T, kind: str = "vanilla-call") -> float:
     def resid(sigma):
         return bs_vanilla_call(spot, strike, r, sigma, T) - price
 
-    sigma = brentq(resid, _SIGMA_LO, _SIGMA_HI, xtol=1e-14, rtol=8.9e-16)
+    lo, hi = _SIGMA_LO, _SIGMA_HI
+    sigma = 0.5 * (lo + hi)
+    for _ in range(100):
+        f = resid(sigma)
+        lo, hi = (lo, sigma) if f > 0.0 else (sigma, hi)
+        d1, _ = _d1_d2(spot, strike, r, sigma, T)
+        vega = spot * math.sqrt(T / (2.0 * math.pi)) * math.exp(-0.5 * d1 * d1)
+        new = sigma - f / vega if vega > 0.0 else math.inf
+        new = new if lo <= new <= hi else 0.5 * (lo + hi)
+        sigma, step = new, new - sigma
+        if abs(step) <= 1e-14 + 8.9e-16 * sigma:
+            break
     if abs(resid(sigma)) > 1e-10 * strike:
         raise OutOfBandError(
             f"implied vol residual {resid(sigma)!r} above tolerance at sigma={sigma!r}"

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import american, blackscholes, european, fourier, montecarlo
-from .densities import Family, JumpDensity, fit_from_moments
+from .densities import Family, JumpDensity, exp_moment, fit_from_moments
 from .errors import AccuracyError, OutOfBandError, PricingError, ValidationError
 from .european import Contract, DEModel, OptionStyle, PayoffKind, PriceMethod
 from .numerics import QuadSpec
@@ -118,47 +118,41 @@ def _fig_european(meta) -> FigureData:
     return FigureData(meta, cols, rows)
 
 
-def _iv_cell(price, spot, K, r, T):
-    try:
-        return blackscholes.implied_vol(price, spot, K, r, T)
-    except OutOfBandError:
-        return None
+def _iv_rows(models, K, T, r, grid, sigma=None):
+    """Rows of s/K, each model's implied vol and, given sigma, the implied
+    vol of the Black-Scholes price at sigma (a self-check); and the number
+    of out-of-band model cells, which are left empty."""
+    def iv(price, spot):
+        try:
+            return blackscholes.implied_vol(price, spot, K, r, T)
+        except OutOfBandError:
+            return None
+
+    rows, skipped = [], 0
+    for mny in grid:
+        spot = mny * K
+        row = [mny]
+        for m in models:
+            row.append(iv(european.vanilla_call_closed(m, K, math.log(spot), T), spot))
+            skipped += row[-1] is None
+        if sigma is not None:
+            row.append(iv(blackscholes.bs_vanilla_call(spot, K, r, sigma, T), spot))
+        rows.append(row)
+    return rows, skipped
 
 
 def _fig_iv1(meta) -> FigureData:
     models = _exp_models(meta)
-    K, T, r, sigma = meta["K"], meta["T"], meta["r"], meta["sigma"]
-    grid = _grid(meta["grid"])
+    rows, skipped = _iv_rows(models.values(), meta["K"], meta["T"], meta["r"],
+                             _grid(meta["grid"]), meta["sigma"])
     cols = ["s_over_k"] + list(models) + ["bs_check"]
-    rows, skipped = [], 0
-    for mny in grid:
-        spot = mny * K
-        x = math.log(spot)
-        row = [mny]
-        for m in models.values():
-            iv = _iv_cell(european.vanilla_call_closed(m, K, x, T), spot, K, r, T)
-            skipped += iv is None
-            row.append(iv)
-        row.append(_iv_cell(blackscholes.bs_vanilla_call(spot, K, r, sigma, T),
-                            spot, K, r, T))
-        rows.append(row)
-    meta = dict(meta, out_of_band=skipped)
-    return FigureData(meta, cols, rows)
+    return FigureData(dict(meta, out_of_band=skipped), cols, rows)
 
 
 def _fig_iv2(meta) -> FigureData:
     m = DEModel.from_rho_sigma(meta["rho"], meta["r"], meta["sigma"])
-    K, T, r = meta["K"], meta["T"], meta["r"]
-    grid = _grid(meta["grid"])
-    rows, skipped = [], 0
-    for mny in grid:
-        spot = mny * K
-        iv = _iv_cell(european.vanilla_call_closed(m, K, math.log(spot), T),
-                      spot, K, r, T)
-        skipped += iv is None
-        rows.append([mny, iv])
-    meta = dict(meta, out_of_band=skipped)
-    return FigureData(meta, ["s_over_k", "model_iv"], rows)
+    rows, skipped = _iv_rows([m], meta["K"], meta["T"], meta["r"], _grid(meta["grid"]))
+    return FigureData(dict(meta, out_of_band=skipped), ["s_over_k", "model_iv"], rows)
 
 
 def _bs_butterfly(spot, K, L, r, sigma, T):
@@ -366,8 +360,6 @@ def _cmd_price(args) -> int:
         "risk_neutral": market.is_risk_neutral,
     }
 
-    if method is PriceMethod.MC:
-        return _cmd_mc(args)
     if method is PriceMethod.FOURIER:
         if contract.kind is not PayoffKind.PORTFOLIO:
             raise ValidationError("the transform route prices butterfly portfolios")
@@ -410,16 +402,7 @@ def _cmd_iv(args) -> int:
     model = DEModel.from_market(market)
     K, T, r = args.strike, args.T, args.rate
     grid = _grid([args.smin, args.smax, args.spoints])
-    rows, skipped = [], 0
-    sigma_check = model.sigma_equivalent
-    for mny in grid:
-        spot = mny * K
-        x = math.log(spot)
-        iv = _iv_cell(european.vanilla_call_closed(model, K, x, T), spot, K, r, T)
-        skipped += iv is None
-        bs_iv = _iv_cell(blackscholes.bs_vanilla_call(spot, K, r, sigma_check, T),
-                         spot, K, r, T)
-        rows.append([mny, iv, bs_iv])
+    rows, skipped = _iv_rows([model], K, T, r, grid, model.sigma_equivalent)
     meta = {
         "command": "iv", "rho": model.rho, "gamma": model.gamma, "r": r,
         "K": K, "T": T, "grid": [args.smin, args.smax, args.spoints],
@@ -473,7 +456,6 @@ def _cmd_fig(args) -> int:
 def _cmd_calibrate(args) -> int:
     d = _build_density(args)
     lam = risk_neutral_intensity(args.rate, d)
-    from .densities import exp_moment
     _emit({"lam": lam, "exp_moment": exp_moment(d), "rate": args.rate,
            "density": d.to_dict()})
     return 0
@@ -503,9 +485,6 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--method", default="closed",
                    choices=[m.value for m in PriceMethod])
     p.add_argument("--tol", type=float, help="absolute quadrature tolerance")
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--antithetic", action="store_true")
     p.set_defaults(func=_cmd_price)
 
     p = sub.add_parser("iv", help="implied-volatility curve")

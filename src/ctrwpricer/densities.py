@@ -25,7 +25,7 @@ from .errors import (
     InvalidParametersError,
     UnsupportedFamilyError,
 )
-from .numerics import expm1_complex
+from .numerics import expm1_ratio
 
 __all__ = ["Family", "JumpDensity", "char_fn", "exp_moment", "pdf", "mean_var",
            "fit_from_moments", "sample", "symmetry_point"]
@@ -93,11 +93,7 @@ def char_fn(d: JumpDensity, omega):
     elif d.family is Family.DISCRETE:
         out = a * np.exp(1j * b * w) + (1.0 - a) * np.exp(-1j * b * w)
     elif d.family is Family.CONSTANT:
-        arg = 1j * (a - b) * w
-        ratio = np.where(np.abs(arg) < 1e-8,
-                         1.0 + arg / 2.0 + arg * arg / 6.0,
-                         expm1_complex(arg) / np.where(arg == 0, 1.0, arg))
-        out = np.exp(1j * b * w) * ratio
+        out = np.exp(1j * b * w) * expm1_ratio(1j * (a - b) * w)
     elif d.family is Family.GAUSSIAN:
         out = np.exp(-0.5 * b * b * w * w + 1j * a * w)
     elif d.family is Family.LOGISTIC:

@@ -20,15 +20,15 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import fourier
 from .densities import JumpDensity
 from .errors import BranchInconsistencyError, InvalidParametersError
 from .numerics import (
     DEFAULT_QUAD,
-    LaplaceFn,
     QuadSpec,
     bessel_i1_scaled,
     integrate_semi_infinite,
@@ -90,12 +90,8 @@ class DEModel:
     def risk_neutral(cls, rho: float, gamma: float, r: float) -> "DEModel":
         if r <= 0.0:
             raise InvalidParametersError("risk-neutral calibration needs r > 0")
-        if not (0.0 < rho - 1.0 < gamma):
-            raise InvalidParametersError(
-                f"0 < rho - 1 < gamma violated (rho={rho!r}, gamma={gamma!r})"
-            )
-        lam = r * (rho - 1.0) * (gamma + 1.0) / (gamma - rho + 1.0)
-        return cls(rho, gamma, r, lam)
+        model = cls(rho, gamma, r, 1.0)  # validates rho and gamma
+        return replace(model, lam=model.martingale_lam)
 
     @classmethod
     def from_rho_sigma(cls, rho: float, r: float, sigma: float) -> "DEModel":
@@ -112,9 +108,13 @@ class DEModel:
         return math.sqrt(2.0 * self.r / self.epsilon)
 
     @property
+    def martingale_lam(self) -> float:
+        """The intensity that makes the discounted price a martingale."""
+        return self.r * (self.rho - 1.0) * (self.gamma + 1.0) / self.epsilon
+
+    @property
     def is_risk_neutral(self) -> bool:
-        target = self.r * (self.rho - 1.0) * (self.gamma + 1.0) / self.epsilon
-        return abs(self.lam - target) <= 1e-9 * target
+        return abs(self.lam - self.martingale_lam) <= 1e-9 * self.martingale_lam
 
     def density(self) -> JumpDensity:
         return JumpDensity.exponential(1.0 / self.rho, 1.0 / self.gamma)
@@ -178,9 +178,7 @@ class Contract:
         elif self.kind is PayoffKind.VANILLA_PUT:
             out = np.maximum(K - s, 0.0)
         else:
-            L = self.width
-            out = 2.0 * np.maximum(s - (K + 0.5 * L), 0.0) - np.maximum(s - K, 0.0) \
-                - np.maximum(s - (K + L), 0.0)
+            out = fourier.butterfly_payoff(K, self.width).value(x)
         return out if out.shape else float(out)
 
 
@@ -188,7 +186,6 @@ class PriceMethod(enum.Enum):
     LAPLACE = "laplace"
     CLOSED = "closed"
     FOURIER = "fourier"
-    MC = "mc"
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +195,10 @@ class PriceMethod(enum.Enum):
 def beta_pm(m: DEModel, s):
     """Roots beta_+(s) >= 0 >= beta_-(s) of the transformed jump operator.
 
-    Uses the principal square root; Vieta's identities
+    With disc = (gamma - rho)^2 + 4 gamma rho (r+s)/(lam+r+s), which does
+    not cancel for lam >> |r+s|, the root -(gamma - rho)/2 +/- sqrt(disc)/2
+    whose terms add is taken directly and the other from the product (the
+    stable quadratic formula; principal square root).  Vieta's identities
 
         beta_+ + beta_- = -(gamma - rho)
         beta_+ * beta_- = -gamma*rho*(r+s)/(lam+r+s)
@@ -207,13 +207,12 @@ def beta_pm(m: DEModel, s):
     """
     s = np.asarray(s, dtype=complex)
     g, p, lam, r = m.gamma, m.rho, m.lam, m.r
-    disc = (g + p) ** 2 - 4.0 * lam * g * p / (lam + r + s)
-    root = np.sqrt(disc)
-    bp = 0.5 * (-(g - p) + root)
-    bm = 0.5 * (-(g - p) - root)
+    prod_target = -g * p * (r + s) / (lam + r + s)
+    root = np.sqrt((g - p) ** 2 - 4.0 * prod_target)
+    big = -0.5 * ((g - p) + math.copysign(1.0, g - p) * root)  # beta_- if g >= p
+    bp, bm = (prod_target / big, big) if g >= p else (big, prod_target / big)
 
     sum_resid = np.max(np.abs(bp + bm + (g - p))) if bp.shape else abs(bp + bm + (g - p))
-    prod_target = -g * p * (r + s) / (lam + r + s)
     prod_resid = np.abs(bp * bm - prod_target)
     prod_scale = g * p + np.abs(prod_target)
     worst = float(np.max(prod_resid / prod_scale))
@@ -256,21 +255,9 @@ def vanilla_call_laplace(m: DEModel, K: float, x: float, s):
     return K * wing(bp) * np.exp(bm * (x - k)) + math.exp(x) / s - K / (r + s)
 
 
-def _binary_call_transform(m: DEModel, k: float, x: float) -> LaplaceFn:
-    return LaplaceFn(lambda s: binary_call_laplace(m, k, x, s), abscissa=0.0)
-
-
-def _vanilla_call_transform(m: DEModel, K: float, x: float) -> LaplaceFn:
-    return LaplaceFn(lambda s: vanilla_call_laplace(m, K, x, s), abscissa=0.0)
-
-
 # ----------------------------------------------------------------------
 # closed-form (time-domain) prices
 # ----------------------------------------------------------------------
-
-def _xi_factor(m: DEModel, t_bar: float) -> float:
-    return math.sqrt(2.0 / (m.gamma * m.rho * m.lam * t_bar))
-
 
 def binary_call_closed(m: DEModel, k: float, x: float, t_bar: float,
                        spec: QuadSpec = DEFAULT_QUAD) -> float:
@@ -289,7 +276,7 @@ def binary_call_closed(m: DEModel, k: float, x: float, t_bar: float,
     def integrand(u):
         arg = (x - k) * s2 / (2.0 * u) + (g - p) * u / s2
         return 2.0 * bessel_i1_scaled(2.0 * u) \
-            * math.exp(-((u - c) ** 2) / c - r * t_bar) * normal_cdf(arg)
+            * np.exp(-((u - c) ** 2) / c - r * t_bar) * normal_cdf(arg)
 
     tail = integrate_semi_infinite(integrand, spec, bumps=[(c, math.sqrt(c / 2.0) + 1e-12)])
     return atom + tail
@@ -305,7 +292,7 @@ def vanilla_call_closed(m: DEModel, K: float, x: float, t_bar: float,
     c = lam * t_bar
     c1 = g * p * lam * t_bar / ((g + 1.0) * (p - 1.0))
     shift1 = c1 - (lam + r) * t_bar  # zero in the risk-neutral parameterisation
-    xf = _xi_factor(m, t_bar)
+    xf = math.sqrt(2.0 / (g * p * c))
     ex = math.exp(x)
     atom = (ex - K) * math.exp(-(lam + r) * t_bar) if x >= k else 0.0
 
@@ -313,8 +300,8 @@ def vanilla_call_closed(m: DEModel, K: float, x: float, t_bar: float,
         xi = xf * u
         a1 = 0.5 * (g - p + 2.0) * xi + (x - k) / xi
         a2 = 0.5 * (g - p) * xi + (x - k) / xi
-        t1 = ex * math.exp(-((u - c1) ** 2) / c1 + shift1) * normal_cdf(a1)
-        t2 = K * math.exp(-((u - c) ** 2) / c - r * t_bar) * normal_cdf(a2)
+        t1 = ex * np.exp(-((u - c1) ** 2) / c1 + shift1) * normal_cdf(a1)
+        t2 = K * np.exp(-((u - c) ** 2) / c - r * t_bar) * normal_cdf(a2)
         return 2.0 * bessel_i1_scaled(2.0 * u) * (t1 - t2)
 
     bumps = [(c1, math.sqrt(c1 / 2.0) + 1e-12), (c, math.sqrt(c / 2.0) + 1e-12)]
@@ -342,7 +329,7 @@ def binary_call_price(m: DEModel, c: Contract, x: float,
     if method is PriceMethod.LAPLACE:
         if c.t_bar == 0.0:
             return 1.0 if x >= k else 0.0
-        return laplace_invert(_binary_call_transform(m, k, x), c.t_bar, spec)
+        return laplace_invert(lambda s: binary_call_laplace(m, k, x, s), c.t_bar, spec)
     raise InvalidParametersError(f"unsupported method {method!r} for binary calls")
 
 
@@ -354,7 +341,8 @@ def vanilla_call_price(m: DEModel, c: Contract, x: float,
     if method is PriceMethod.LAPLACE:
         if c.t_bar == 0.0:
             return max(math.exp(x) - c.strike, 0.0)
-        return laplace_invert(_vanilla_call_transform(m, c.strike, x), c.t_bar, spec)
+        return laplace_invert(lambda s: vanilla_call_laplace(m, c.strike, x, s),
+                              c.t_bar, spec)
     raise InvalidParametersError(f"unsupported method {method!r} for vanilla calls")
 
 
@@ -378,12 +366,10 @@ def european_price(m: DEModel, c: Contract, x: float,
         return binary_call_price(m, c, x, method, spec)
     if c.kind is PayoffKind.VANILLA_CALL:
         return vanilla_call_price(m, c, x, method, spec)
-    if c.kind is PayoffKind.BINARY_PUT:
-        call = binary_call_price(m, c, x, method, spec)
-        return put_price_from_parity(call, c.kind, x, c.strike, m.r, c.t_bar)
-    if c.kind is PayoffKind.VANILLA_PUT:
-        call = vanilla_call_price(m, c, x, method, spec)
-        return put_price_from_parity(call, c.kind, x, c.strike, m.r, c.t_bar)
+    if c.kind in (PayoffKind.BINARY_PUT, PayoffKind.VANILLA_PUT):
+        call = (binary_call_price if c.kind is PayoffKind.BINARY_PUT else vanilla_call_price)
+        return put_price_from_parity(call(m, c, x, method, spec), c.kind, x, c.strike,
+                                     m.r, c.t_bar)
     raise InvalidParametersError(f"contract kind {c.kind!r} is not priced here")
 
 

@@ -42,12 +42,17 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import integrate as _sciint
-from scipy import stats as _stats
-
 from .densities import Family, char_fn, mean_var
 from .errors import InvalidParametersError
-from .numerics import DEFAULT_QUAD, QuadSpec, expm1_complex, integrate_real_line
+from .numerics import (
+    DEFAULT_QUAD,
+    QuadSpec,
+    expm1_complex,
+    expm1_ratio,
+    integrate_panels,
+    integrate_real_line,
+    poisson_difference_pmf,
+)
 from .riskneutral import MarketParams
 
 __all__ = [
@@ -73,28 +78,21 @@ class Payoff:
 
     ``transform`` must be vectorised over a real numpy array of
     frequencies; ``tail_order`` is the guaranteed algebraic decay rate of
-    |transform|.  ``value`` evaluates the profile pointwise; when missing,
-    it is recovered by numerical Fourier inversion.  ``breakpoints`` are
-    the log-price kinks of the profile, used to seed oscillation-aware
-    quadrature and to split piecewise-smooth averages.  They must span the
-    profile's support (the smallest and largest breakpoint bound where the
-    profile is nonzero, or where a smooth profile carries its mass): the
-    transform then turns at no more than max |k - x| radians per unit of
-    frequency, and that bound seeds the quadrature.
+    |transform|.  ``value`` evaluates the profile on a numpy array of
+    log-prices; when missing, it is recovered by numerical Fourier
+    inversion.  ``breakpoints`` are the log-price kinks of the profile,
+    used to seed oscillation-aware quadrature and to split piecewise-smooth
+    averages.  They must span the profile's support (the smallest and
+    largest breakpoint bound where the profile is nonzero, or where a
+    smooth profile carries its mass): the transform then turns at no more
+    than max |k - x| radians per unit of frequency, and that bound seeds
+    the quadrature.
     """
 
     transform: Callable[[np.ndarray], np.ndarray]
     tail_order: float
-    value: Callable[[float], float] | None = None
+    value: Callable[[np.ndarray], np.ndarray] | None = None
     breakpoints: tuple = ()
-
-
-def _stable_ratio(w):
-    """(e^w - 1)/w for complex w, equal to 1 at w = 0."""
-    w = np.asarray(w, dtype=complex)
-    small = np.abs(w) < 1e-8
-    safe = np.where(small, 1.0, w)
-    return np.where(small, 1.0 + w / 2.0 + w * w / 6.0, expm1_complex(w) / safe)
 
 
 def butterfly_payoff(K: float, L: float) -> Payoff:
@@ -115,12 +113,13 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
     def transform(w):
         w = np.asarray(w, dtype=complex)
         z = 1.0 + 1j * w
-        num = e1 * d1 * _stable_ratio(1j * w * d1) + e3 * d3 * _stable_ratio(1j * w * d3)
+        num = e1 * d1 * expm1_ratio(1j * w * d1) + e3 * d3 * expm1_ratio(1j * w * d3)
         return -np.exp(z * k2) * num / z
 
     def value(x):
-        s = math.exp(x)
-        return 2.0 * max(s - (K + 0.5 * L), 0.0) - max(s - K, 0.0) - max(s - (K + L), 0.0)
+        s = np.exp(x)
+        return 2.0 * np.maximum(s - (K + 0.5 * L), 0.0) - np.maximum(s - K, 0.0) \
+            - np.maximum(s - (K + L), 0.0)
 
     return Payoff(transform=transform, tail_order=2.0, value=value,
                   breakpoints=(k1, k2, k3))
@@ -149,7 +148,7 @@ def _phase_block(f, w, xs):
 
 def _payoff_value(payoff: Payoff, xs: np.ndarray, spec: QuadSpec) -> np.ndarray:
     if payoff.value is not None:
-        return np.array([float(payoff.value(x)) for x in xs])
+        return np.asarray(payoff.value(xs), dtype=float)
     inv = integrate_real_line(
         lambda w: _phase_block(payoff.transform(w) / (2.0 * math.pi), w, xs),
         payoff.tail_order,
@@ -161,12 +160,9 @@ def _payoff_value(payoff: Payoff, xs: np.ndarray, spec: QuadSpec) -> np.ndarray:
 
 def _one_jump_average(payoff: Payoff, x: float, lo: float, hi: float,
                       spec: QuadSpec) -> float:
-    """E[Phi(x + J)] for J uniform on [lo, hi]."""
-    pts = sorted(k - x for k in payoff.breakpoints if lo < k - x < hi)
-    val = _sciint.quad(lambda j: payoff.value(x + j), lo, hi,
-                       points=pts or None, limit=spec.max_subdiv,
-                       epsabs=spec.abs_tol, epsrel=spec.rel_tol)[0]
-    return val / (hi - lo)
+    """E[Phi(x + J)] for J uniform on [lo, hi], with panels split at the kinks."""
+    edges = [lo, *sorted(k - x for k in payoff.breakpoints if lo < k - x < hi), hi]
+    return integrate_panels(lambda j: payoff.value(x + j), edges, spec) / (hi - lo)
 
 
 def _osc_hint(payoff: Payoff, xs: np.ndarray, drift: float) -> float:
@@ -264,7 +260,7 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
     # beyond total + 12 sqrt(total) + 30 - log10(tail_mass) is negligible
     m_max = int(math.ceil(total + 12.0 * math.sqrt(total) + 30.0 - math.log10(tail_mass)))
     m = np.arange(-m_max, m_max + 1)
-    pmf = _stats.skellam.pmf(m, up, down)
-    values = np.array([[payoff.value(xi + d.b * mi) for mi in m] for xi in xs])
+    pmf = poisson_difference_pmf(m_max, up, down)
+    values = payoff.value(xs[:, None] + d.b * m[None, :])
     # a row-wise sum, so a spot's price does not depend on the other spots
     return shaped(math.exp(-params.r * t_bar) * (values * pmf).sum(axis=1))

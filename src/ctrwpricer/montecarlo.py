@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import JumpDensity, sample, symmetry_point
+from .densities import sample, symmetry_point
 from .errors import InvalidParametersError, UnsupportedFamilyError
-from .european import Contract, PayoffKind
+from .european import Contract
 from .riskneutral import MarketParams
 
 __all__ = [

@@ -121,6 +121,32 @@ def test_criterion_03_method_agreement():
                        ) <= 1e-6
 
 
+SWEEP_RHOS = (1.01, 1.1, 2.0, 5.0, 20.0, 200.0, 2000.0)
+SWEEP_SIGMAS = (0.05, 0.1, 0.2, 0.4, 0.8)
+SWEEP_HORIZONS = (1e-4, 0.01, 0.25, 1.0, 5.0, 50.0)
+SWEEP_MONEYNESS = np.geomspace(0.3, 3.0, 6)
+
+
+def test_criterion_03_method_agreement_across_admissible_space():
+    # 3,780 prices: the criterion-3 bound holds far from the reference
+    # market too, including the large lam*T corner (rho in {200, 2000},
+    # T in {5, 50}) where the inversion's characteristic roots used to
+    # cancel and raise AccuracyError
+    with budget(10.0):
+        for rho, sigma in itertools.product(SWEEP_RHOS, SWEEP_SIGMAS):
+            model = DEModel.from_rho_sigma(rho, R, sigma)
+            for t_bar, mny in itertools.product(SWEEP_HORIZONS, SWEEP_MONEYNESS):
+                x = math.log(mny)
+                where = f"rho={rho} sigma={sigma} T={t_bar} S/K={mny:.3f}"
+                assert abs(binary(model, x, t_bar)
+                           - binary(model, x, t_bar, PriceMethod.LAPLACE)) <= 1e-6, where
+                assert abs(vanilla(model, 1.0, x, t_bar)
+                           - vanilla(model, 1.0, x, t_bar, PriceMethod.LAPLACE)) <= 1e-6, where
+                assert abs(american.binary_put_price(model, 0.0, x, t_bar, "closed")
+                           - american.binary_put_price(model, 0.0, x, t_bar, "laplace")
+                           ) <= 1e-6, where
+
+
 def test_criterion_04_diffusion_limit_convergence():
     with budget(30.0):
         gaps = []

@@ -64,6 +64,24 @@ class TestImpliedVol:
         price = bs_vanilla_call(1.05, 1.0, 0.04, sigma, 0.25)
         assert abs(implied_vol(price, 1.05, 1.0, 0.04, 0.25) - sigma) <= 1e-9
 
+    @pytest.mark.parametrize("spot, T, sigma", [
+        (0.5, 0.25, 0.3),     # deep out of the money
+        (0.3, 5.0, 0.2),
+        (2.0, 0.25, 0.3),     # deep in the money
+        (3.0, 1.0, 0.2),
+        (1.0, 1e-4, 0.2),     # short expiry
+        (0.97, 1e-3, 0.1),
+        (1.05, 1e-4, 0.8),
+    ])
+    def test_round_trip_where_vega_is_tiny(self, spot, T, sigma):
+        price = bs_vanilla_call(spot, 1.0, 0.04, sigma, T)
+        iv = implied_vol(price, spot, 1.0, 0.04, T)
+        assert abs(bs_vanilla_call(spot, 1.0, 0.04, iv, T) - price) <= 1e-10
+        # sigma is recoverable only up to the price's rounding over the vega
+        d1 = (math.log(spot) + (0.04 + 0.5 * sigma * sigma) * T) / (sigma * math.sqrt(T))
+        vega = spot * math.sqrt(T) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        assert abs(iv - sigma) <= 1e-9 + 1e-15 * max(price, 1.0) / vega
+
     def test_band_edges_rejected(self):
         intrinsic = 1.05 - math.exp(-0.01)
         with pytest.raises(OutOfBandError):

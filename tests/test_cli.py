@@ -6,8 +6,13 @@ JSON, and written CSV files are all observable without subprocesses.
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import ctrwpricer
 
 from ctrwpricer import american, cli, european, fourier
 from ctrwpricer.cli import build_figure, main, read_meta
@@ -34,6 +39,19 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def test_cli_import_loads_no_heavy_scipy_subpackage():
+    # a fresh interpreter, so modules other tests imported do not count
+    src = os.path.dirname(os.path.dirname(ctrwpricer.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = ("import sys, ctrwpricer.cli; print(sorted({m.split('.')[1] "
+             "for m in sys.modules if m.startswith('scipy.')}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = set(json.loads(out.replace("'", '"')))
+    assert not loaded & {"integrate", "optimize", "stats"}, loaded
 
 
 class TestPriceCommand:
@@ -270,12 +288,13 @@ class TestMcCommand:
         assert 0.0 <= first["price"] <= 1.0
         assert first["std_error"] > 0.0
 
-    def test_price_method_mc_delegates(self, capsys):
-        direct = run_json(capsys, *self.ARGS)
-        via_price = run_json(
-            capsys, "price", "--method", "mc", "--contract", "binary-call",
-            "--rho", "2", "--gamma", "9", "--paths", "2000", "--seed", "42")
-        assert via_price == direct
+    def test_price_has_no_mc_method(self, capsys):
+        # simulation is the mc subcommand's; price takes no method alias for it
+        with pytest.raises(SystemExit) as exc:
+            main(["price", "--method", "mc", "--contract", "binary-call",
+                  "--rho", "2", "--gamma", "9"])
+        assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_perpetual_style_rejected(self, capsys):
         code, _, err = run(capsys, "mc", "--style", "perpetual",

@@ -227,6 +227,18 @@ class TestTwoPointExact:
         b = price_two_point_exact(mp, pay, math.log(98.0), T_BAR, tail_mass=1e-14)
         assert a == pytest.approx(b, abs=1e-12)
 
+    def test_one_sided_law_prices_as_poisson_sum(self):
+        # every jump is +b: the net count is the Poisson jump count itself
+        from scipy import stats
+
+        pay = butterfly_payoff(100.0, 10.0)
+        mp = MarketParams.risk_neutral(R, JumpDensity(Family.DISCRETE, 1.0, 0.01))
+        x = math.log(98.0)
+        n = np.arange(400)
+        want = math.exp(-R * T_BAR) * float(
+            np.sum(stats.poisson.pmf(n, mp.lam * T_BAR) * pay.value(x + 0.01 * n)))
+        assert price_two_point_exact(mp, pay, x, T_BAR) == pytest.approx(want, abs=1e-12)
+
     def test_rejects_other_families(self):
         pay = butterfly_payoff(100.0, 10.0)
         with pytest.raises(InvalidParametersError):

@@ -25,6 +25,7 @@ from ctrwpricer.numerics import (
     laplace_invert_talbot,
     log_normal_cdf,
     normal_cdf,
+    poisson_difference_pmf,
 )
 
 
@@ -127,11 +128,11 @@ class TestSpecialFunctions:
 
 class TestSemiInfiniteQuadrature:
     def test_plain_exponential(self):
-        val = integrate_semi_infinite(lambda u: math.exp(-u), bumps=[(0.0, 4.0)])
+        val = integrate_semi_infinite(lambda u: np.exp(-u), bumps=[(0.0, 4.0)])
         assert abs(val - 1.0) <= 1e-10
 
     def test_gaussian_moment(self):
-        val = integrate_semi_infinite(lambda u: u * math.exp(-u * u), bumps=[(0.0, 1.0)])
+        val = integrate_semi_infinite(lambda u: u * np.exp(-u * u), bumps=[(0.0, 1.0)])
         assert abs(val - 0.5) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -141,9 +142,47 @@ class TestSemiInfiniteQuadrature:
     def test_bessel_mass_identity(self, c, exact):
         # int_0^inf 2 I1(2u) e^{-u^2/c} du = e^c - 1, written with the scaled
         # Bessel function so nothing overflows
-        g = lambda u: 2.0 * bessel_i1_scaled(2.0 * u) * math.exp(2.0 * u - u * u / c)
+        g = lambda u: 2.0 * bessel_i1_scaled(2.0 * u) * np.exp(2.0 * u - u * u / c)
         val = integrate_semi_infinite(g, bumps=[(c, math.sqrt(c / 2.0) + 1e-12)])
         assert abs(val - exact) <= 1e-9 * max(1.0, exact)
+
+    def test_integrand_sees_whole_panels(self):
+        sizes = []
+
+        def g(u):
+            sizes.append(u.size)
+            return np.exp(-u)
+
+        integrate_semi_infinite(g, bumps=[(0.0, 4.0)])
+        assert min(sizes) >= 32
+
+    def test_non_converging_panel_raises_with_finite_bound(self):
+        # a jump at u = 1/3 is never resolved to 1e-10 within 4096 nodes
+        step = lambda u: (u < 1.0 / 3.0).astype(float)
+        with pytest.raises(AccuracyError) as exc:
+            integrate_semi_infinite(step, QuadSpec(max_nodes=4096), bumps=[(0.0, 1.0)])
+        best, bound = exc.value.best, exc.value.bound
+        assert math.isfinite(best) and math.isfinite(bound) and bound > 0.0
+        assert abs(best - 1.0 / 3.0) <= bound
+
+
+class TestPoissonDifferencePmf:
+    @pytest.mark.parametrize("lam_t", [0.25, 38.0, 2000.0])
+    @pytest.mark.parametrize("up_share", [0.5, 0.55, 0.9, 1.0])
+    def test_matches_scipy_skellam(self, lam_t, up_share):
+        # scipy.stats is a test-side oracle only; at lam_t = 2000 and
+        # up_share = 0.9 the e^{-z} I_m(z) closed form underflows to zero
+        from scipy import stats
+
+        up, down = lam_t * up_share, lam_t * (1.0 - up_share)
+        m_max = int(math.ceil(lam_t + 12.0 * math.sqrt(lam_t) + 44.0))
+        got = poisson_difference_pmf(m_max, up, down)
+        m = np.arange(-m_max, m_max + 1)
+        # scipy's skellam gives NaN for a zero mean; the law is then Poisson
+        want = stats.poisson.pmf(m, up) if down == 0.0 else stats.skellam.pmf(m, up, down)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-13
+        assert abs(got.sum() - 1.0) <= 1e-11
 
 
 class TestRealLineQuadrature:
