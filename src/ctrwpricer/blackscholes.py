@@ -69,7 +69,8 @@ def implied_vol(price, spot, strike, r, T, kind: str = "vanilla-call") -> float:
     around the root; a step that would leave the bracket, as it does where
     the vega is tiny, is replaced by bisection.  The residual at the
     returned sigma is at most 1e-10 * strike.  Prices outside the
-    attainable band raise OutOfBandError.
+    attainable band raise OutOfBandError, and so does a band narrower than
+    that residual, where every sigma would fit.
     """
     if kind != "vanilla-call":
         raise InvalidParametersError(f"implied vol supports vanilla calls, not {kind!r}")
@@ -81,6 +82,11 @@ def implied_vol(price, spot, strike, r, T, kind: str = "vanilla-call") -> float:
         raise OutOfBandError(
             f"price {price!r} outside attainable band "
             f"[{lo_price!r}, {hi_price!r}] for sigma in [{_SIGMA_LO}, {_SIGMA_HI}]"
+        )
+    if hi_price - lo_price <= 1e-10 * strike:
+        raise OutOfBandError(
+            f"price is flat in sigma: band [{lo_price!r}, {hi_price!r}] is within "
+            f"the residual tolerance, so every sigma in [{_SIGMA_LO}, {_SIGMA_HI}] fits"
         )
 
     def resid(sigma):

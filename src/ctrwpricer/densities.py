@@ -24,13 +24,20 @@ from .errors import (
     DomainError,
     InvalidParametersError,
     UnsupportedFamilyError,
+    ValidationError,
 )
 from .numerics import expm1_ratio
 
 __all__ = ["Family", "JumpDensity", "char_fn", "exp_moment", "pdf", "mean_var",
-           "fit_from_moments", "sample", "symmetry_point"]
+           "fit_from_moments", "sample", "sample_sum", "check_draw_budget",
+           "symmetry_point", "MAX_JUMP_DRAWS"]
 
 EULER_GAMMA = float(np.euler_gamma)
+
+# Jump draws one block of paths may make: the per-jump summation holds the
+# jumps, their cumulative sum and its shifted copy, 24 bytes a draw, so a
+# block at this budget peaks near 200 MB.
+MAX_JUMP_DRAWS = 1 << 23
 
 
 class Family(enum.Enum):
@@ -256,6 +263,66 @@ def sample(d: JumpDensity, rng: np.random.Generator, size: int) -> np.ndarray:
     raise UnsupportedFamilyError(
         f"sampling is not available for family {f.value}"
     )
+
+
+def check_draw_budget(expected: float, what: str) -> None:
+    """Refuse, before drawing, a block of paths expected to make too many jump draws."""
+    if not expected <= MAX_JUMP_DRAWS:
+        raise ValidationError(
+            f"{what} expects {expected:.4g} jump draws per block (paths * lam*T), "
+            f"above the budget of {MAX_JUMP_DRAWS}"
+        )
+
+
+def sample_sum(d: JumpDensity, rng: np.random.Generator, counts: np.ndarray,
+               lam_t: float) -> np.ndarray:
+    """Per path, the sum of ``counts[i]`` iid jumps, with counts ~ Poisson(lam_t).
+
+    Families closed under convolution draw the sum given its count
+    (Cont & Tankov 2004, ch. 6), so the cost does not grow with lam_t:
+    exponential as a binomial up/down split of two gamma sums, two-point
+    as a binomial, Gaussian as one scaled normal.  The tempered power
+    tail has infinite activity and no count: its increment is the
+    difference of two inverse-Gaussian variables (Michael, Schucany &
+    Haas 1976), drawn from lam_t alone.  The other families draw every
+    jump and are refused when counts.size * lam_t exceeds MAX_JUMP_DRAWS.
+    Draw sizes depend only on ``counts``, so equal counts and streams
+    give equal sums.
+    """
+    a, b = d.a, d.b
+    f = d.family
+    if f is Family.PARETO_HALF:
+        scale = 2.0 * math.sqrt(math.pi) * lam_t
+        return (_wald(rng, scale * a, b, counts.size)
+                - _wald(rng, scale * (1.0 - a), b, counts.size))
+    if f not in (Family.EXPONENTIAL, Family.DISCRETE, Family.GAUSSIAN):
+        check_draw_budget(counts.size * lam_t, f"summing {f.value} jumps one by one")
+        total = int(counts.sum())
+        if not total:
+            return np.zeros(counts.size)
+        ends = np.cumsum(counts)
+        cum = np.concatenate(([0.0], np.cumsum(sample(d, rng, total))))
+        return cum[ends] - cum[ends - counts]
+    sums = np.zeros(counts.size)
+    nz = np.flatnonzero(counts)  # paths without jumps need no draw
+    n = counts[nz]
+    if f is Family.EXPONENTIAL:
+        up = rng.binomial(n, a / (a + b))
+        sums[nz] = a * rng.standard_gamma(up) - b * rng.standard_gamma(n - up)
+    elif f is Family.DISCRETE:
+        sums[nz] = b * (2 * rng.binomial(n, a) - n)
+    else:
+        sums[nz] = a * n + b * np.sqrt(n) * rng.standard_normal(n.size)
+    return sums
+
+
+def _wald(rng: np.random.Generator, c: float, b: float, size: int) -> np.ndarray:
+    # inverse Gaussian with mean c*b/2 and shape c^2*b/2; as c -> 0 it
+    # tends to the point mass at 0, which numpy's wald does not accept
+    shape = 0.5 * c * c * b
+    if shape == 0.0:
+        return np.zeros(size)
+    return rng.wald(0.5 * c * b, shape, size)
 
 
 def symmetry_point(d: JumpDensity) -> float | None:

@@ -1,10 +1,16 @@
 """Monte Carlo oracle: exact simulation of the pure-jump log-price.
 
 Between jumps the log-price is constant, so terminal states can be drawn
-without discretisation error: a Poisson jump count followed by that many
-iid jump sizes.  Paths are organised in fixed-size blocks, each driven by
-its own counter-based Philox stream keyed on (seed, block index); the
-estimate therefore does not depend on execution order and is bit-for-bit
+without discretisation error: a Poisson jump count, then the sum of that
+many iid jumps (``densities.sample_sum``).  Families closed under
+convolution draw that sum in one step, so their cost per path does not
+grow with lam*T; the tempered power tail draws its whole increment as a
+difference of two inverse-Gaussian variables.  The first-passage
+estimator draws every jump.  It, and the families summed jump by jump,
+refuse a block expected to make more than ``densities.MAX_JUMP_DRAWS``
+draws.  Paths are organised in fixed-size blocks, each driven by its own
+counter-based Philox stream keyed on (seed, block index); the estimate
+therefore does not depend on execution order and is bit-for-bit
 reproducible whether blocks run serially or in parallel.
 
 Summation of payoffs uses numpy's pairwise reduction, which keeps the
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import sample, symmetry_point
+from .densities import check_draw_budget, sample, sample_sum, symmetry_point
 from .errors import InvalidParametersError, UnsupportedFamilyError
 from .european import Contract
 from .riskneutral import MarketParams
@@ -71,18 +77,13 @@ def _blocks(paths: int):
 def _terminal_block(params: MarketParams, x0: float, horizon: float,
                     rng: np.random.Generator, n: int,
                     antithetic: bool) -> np.ndarray:
-    # Draw for the full block even when fewer paths are needed: the jump
+    # Draw for the full block even when fewer paths are needed: the sum
     # sampler makes several bulk draws whose stream offsets depend on the
-    # requested size, so slicing a full block is the only way a partial
-    # block can be a prefix of the same block drawn in a longer run.
-    counts = rng.poisson(params.lam * horizon, size=BLOCK)
-    total = int(counts.sum())
-    jumps = sample(params.density, rng, total)
-    ends = np.cumsum(counts)
-    sums = np.zeros(BLOCK)
-    if total:
-        cum = np.concatenate(([0.0], np.cumsum(jumps)))
-        sums = cum[ends] - cum[ends - counts]
+    # counts, so slicing a full block is the only way a partial block can
+    # be a prefix of the same block drawn in a longer run.
+    lam_t = params.lam * horizon
+    counts = rng.poisson(lam_t, size=BLOCK)
+    sums = sample_sum(params.density, rng, counts, lam_t)
     counts, sums = counts[:n], sums[:n]
     if not antithetic:
         return x0 + sums
@@ -138,6 +139,7 @@ def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
         raise UnsupportedFamilyError("antithetic sampling is not defined for first passage")
     if x0 <= k:
         return MCEstimate(1.0, 0.0, config.paths, config.seed)
+    check_draw_budget(BLOCK * params.lam * horizon, "first-passage simulation")
     values = []
     for block, n in _blocks(config.paths):
         rng = _block_rng(config.seed, block)

@@ -89,6 +89,14 @@ class TestImpliedVol:
         with pytest.raises(OutOfBandError):
             implied_vol(1.06, 1.05, 1.0, 0.04, 0.25)
 
+    @pytest.mark.parametrize("spot", [0.3, 3.0])
+    def test_flat_band_rejected(self, spot):
+        # at T = 1e-4 the price moves by less than 1e-10 * K over the whole
+        # sigma band, so no vol is implied (0.3 used to return 2.50005)
+        price = bs_vanilla_call(spot, 1.0, 0.04, 0.2, 1e-4)
+        with pytest.raises(OutOfBandError, match="flat"):
+            implied_vol(price, spot, 1.0, 0.04, 1e-4)
+
     def test_near_lower_edge_vanishing_vol(self):
         intrinsic = 1.05 - math.exp(-0.01)
         near = implied_vol(intrinsic + 1e-10, 1.05, 1.0, 0.04, 0.25)

@@ -296,6 +296,13 @@ class TestMcCommand:
         assert exc.value.code == 2
         capsys.readouterr()
 
+    def test_first_passage_over_draw_budget_exits_2(self, capsys):
+        code, _, err = run(capsys, "mc", "--style", "american",
+                           "--contract", "binary-put", "--rho", "2000",
+                           "--sigma", "0.1", "--T", "1", "--spot", "1.1")
+        assert code == 2
+        assert "jump draws per block" in err
+
     def test_perpetual_style_rejected(self, capsys):
         code, _, err = run(capsys, "mc", "--style", "perpetual",
                            "--contract", "binary-put", "--rho", "2",

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
 from ctrwpricer import Family, JumpDensity, char_fn, exp_moment, fit_from_moments
-from ctrwpricer.densities import EULER_GAMMA, mean_var, pdf, sample, symmetry_point
+from ctrwpricer.densities import (
+    EULER_GAMMA,
+    mean_var,
+    pdf,
+    sample,
+    sample_sum,
+    symmetry_point,
+)
 from ctrwpricer.errors import (
     DivergentMomentError,
     InvalidParametersError,
@@ -257,6 +264,35 @@ class TestSampling:
         rng = np.random.default_rng(0)
         with pytest.raises(UnsupportedFamilyError):
             sample(JumpDensity(Family.PARETO_HALF, 0.5, 0.3), rng, 10)
+
+
+class TestSampleSum:
+    @pytest.mark.parametrize("family", [Family.CONSTANT, Family.LOGISTIC, Family.GUMBEL],
+                             ids=lambda f: f.value)
+    def test_per_jump_families_sum_their_draws(self, family):
+        # reference: the same jumps, drawn from the same stream, summed path by path
+        d = fit_from_moments(family, 1e-3, 1e-4)
+        counts = np.random.default_rng(1).poisson(3.0, 500)
+        got = sample_sum(d, np.random.default_rng(2), counts, 3.0)
+        jumps = sample(d, np.random.default_rng(2), int(counts.sum()))
+        ends = np.cumsum(counts)
+        want = [jumps[e - c:e].sum() for c, e in zip(counts, ends)]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_no_time_no_move(self, family):
+        d = fit_from_moments(family, 1e-3, 1e-4)
+        got = sample_sum(d, np.random.default_rng(0), np.zeros(100, dtype=np.int64), 0.0)
+        assert np.array_equal(got, np.zeros(100))
+
+    def test_one_sided_tempered_tail(self):
+        # a = 1 puts all mass on up-jumps: the down inverse-Gaussian part is 0
+        d = JumpDensity(Family.PARETO_HALF, 1.0, 0.3)
+        got = sample_sum(d, np.random.default_rng(4), np.zeros(200_000, dtype=np.int64), 5.0)
+        assert np.all(got > 0.0)
+        m1, v = mean_var(d)
+        se = math.sqrt(5.0 * (v + m1 * m1) / got.size)
+        assert abs(got.mean() - 5.0 * m1) <= 5.0 * se
 
 
 class TestSymmetryPoint:

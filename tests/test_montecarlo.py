@@ -1,6 +1,8 @@
 """Tests for the exact compound-Poisson path simulator."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +19,16 @@ from ctrwpricer import (
     fit_from_moments,
 )
 from ctrwpricer.american import binary_put_price
-from ctrwpricer.errors import InvalidParametersError, UnsupportedFamilyError
+from ctrwpricer.densities import char_fn, mean_var
+from ctrwpricer.errors import (
+    InvalidParametersError,
+    UnsupportedFamilyError,
+    ValidationError,
+)
 from ctrwpricer.european import european_price
 from ctrwpricer.fourier import butterfly_payoff, price_fourier
 from ctrwpricer.montecarlo import (
+    BLOCK,
     MCEstimate,
     martingale_check,
     price_american_binary_put_mc,
@@ -29,6 +37,21 @@ from ctrwpricer.montecarlo import (
 )
 
 R = 0.04
+
+
+def assert_refused_before_drawing(call):
+    """``call`` hits the jump-draw budget fast, allocating a block's counts at most."""
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="jump draws per block"):
+            call()
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 0.5
+    assert peak < 4 * BLOCK * 8
 
 
 @pytest.fixture
@@ -107,11 +130,66 @@ class TestSimulateTerminal:
         result = stats.chisquare(obs, expected * obs.sum() / expected.sum())
         assert result.pvalue > 0.001
 
-    def test_pareto_half_cannot_be_sampled(self):
-        d = fit_from_moments(Family.PARETO_HALF, 1e-3, 1e-4)
-        mp = MarketParams.risk_neutral(R, d)
-        with pytest.raises(UnsupportedFamilyError):
-            simulate_terminal(mp, 0.0, 1.0, MCConfig(paths=1000, seed=0))
+    def test_pareto_half_terminal_law(self):
+        # the tempered power tail has no jump count; its increment is a
+        # difference of two inverse-Gaussian variables with cumulants
+        # lam*T times those of one jump
+        mp = MarketParams.risk_neutral(R, fit_from_moments(Family.PARETO_HALF, 1e-3, 1e-4))
+        m1, v = mean_var(mp.density)
+        lam_t = mp.lam * 0.25
+        xt = simulate_terminal(mp, 0.0, 0.25, MCConfig(paths=1_000_000, seed=13))
+        n = xt.size
+        dev = xt - xt.mean()
+        var = float(np.mean(dev * dev))
+        assert abs(xt.mean() - lam_t * m1) <= 5.0 * math.sqrt(var / n)
+        var_se = math.sqrt((np.mean(dev**4) - var * var) / n)
+        assert abs(var - lam_t * (v + m1 * m1)) <= 5.0 * var_se
+
+        x = math.log(92.0)
+        c = Contract(PayoffKind.PORTFOLIO, 100.0, 0.25, width=10.0)
+        est = price_european_mc(mp, c, x, MCConfig(paths=1_000_000, seed=14))
+        four = price_fourier(mp, butterfly_payoff(100.0, 10.0), x, 0.25)
+        assert est.within(four, n_se=5.0), (est, four)
+
+    @pytest.mark.parametrize("density", [
+        JumpDensity(Family.EXPONENTIAL, 0.03, 0.05),
+        JumpDensity(Family.DISCRETE, 0.6, 0.04),
+        JumpDensity(Family.GAUSSIAN, 0.01, 0.05),
+        JumpDensity(Family.LOGISTIC, 0.01, 0.03),
+    ], ids=lambda d: d.family.value)
+    def test_characteristic_function_at_large_lam_t(self, density):
+        # E[e^{iwX_T}] = exp(lam*T*(phi(w) - 1)) for the compound-Poisson sum
+        lam_t = 40.0
+        mp = MarketParams(r=R, density=density, lam=lam_t)
+        xt = simulate_terminal(mp, 0.0, 1.0, MCConfig(paths=200_000, seed=17))
+        for w in (1.0, 3.0, 6.0):
+            z = np.exp(1j * w * xt)
+            want = np.exp(lam_t * (char_fn(density, w) - 1.0))
+            se = np.array([z.real.std(ddof=1), z.imag.std(ddof=1)]) / math.sqrt(xt.size)
+            got = z.mean()
+            assert abs(got.real - want.real) <= 5.0 * se[0], (w, got, want)
+            assert abs(got.imag - want.imag) <= 5.0 * se[1], (w, got, want)
+
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_every_family_repeats_and_extends(self, family):
+        mp = MarketParams.risk_neutral(R, fit_from_moments(family, 1e-3, 1e-4))
+        first = simulate_terminal(mp, 0.0, 1.0, MCConfig(paths=50_000, seed=19))
+        again = simulate_terminal(mp, 0.0, 1.0, MCConfig(paths=50_000, seed=19))
+        short = simulate_terminal(mp, 0.0, 1.0, MCConfig(paths=30_000, seed=19))
+        assert np.array_equal(first, again)
+        assert np.array_equal(short, first[:30_000])
+        assert first.std() > 0.0
+
+    def test_pareto_half_antithetic_mirror(self):
+        mp = MarketParams.risk_neutral(R, JumpDensity(Family.PARETO_HALF, 0.5, 0.1))
+        cfg = MCConfig(paths=5000, seed=3, antithetic=True)
+        xt = simulate_terminal(mp, 0.0, 1.0, cfg)
+        assert np.array_equal(xt[:, 1], -xt[:, 0])
+
+    def test_per_jump_family_refused_over_draw_budget(self):
+        mp = MarketParams(r=R, density=JumpDensity(Family.LOGISTIC, 0.0, 1e-4), lam=1e6)
+        assert_refused_before_drawing(
+            lambda: simulate_terminal(mp, 0.0, 1.0, MCConfig(paths=1000, seed=0)))
 
     def test_antithetic_returns_mirrored_pairs(self, gaussian_market):
         cfg = MCConfig(paths=5000, seed=3, antithetic=True)
@@ -149,6 +227,18 @@ class TestEuropeanMC:
                                 MCConfig(paths=1_000_000, seed=4))
         four = price_fourier(gaussian_market, butterfly_payoff(100.0, 10.0), x, 0.25)
         assert est.within(four)
+
+    def test_diffusion_limit_market_matches_closed_form(self):
+        # the criterion-4 market: rho=2000, sigma=0.1, lam*T ~ 2e4 at T=1,
+        # far too many jumps to draw one by one
+        start = time.perf_counter()
+        m = DEModel.from_rho_sigma(2000.0, R, 0.1)
+        for kind, seed in ((PayoffKind.VANILLA_CALL, 2001), (PayoffKind.BINARY_CALL, 2002)):
+            c = Contract(kind, 1.0, 1.0)
+            est = price_european_mc(m.market_params(), c, math.log(1.02),
+                                    MCConfig(paths=200_000, seed=seed))
+            assert est.within(european_price(m, c, math.log(1.02))), (kind, est)
+        assert time.perf_counter() - start < 5.0
 
     def test_seed_independence_within_statistics(self):
         m = DEModel.risk_neutral(4.0, 11.0, R)
@@ -193,6 +283,18 @@ class TestAmericanMC:
         cfg = MCConfig(paths=1000, seed=0, antithetic=True)
         with pytest.raises(UnsupportedFamilyError):
             price_american_binary_put_mc(market, 0.0, 0.1, 1.0, cfg)
+
+    def test_refused_over_draw_budget(self):
+        # every jump of a first passage is drawn: lam*T ~ 2e4 at rho=2000
+        mp = DEModel.from_rho_sigma(2000.0, R, 0.1).market_params()
+        assert_refused_before_drawing(
+            lambda: price_american_binary_put_mc(mp, 0.0, 0.1, 1.0,
+                                                 MCConfig(paths=1000, seed=0)))
+
+    def test_pareto_half_still_unsupported(self):
+        mp = MarketParams.risk_neutral(R, fit_from_moments(Family.PARETO_HALF, 1e-3, 1e-4))
+        with pytest.raises(UnsupportedFamilyError):
+            price_american_binary_put_mc(mp, 0.0, 0.1, 1.0, MCConfig(paths=1000, seed=0))
 
 
 class TestMartingaleCheck:
