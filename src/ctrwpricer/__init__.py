@@ -38,7 +38,6 @@ from .errors import (
 )
 from .european import (
     Contract,
-    DEModel,
     OptionStyle,
     PayoffKind,
     PriceMethod,
@@ -57,7 +56,6 @@ __all__ = [
     "AccuracyError",
     "BranchInconsistencyError",
     "Contract",
-    "DEModel",
     "DegenerateMarketError",
     "DivergentMomentError",
     "DomainError",

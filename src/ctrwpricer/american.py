@@ -5,6 +5,7 @@ or below the log-strike k.  Because the process is a pure jump walk, the
 optimal exercise boundary for this claim is the strike itself, which makes
 both the transform and a time-domain integral available in closed form.
 For vanilla perpetual puts the optimal boundary and value are algebraic.
+Every function takes a two-sided exponential ``MarketParams``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from .numerics import (
     log_normal_cdf,
     normal_cdf,
 )
-from .european import DEModel, beta_pm
+from .european import PriceMethod, beta_pm
+from .riskneutral import MarketParams
 
 __all__ = [
     "binary_put_laplace",
@@ -40,16 +42,17 @@ __all__ = [
 # American binary put
 # ----------------------------------------------------------------------
 
-def binary_put_laplace(m: DEModel, k: float, x: float, s):
+def binary_put_laplace(m: MarketParams, k: float, x: float, s):
     """Transform (in remaining time) of the American binary put, log-strike k."""
     s = np.asarray(s, dtype=complex)
     if x <= k:
         return 1.0 / s
+    _, g = m.exponential_rates()
     _, bm = beta_pm(m, s)
-    return (m.gamma + bm) / m.gamma * np.exp(bm * (x - k)) / s
+    return (g + bm) / g * np.exp(bm * (x - k)) / s
 
 
-def binary_put_closed(m: DEModel, k: float, x: float, t_bar: float,
+def binary_put_closed(m: MarketParams, k: float, x: float, t_bar: float,
                       spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Time-domain American binary put via a three-kernel Bessel integral.
 
@@ -57,11 +60,11 @@ def binary_put_closed(m: DEModel, k: float, x: float, t_bar: float,
     kernel (using the log of the normal CDF for the boundary kernel), so
     the integrand is overflow-free even deep in the diffusion limit.
     """
+    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
     if x <= k:
         return 1.0
     if t_bar == 0.0:
         return 0.0
-    g, p, lam, r = m.gamma, m.rho, m.lam, m.r
     y = k - x  # negative in the continuation region
     c = lam * t_bar
     c1 = g * p * c / ((g + 1.0) * (p - 1.0))
@@ -85,69 +88,75 @@ def binary_put_closed(m: DEModel, k: float, x: float, t_bar: float,
     return integrate_semi_infinite(integrand, spec, bumps=bumps)
 
 
-def binary_put_price(m: DEModel, k: float, x: float, t_bar: float,
-                     method: str = "laplace",
+def binary_put_price(m: MarketParams, k: float, x: float, t_bar: float,
+                     method: PriceMethod = PriceMethod.LAPLACE,
                      spec: QuadSpec = DEFAULT_QUAD) -> float:
+    """Finite-horizon American binary put; ``method`` is a PriceMethod or its value."""
+    try:
+        method = PriceMethod(method)
+    except ValueError:
+        pass
+    if method not in (PriceMethod.CLOSED, PriceMethod.LAPLACE):
+        raise InvalidParametersError(f"unsupported method {method!r} for American binary puts")
     if x <= k:
         return 1.0
     if t_bar == 0.0:
         return 0.0
-    if method == "closed":
+    if method is PriceMethod.CLOSED:
         return binary_put_closed(m, k, x, t_bar, spec)
-    if method == "laplace":
-        return laplace_invert(lambda s: binary_put_laplace(m, k, x, s), t_bar, spec)
-    raise InvalidParametersError(f"unsupported method {method!r} for the American binary put")
+    return laplace_invert(lambda s: binary_put_laplace(m, k, x, s), t_bar, spec)
 
 
-def perpetual_binary_put(m: DEModel, k: float, x: float) -> float:
+def perpetual_binary_put(m: MarketParams, k: float, x: float) -> float:
     """t_bar -> infinity limit of the American binary put."""
+    p, g = m.exponential_rates()
     if x <= k:
         return 1.0
-    return (m.rho - 1.0) / m.gamma * math.exp(-m.epsilon * (x - k))
+    return (p - 1.0) / g * math.exp(-(g - p + 1.0) * (x - k))
 
 
 # ----------------------------------------------------------------------
 # vanilla perpetual put and its boundaries
 # ----------------------------------------------------------------------
 
-def vanilla_exercise_trigger(m: DEModel, K: float) -> float:
+def vanilla_exercise_trigger(m: MarketParams, K: float) -> float:
     """Price level below which immediate exercise beats any single further jump.
 
     This is the fixed point of the one-step dominance condition for the
     vanilla put payoff; it sits slightly above the perpetual boundary.
     """
-    g, p = m.gamma, m.rho
+    p, g = m.exponential_rates()
     return K * ((g + p) * (g - p + 1.0) / (g * (g + 1.0))) ** (1.0 / p)
 
 
-def perpetual_exercise_boundary(m: DEModel, K: float) -> float:
+def perpetual_exercise_boundary(m: MarketParams, K: float) -> float:
     """Optimal exercise level of the perpetual vanilla put."""
-    g, p = m.gamma, m.rho
+    p, g = m.exponential_rates()
     return K * (g + 1.0) * (g - p + 1.0) / (g * (g - p + 2.0))
 
 
-def perpetual_vanilla_put(m: DEModel, K: float, x: float) -> float:
+def perpetual_vanilla_put(m: MarketParams, K: float, x: float) -> float:
     """Value of the perpetual vanilla put at log-price x."""
-    g, p = m.gamma, m.rho
+    p, g = m.exponential_rates()
     zs = perpetual_exercise_boundary(m, K)
     if math.exp(x) <= zs:
         return K - math.exp(x)
     ls = math.log(zs)
     coef = (p - 1.0) / g * (K - g * zs / (g + 1.0))
-    return coef * math.exp(m.epsilon * (ls - x))
+    return coef * math.exp((g - p + 1.0) * (ls - x))
 
 
 # ----------------------------------------------------------------------
 # independent root-based checks (used by the tests; exported for reuse)
 # ----------------------------------------------------------------------
 
-def _trigger_residual(m: DEModel, K: float, z: float) -> float:
+def _trigger_residual(m: MarketParams, K: float, z: float) -> float:
     """Residual of the defining equation of vanilla_exercise_trigger at e^{z0}=z.
 
     Phi(z0) = lam/(lam+r) * integral of h(y - z0) Phi(y) dy with
     Phi(y) = (K - e^y)^+ and the two-sided exponential h.
     """
-    g, p, lam, r = m.gamma, m.rho, m.lam, m.r
+    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
     k = math.log(K)
     z0 = math.log(z)
     d = k - z0
@@ -160,7 +169,7 @@ def _trigger_residual(m: DEModel, K: float, z: float) -> float:
     return (K - z) - lam / (lam + r) * pref * (down + up)
 
 
-def solve_trigger_numeric(m: DEModel, K: float) -> float:
+def solve_trigger_numeric(m: MarketParams, K: float) -> float:
     """Root-finder cross-check of vanilla_exercise_trigger."""
     from scipy.optimize import brentq  # an oracle; kept off the import path
 
@@ -168,13 +177,13 @@ def solve_trigger_numeric(m: DEModel, K: float) -> float:
                   xtol=1e-15, rtol=8.9e-16)
 
 
-def _boundary_residual(m: DEModel, K: float, z: float) -> float:
+def _boundary_residual(m: MarketParams, K: float, z: float) -> float:
     """Value-matching residual for the perpetual boundary at e^{z*}=z."""
-    g, p = m.gamma, m.rho
+    p, g = m.exponential_rates()
     return (p - 1.0) * (K / g - z / (g + 1.0)) - (K - z)
 
 
-def solve_boundary_numeric(m: DEModel, K: float) -> float:
+def solve_boundary_numeric(m: MarketParams, K: float) -> float:
     """Root-finder cross-check of perpetual_exercise_boundary."""
     from scipy.optimize import brentq  # an oracle; kept off the import path
 

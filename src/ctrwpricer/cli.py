@@ -22,7 +22,7 @@ import numpy as np
 from . import american, blackscholes, european, fourier, montecarlo
 from .densities import Family, JumpDensity, exp_moment, fit_from_moments
 from .errors import AccuracyError, OutOfBandError, PricingError, ValidationError
-from .european import Contract, DEModel, OptionStyle, PayoffKind, PriceMethod
+from .european import Contract, OptionStyle, PayoffKind, PriceMethod
 from .numerics import QuadSpec
 from .riskneutral import MarketParams, risk_neutral_intensity, validate
 
@@ -87,7 +87,7 @@ def _grid(spec) -> list:
 
 def _exp_models(meta) -> dict:
     return {
-        f"rho_{g:g}": DEModel.from_rho_sigma(float(g), meta["r"], meta["sigma"])
+        f"rho_{g:g}": MarketParams.from_rho_sigma(float(g), meta["r"], meta["sigma"])
         for g in meta["rho"]
     }
 
@@ -150,7 +150,7 @@ def _fig_iv1(meta) -> FigureData:
 
 
 def _fig_iv2(meta) -> FigureData:
-    m = DEModel.from_rho_sigma(meta["rho"], meta["r"], meta["sigma"])
+    m = MarketParams.from_rho_sigma(meta["rho"], meta["r"], meta["sigma"])
     rows, skipped = _iv_rows([m], meta["K"], meta["T"], meta["r"], _grid(meta["grid"]))
     return FigureData(dict(meta, out_of_band=skipped), ["s_over_k", "model_iv"], rows)
 
@@ -167,7 +167,7 @@ def _fig_butterfly_rho(meta) -> FigureData:
     payoff = fourier.butterfly_payoff(K, L)
     grid = _grid(meta["grid"])
     xs = np.log(grid)
-    columns = [_transform_price(m.market_params(), payoff, xs, T, meta["tol"])
+    columns = [_transform_price(m, payoff, xs, T, meta["tol"])
                for m in models.values()]
     cols = ["spot"] + list(models) + ["bs"]
     rows = []
@@ -208,7 +208,7 @@ def _fig_american(meta) -> FigureData:
         row = [mny]
         for m in models.values():
             for t in T_list:
-                row.append(american.binary_put_price(m, k, x, t, method="laplace"))
+                row.append(american.binary_put_price(m, k, x, t, PriceMethod.LAPLACE))
         rows.append(row)
     return FigureData(meta, cols, rows)
 
@@ -371,26 +371,25 @@ def _cmd_price(args) -> int:
         _emit(out)
         return 0
 
-    model = DEModel.from_market(market)
     spec = QuadSpec() if args.tol is None else QuadSpec(rel_tol=1e-9, abs_tol=args.tol)
     if contract.style is OptionStyle.EUROPEAN:
-        price = european.european_price(model, contract, x, method, spec)
+        price = european.european_price(market, contract, x, method, spec)
         out.update(price=price, T=contract.t_bar)
     elif contract.style is OptionStyle.AMERICAN:
         if contract.kind is not PayoffKind.BINARY_PUT:
             raise ValidationError("finite-expiry American pricing covers binary puts only")
-        price = american.binary_put_price(model, contract.log_strike, x,
-                                          contract.t_bar, method.value, spec)
+        price = american.binary_put_price(market, contract.log_strike, x,
+                                          contract.t_bar, method, spec)
         out.update(price=price, T=contract.t_bar)
     else:  # perpetual
         if contract.kind is PayoffKind.BINARY_PUT:
-            price = american.perpetual_binary_put(model, contract.log_strike, x)
+            price = american.perpetual_binary_put(market, contract.log_strike, x)
             out.update(price=price)
         elif contract.kind is PayoffKind.VANILLA_PUT:
-            price = american.perpetual_vanilla_put(model, contract.strike, x)
+            price = american.perpetual_vanilla_put(market, contract.strike, x)
             out.update(price=price,
                        exercise_boundary=american.perpetual_exercise_boundary(
-                           model, contract.strike))
+                           market, contract.strike))
         else:
             raise ValidationError("perpetual pricing covers binary and vanilla puts")
     _emit(out)
@@ -399,12 +398,12 @@ def _cmd_price(args) -> int:
 
 def _cmd_iv(args) -> int:
     market = _build_market(args)
-    model = DEModel.from_market(market)
+    rho, gamma = market.exponential_rates()
     K, T, r = args.strike, args.T, args.rate
     grid = _grid([args.smin, args.smax, args.spoints])
-    rows, skipped = _iv_rows([model], K, T, r, grid, model.sigma_equivalent)
+    rows, skipped = _iv_rows([market], K, T, r, grid, math.sqrt(2.0 * r / (gamma - rho + 1.0)))
     meta = {
-        "command": "iv", "rho": model.rho, "gamma": model.gamma, "r": r,
+        "command": "iv", "rho": rho, "gamma": gamma, "r": r,
         "K": K, "T": T, "grid": [args.smin, args.smax, args.spoints],
         "out_of_band": skipped, "risk_neutral": market.is_risk_neutral,
     }

@@ -1,14 +1,16 @@
 """European binary and vanilla options under the two-sided exponential jump model.
 
-The model is parameterised by (rho, gamma): one jump has density
+Every pricer takes a ``MarketParams`` whose jump law is the Exponential
+family with a = 1/rho, b = 1/gamma; one jump has density
 
     h(x) = gamma*rho/(gamma+rho) * (e^{-rho x} 1_{x>=0} + e^{gamma x} 1_{x<0}),
 
-i.e. the Exponential family with a = 1/rho, b = 1/gamma.  Conditioning on
-the time and size of the next jump turns the price into an integral
-equation in remaining time t_bar whose Laplace transform in t_bar is
-available in closed form through the two characteristic roots beta_pm of
-the jump operator.  Each contract is priced two independent ways:
+read back as (rho, gamma) by ``MarketParams.exponential_rates``, which
+refuses any other market.  Conditioning on the time and size of the next
+jump turns the price into an integral equation in remaining time t_bar
+whose Laplace transform in t_bar is available in closed form through the
+two characteristic roots beta_pm of the jump operator.  Each contract is
+priced two independent ways:
 
 * ``LAPLACE``: numerical inversion of the transform, and
 * ``CLOSED``: a one-dimensional Bessel/Gaussian integral in the time domain,
@@ -20,12 +22,12 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fourier
-from .densities import JumpDensity
+from .densities import mean_var
 from .errors import BranchInconsistencyError, InvalidParametersError
 from .numerics import (
     DEFAULT_QUAD,
@@ -35,10 +37,9 @@ from .numerics import (
     laplace_invert,
     normal_cdf,
 )
-from .riskneutral import MarketParams
+from .riskneutral import MarketParams, gamma_for_sigma
 
 __all__ = [
-    "DEModel",
     "PayoffKind",
     "OptionStyle",
     "Contract",
@@ -56,78 +57,6 @@ __all__ = [
 ]
 
 _VIETA_TOL = 1e-12
-
-
-def gamma_for_sigma(rho: float, r: float, sigma: float) -> float:
-    """Down-tail rate that matches a diffusion of volatility sigma.
-
-    Keeps gamma - rho + 1 = 2 r / sigma^2 so that the frequent-small-jump
-    limit rho -> infinity reproduces Black-Scholes with this sigma.
-    """
-    if sigma <= 0 or r <= 0:
-        raise InvalidParametersError("sigma and r must be positive")
-    return rho - 1.0 + 2.0 * r / (sigma * sigma)
-
-
-@dataclass(frozen=True)
-class DEModel:
-    """Two-sided exponential market: up-rate rho, down-rate gamma, rate r, intensity lam."""
-
-    rho: float
-    gamma: float
-    r: float
-    lam: float
-
-    def __post_init__(self):
-        if not (0.0 < self.rho - 1.0 < self.gamma):
-            raise InvalidParametersError(
-                f"0 < rho - 1 < gamma violated (rho={self.rho!r}, gamma={self.gamma!r})"
-            )
-        if self.r < 0.0 or self.lam <= 0.0:
-            raise InvalidParametersError("need r >= 0 and lam > 0")
-
-    @classmethod
-    def risk_neutral(cls, rho: float, gamma: float, r: float) -> "DEModel":
-        if r <= 0.0:
-            raise InvalidParametersError("risk-neutral calibration needs r > 0")
-        model = cls(rho, gamma, r, 1.0)  # validates rho and gamma
-        return replace(model, lam=model.martingale_lam)
-
-    @classmethod
-    def from_rho_sigma(cls, rho: float, r: float, sigma: float) -> "DEModel":
-        return cls.risk_neutral(rho, gamma_for_sigma(rho, r, sigma), r)
-
-    @property
-    def epsilon(self) -> float:
-        """gamma - rho + 1, the decay rate of perpetual-put values."""
-        return self.gamma - self.rho + 1.0
-
-    @property
-    def sigma_equivalent(self) -> float:
-        """Volatility of the diffusion this model collapses to."""
-        return math.sqrt(2.0 * self.r / self.epsilon)
-
-    @property
-    def martingale_lam(self) -> float:
-        """The intensity that makes the discounted price a martingale."""
-        return self.r * (self.rho - 1.0) * (self.gamma + 1.0) / self.epsilon
-
-    @property
-    def is_risk_neutral(self) -> bool:
-        return abs(self.lam - self.martingale_lam) <= 1e-9 * self.martingale_lam
-
-    def density(self) -> JumpDensity:
-        return JumpDensity.exponential(1.0 / self.rho, 1.0 / self.gamma)
-
-    def market_params(self) -> MarketParams:
-        return MarketParams(r=self.r, density=self.density(), lam=self.lam)
-
-    @classmethod
-    def from_market(cls, params: MarketParams) -> "DEModel":
-        d = params.density
-        if d.family.value != "exp":
-            raise InvalidParametersError("DEModel requires the two-sided exponential family")
-        return cls(1.0 / d.a, 1.0 / d.b, params.r, params.lam)
 
 
 class PayoffKind(enum.Enum):
@@ -192,7 +121,7 @@ class PriceMethod(enum.Enum):
 # characteristic roots
 # ----------------------------------------------------------------------
 
-def beta_pm(m: DEModel, s):
+def beta_pm(m: MarketParams, s):
     """Roots beta_+(s) >= 0 >= beta_-(s) of the transformed jump operator.
 
     With disc = (gamma - rho)^2 + 4 gamma rho (r+s)/(lam+r+s), which does
@@ -206,7 +135,7 @@ def beta_pm(m: DEModel, s):
     are asserted at every node as a branch-consistency guard.
     """
     s = np.asarray(s, dtype=complex)
-    g, p, lam, r = m.gamma, m.rho, m.lam, m.r
+    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
     prod_target = -g * p * (r + s) / (lam + r + s)
     root = np.sqrt((g - p) ** 2 - 4.0 * prod_target)
     big = -0.5 * ((g - p) + math.copysign(1.0, g - p) * root)  # beta_- if g >= p
@@ -228,7 +157,7 @@ def beta_pm(m: DEModel, s):
 # Laplace-domain prices
 # ----------------------------------------------------------------------
 
-def binary_call_laplace(m: DEModel, k: float, x: float, s):
+def binary_call_laplace(m: MarketParams, k: float, x: float, s):
     """Transform (in remaining time) of the cash-or-nothing call, log-strike k."""
     s = np.asarray(s, dtype=complex)
     bp, bm = beta_pm(m, s)
@@ -239,7 +168,7 @@ def binary_call_laplace(m: DEModel, k: float, x: float, s):
     return -bp * amp * np.exp(bm * (x - k)) + 1.0 / (r + s)
 
 
-def vanilla_call_laplace(m: DEModel, K: float, x: float, s):
+def vanilla_call_laplace(m: MarketParams, K: float, x: float, s):
     """Transform (in remaining time) of the vanilla call with strike K."""
     s = np.asarray(s, dtype=complex)
     k = math.log(K)
@@ -259,16 +188,16 @@ def vanilla_call_laplace(m: DEModel, K: float, x: float, s):
 # closed-form (time-domain) prices
 # ----------------------------------------------------------------------
 
-def binary_call_closed(m: DEModel, k: float, x: float, t_bar: float,
+def binary_call_closed(m: MarketParams, k: float, x: float, t_bar: float,
                        spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Time-domain binary call price as a single Bessel integral.
 
     The Bessel function is used in exponentially scaled form so the
     integrand stays bounded for arbitrarily large lam * t_bar.
     """
+    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
     if t_bar == 0.0:
         return 1.0 if x >= k else 0.0
-    g, p, lam, r = m.gamma, m.rho, m.lam, m.r
     c = lam * t_bar
     s2 = math.sqrt(2.0 * g * p * c)
     atom = math.exp(-(lam + r) * t_bar) if x >= k else 0.0
@@ -282,13 +211,13 @@ def binary_call_closed(m: DEModel, k: float, x: float, t_bar: float,
     return atom + tail
 
 
-def vanilla_call_closed(m: DEModel, K: float, x: float, t_bar: float,
+def vanilla_call_closed(m: MarketParams, K: float, x: float, t_bar: float,
                         spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Time-domain vanilla call price as a single Bessel integral."""
+    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
     k = math.log(K)
     if t_bar == 0.0:
         return max(math.exp(x) - K, 0.0)
-    g, p, lam, r = m.gamma, m.rho, m.lam, m.r
     c = lam * t_bar
     c1 = g * p * lam * t_bar / ((g + 1.0) * (p - 1.0))
     shift1 = c1 - (lam + r) * t_bar  # zero in the risk-neutral parameterisation
@@ -320,7 +249,7 @@ def no_trade_vanilla_call(K: float, x: float, t_bar: float, r: float) -> float:
 # public pricing API
 # ----------------------------------------------------------------------
 
-def binary_call_price(m: DEModel, c: Contract, x: float,
+def binary_call_price(m: MarketParams, c: Contract, x: float,
                       method: PriceMethod = PriceMethod.CLOSED,
                       spec: QuadSpec = DEFAULT_QUAD) -> float:
     k = c.log_strike
@@ -333,7 +262,7 @@ def binary_call_price(m: DEModel, c: Contract, x: float,
     raise InvalidParametersError(f"unsupported method {method!r} for binary calls")
 
 
-def vanilla_call_price(m: DEModel, c: Contract, x: float,
+def vanilla_call_price(m: MarketParams, c: Contract, x: float,
                        method: PriceMethod = PriceMethod.CLOSED,
                        spec: QuadSpec = DEFAULT_QUAD) -> float:
     if method is PriceMethod.CLOSED:
@@ -356,7 +285,7 @@ def put_price_from_parity(call_price: float, kind: PayoffKind, x: float,
     raise InvalidParametersError(f"no parity relation for {kind!r}")
 
 
-def european_price(m: DEModel, c: Contract, x: float,
+def european_price(m: MarketParams, c: Contract, x: float,
                    method: PriceMethod = PriceMethod.CLOSED,
                    spec: QuadSpec = DEFAULT_QUAD) -> float:
     """Price any European contract of this module, puts via parity."""
@@ -373,11 +302,20 @@ def european_price(m: DEModel, c: Contract, x: float,
     raise InvalidParametersError(f"contract kind {c.kind!r} is not priced here")
 
 
-def log_return_moments(m: DEModel, dt: float) -> tuple[float, float]:
-    """Mean and variance of the log-return over a horizon dt."""
+def log_return_moments(m: MarketParams, dt: float) -> tuple[float, float]:
+    """Mean and variance of the log-return over a horizon dt, for any jump law."""
     if dt < 0:
         raise InvalidParametersError("horizon must be non-negative")
-    g, p, lam = m.gamma, m.rho, m.lam
-    m1 = lam * dt * (g - p) / (g * p)
-    m2 = 2.0 * lam * dt * (g * g - g * p + p * p) / (g * g * p * p)
-    return m1, m2
+    mean, var = mean_var(m.density)
+    return m.lam * dt * mean, m.lam * dt * (var + mean * mean)
+
+
+# Aliases of the retired DEModel container for the benchmark harness; each
+# returns or accepts a MarketParams, and the package does not call them.
+class DEModel:
+    risk_neutral = staticmethod(lambda rho, gamma, r: MarketParams.exponential(rho, gamma, r))
+    from_rho_sigma = staticmethod(MarketParams.from_rho_sigma)
+    from_market = staticmethod(lambda market: market)
+
+
+MarketParams.market_params = lambda self: self

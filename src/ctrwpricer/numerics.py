@@ -49,12 +49,12 @@ EULER_TERMS = 24           # secondary inversion: Euler-sum truncation
 
 @dataclass(frozen=True)
 class QuadSpec:
-    """Tolerances of the Gauss-Legendre panel engine, and its node budget
-    per panel; Laplace inversion reads the tolerances for its threshold."""
+    """Tolerances of the Gauss-Legendre panel engine, and its node budget;
+    Laplace inversion reads the tolerances for its threshold."""
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-10
-    max_nodes: int = 1 << 24       # per-panel node budget
+    max_nodes: int = 1 << 21       # nodes x rows of one block: 16 MB of floats
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -288,7 +288,8 @@ def _panel_value(g, lo: float, hi: float, slices: int) -> np.ndarray:
 
 def _integrate_panel(g, lo: float, hi: float, tol: float, max_nodes: int,
                      start_slices: int = 1, prev: np.ndarray | None = None) -> np.ndarray:
-    """Double [lo, hi]'s slices until no row moves by more than tol;
+    """Double [lo, hi]'s slices until no row moves by more than tol, or
+    until the next block would hold more than max_nodes nodes x rows;
     ``prev`` is the value at ``start_slices`` slices, if known."""
     slices = max(1, start_slices)
     if prev is None:
@@ -299,7 +300,7 @@ def _integrate_panel(g, lo: float, hi: float, tol: float, max_nodes: int,
         delta = float(np.max(np.abs(cur - prev)))
         if delta <= tol:
             return cur
-        if slices * 64 > max_nodes:
+        if slices * 64 * cur.shape[0] > max_nodes:
             raise AccuracyError(
                 f"panel [{lo!r}, {hi!r}] did not converge "
                 f"(last refinement changed by {delta!r})",

@@ -18,7 +18,6 @@ from ctrwpricer.cli import FIGURES, build_figure, read_meta, write_csv
 from ctrwpricer.densities import Family, JumpDensity, fit_from_moments
 from ctrwpricer.european import (
     Contract,
-    DEModel,
     PayoffKind,
     PriceMethod,
     no_trade_vanilla_call,
@@ -38,7 +37,7 @@ from ctrwpricer.numerics import (
 from ctrwpricer.riskneutral import MarketParams
 
 R = 0.04
-REF = DEModel.risk_neutral(2.0, 9.0, R)
+REF = MarketParams.exponential(2.0, 9.0, R)
 MONEYNESS = np.linspace(0.8, 1.2, 21)
 HORIZONS = (0.05, 0.25, 1.0, 5.0, 20.0)
 GRID = list(itertools.product(MONEYNESS, HORIZONS))
@@ -52,13 +51,13 @@ def budget(seconds: float):
     assert elapsed < seconds, f"took {elapsed:.2f}s, budget {seconds}s"
 
 
-def vanilla(model: DEModel, strike: float, x: float, t_bar: float,
+def vanilla(model: MarketParams, strike: float, x: float, t_bar: float,
             method: PriceMethod = PriceMethod.CLOSED) -> float:
     contract = Contract(kind=PayoffKind.VANILLA_CALL, strike=strike, t_bar=t_bar)
     return european.european_price(model, contract, x, method)
 
 
-def binary(model: DEModel, x: float, t_bar: float,
+def binary(model: MarketParams, x: float, t_bar: float,
            method: PriceMethod = PriceMethod.CLOSED) -> float:
     contract = Contract(kind=PayoffKind.BINARY_CALL, strike=1.0, t_bar=t_bar)
     return european.european_price(model, contract, x, method)
@@ -134,7 +133,7 @@ def test_criterion_03_method_agreement_across_admissible_space():
     # cancel and raise AccuracyError
     with budget(10.0):
         for rho, sigma in itertools.product(SWEEP_RHOS, SWEEP_SIGMAS):
-            model = DEModel.from_rho_sigma(rho, R, sigma)
+            model = MarketParams.from_rho_sigma(rho, R, sigma)
             for t_bar, mny in itertools.product(SWEEP_HORIZONS, SWEEP_MONEYNESS):
                 x = math.log(mny)
                 where = f"rho={rho} sigma={sigma} T={t_bar} S/K={mny:.3f}"
@@ -151,7 +150,7 @@ def test_criterion_04_diffusion_limit_convergence():
     with budget(30.0):
         gaps = []
         for rho in (20.0, 200.0, 2000.0):
-            model = DEModel.from_rho_sigma(rho, R, 0.1)
+            model = MarketParams.from_rho_sigma(rho, R, 0.1)
             gaps.append(max(
                 abs(vanilla(model, 1.0, math.log(s), 0.25)
                     - blackscholes.bs_vanilla_call(s, 1.0, R, 0.1, 0.25))
@@ -162,7 +161,7 @@ def test_criterion_04_diffusion_limit_convergence():
 
 def test_criterion_05_no_trade_limit():
     with budget(1.0):
-        model = DEModel.from_rho_sigma(1.0 + 1e-6, R, 0.1)
+        model = MarketParams.from_rho_sigma(1.0 + 1e-6, R, 0.1)
         for mny, t_bar in GRID:
             x = math.log(mny)
             target = no_trade_vanilla_call(1.0, x, t_bar, R)
@@ -172,7 +171,7 @@ def test_criterion_05_no_trade_limit():
 def test_criterion_06_martingale_and_mc():
     with budget(60.0):
         markets = [
-            REF.market_params(),
+            REF,
             MarketParams.risk_neutral(R, fit_from_moments(Family.GAUSSIAN,
                                                           1e-3, 1e-4)),
         ]
@@ -181,7 +180,7 @@ def test_criterion_06_martingale_and_mc():
                                       MCConfig(paths=10**6, seed=seed))
             assert report["passed"], report
 
-        reference_market = REF.market_params()
+        reference_market = REF
         x = math.log(1.02)
         for seed, kind in ((603, PayoffKind.BINARY_CALL),
                            (604, PayoffKind.VANILLA_CALL)):
@@ -217,7 +216,7 @@ def test_criterion_07_perpetual_identities():
 
 def test_criterion_08_wiener_perpetual_boundary():
     with budget(1.0):
-        model = DEModel.from_rho_sigma(2000.0, R, 0.1)
+        model = MarketParams.from_rho_sigma(2000.0, R, 0.1)
         boundary = american.perpetual_exercise_boundary(model, 1.0)
         wiener = 2.0 * R / (2.0 * R + 0.01)
         assert abs(boundary / wiener - 1.0) <= 0.01
@@ -225,7 +224,7 @@ def test_criterion_08_wiener_perpetual_boundary():
 
 def test_criterion_09_transform_route_consistency():
     with budget(5.0):
-        market = REF.market_params()
+        market = REF
         payoff = fourier.butterfly_payoff(100.0, 10.0)
         for spot in (90.0, 100.0, 110.0):
             x = math.log(spot)
@@ -349,7 +348,7 @@ def test_criterion_10_heavy_tail_separation():
 def test_criterion_11_smile_collapse():
     with budget(30.0):
         for rho in (2.0, 5.0, 20.0):
-            model = DEModel.from_rho_sigma(rho, R, 0.1)
+            model = MarketParams.from_rho_sigma(rho, R, 0.1)
             grid = np.linspace(0.90, 1.20, 61)
             ivs = [blackscholes.implied_vol(
                        vanilla(model, 1.0, math.log(s), 0.25), s, 1.0, R, 0.25)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ctrwpricer import DEModel
+from ctrwpricer import MarketParams, PriceMethod
 from ctrwpricer.american import (
     binary_put_closed,
     binary_put_laplace,
@@ -70,9 +70,18 @@ class TestBinaryPutPrice:
     def test_closed_matches_laplace(self, de_model):
         for t_bar in (0.1, 1.0, 5.0):
             for dx in (0.05, 0.2, 0.5):
-                closed = binary_put_price(de_model, 0.0, dx, t_bar, "closed")
-                laplace = binary_put_price(de_model, 0.0, dx, t_bar, "laplace")
+                closed = binary_put_price(de_model, 0.0, dx, t_bar, PriceMethod.CLOSED)
+                laplace = binary_put_price(de_model, 0.0, dx, t_bar, PriceMethod.LAPLACE)
                 assert abs(closed - laplace) < 1e-6
+
+    def test_method_vocabulary(self, de_model):
+        # the PriceMethod of european_price, or its value
+        for method in PriceMethod.CLOSED, PriceMethod.LAPLACE:
+            assert binary_put_price(de_model, 0.0, 0.2, 1.0, method) \
+                == binary_put_price(de_model, 0.0, 0.2, 1.0, method.value)
+        for method in (PriceMethod.FOURIER, "fourier", "mc", None):
+            with pytest.raises(InvalidParametersError):
+                binary_put_price(de_model, 0.0, 0.2, 1.0, method)
 
     def test_dominated_by_perpetual_with_shrinking_gap(self, de_model):
         perp = perpetual_binary_put(de_model, 0.0, 0.1)
@@ -91,7 +100,7 @@ class TestBinaryPutPrice:
         # frequent and smaller
         slopes = []
         for rho in (2.0, 5.0, 20.0):
-            m = DEModel.from_rho_sigma(rho, R, 0.1)
+            m = MarketParams.from_rho_sigma(rho, R, 0.1)
             p1 = binary_put_price(m, 0.0, 0.3, 0.25)
             p2 = binary_put_price(m, 0.0, 0.5, 0.25)
             slopes.append((math.log(p2) - math.log(p1)) / 0.2)
@@ -120,7 +129,7 @@ class TestPerpetualBinaryPut:
         assert perpetual_binary_put(de_model, 0.0, 50.0) < 1e-100
 
     def test_frequent_jump_limit_decay(self):
-        m = DEModel.from_rho_sigma(2000.0, R, 0.1)
+        m = MarketParams.from_rho_sigma(2000.0, R, 0.1)
         val = perpetual_binary_put(m, 0.0, 1e-3)
         wiener = math.exp(-2.0 * R * 1e-3 / 0.01)
         assert abs(val / wiener - 1.0) < 0.01
@@ -137,13 +146,13 @@ class TestExerciseTrigger:
         assert abs(z0 - solve_trigger_numeric(de_model, 1.0)) < 1e-10
 
     def test_rare_jump_limit_is_strike(self):
-        m = DEModel.risk_neutral(1.0 + 1e-9, 9.0, R)
+        m = MarketParams.exponential(1.0 + 1e-9, 9.0, R)
         assert vanilla_exercise_trigger(m, 1.0) == pytest.approx(1.0, abs=1e-6)
 
     def test_frequent_jump_limit_approaches_strike(self):
         # the gap closes like ln(rho/16)/rho, which is still 2.4e-3 at
         # rho = 2000
-        m = DEModel.from_rho_sigma(2000.0, R, 0.1)
+        m = MarketParams.from_rho_sigma(2000.0, R, 0.1)
         assert vanilla_exercise_trigger(m, 1.0) == pytest.approx(1.0, abs=3e-3)
 
     def test_scales_with_strike(self, de_model):
@@ -179,21 +188,21 @@ class TestPerpetualVanillaPut:
 
     def test_ordering_boundary_trigger_strike(self):
         for rho, gamma in ((2.0, 9.0), (1.5, 3.0), (5.0, 12.0), (20.0, 27.0)):
-            m = DEModel.risk_neutral(rho, gamma, R)
+            m = MarketParams.exponential(rho, gamma, R)
             zs = perpetual_exercise_boundary(m, 1.0)
             z0 = vanilla_exercise_trigger(m, 1.0)
             assert zs <= z0 + 1e-14
             assert z0 <= 1.0 + 1e-14
 
     def test_frequent_jump_boundary_is_wiener(self):
-        m = DEModel.from_rho_sigma(2000.0, R, 0.1)
+        m = MarketParams.from_rho_sigma(2000.0, R, 0.1)
         zs = perpetual_exercise_boundary(m, 1.0)
         wiener = wiener_exercise_boundary(1.0, R, 0.1)
         assert wiener == pytest.approx(2.0 * R / (2.0 * R + 0.01), abs=1e-15)
         assert abs(zs / wiener - 1.0) < 0.01
 
     def test_frequent_jump_value_is_wiener(self):
-        m = DEModel.from_rho_sigma(2000.0, R, 0.1)
+        m = MarketParams.from_rho_sigma(2000.0, R, 0.1)
         for spot in (0.92, 1.0, 1.1):
             ours = perpetual_vanilla_put(m, 1.0, math.log(spot))
             ref = wiener_perpetual_put(spot, 1.0, R, 0.1)

@@ -20,7 +20,6 @@ from ctrwpricer.densities import Family, fit_from_moments
 from ctrwpricer.errors import AccuracyError, ValidationError
 from ctrwpricer.european import (
     Contract,
-    DEModel,
     PayoffKind,
     PriceMethod,
     no_trade_vanilla_call,
@@ -61,7 +60,7 @@ class TestPriceCommand:
             "--sigma", "0.1", "--rate", "0.04", "--T", "0.25",
             "--spot", "1", "--strike", "1",
         )
-        model = DEModel.from_rho_sigma(2.0, 0.04, 0.1)
+        model = MarketParams.from_rho_sigma(2.0, 0.04, 0.1)
         contract = Contract(kind=PayoffKind.BINARY_CALL, strike=1.0, t_bar=0.25)
         expected = european.european_price(model, contract, 0.0, PriceMethod.CLOSED)
         assert payload["price"] == pytest.approx(expected, rel=1e-12)
@@ -98,7 +97,7 @@ class TestPriceCommand:
             "--method", "laplace", "--rho", "2", "--gamma", "9",
             "--spot", "1.1", "--strike", "1", "--T", "0.5",
         )
-        model = DEModel.risk_neutral(2.0, 9.0, 0.04)
+        model = MarketParams.exponential(2.0, 9.0, 0.04)
         expected = american.binary_put_price(model, 0.0, math.log(1.1), 0.5, "laplace")
         assert payload["price"] == pytest.approx(expected, rel=1e-12)
 
@@ -107,7 +106,7 @@ class TestPriceCommand:
             capsys, "price", "--style", "perpetual", "--contract", "vanilla-put",
             "--rho", "2", "--gamma", "9", "--spot", "0.995", "--strike", "1",
         )
-        model = DEModel.risk_neutral(2.0, 9.0, 0.04)
+        model = MarketParams.exponential(2.0, 9.0, 0.04)
         assert payload["exercise_boundary"] == pytest.approx(80.0 / 81.0, rel=1e-12)
         expected = american.perpetual_vanilla_put(model, 1.0, math.log(0.995))
         assert payload["price"] == pytest.approx(expected, rel=1e-12)

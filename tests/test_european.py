@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from ctrwpricer import (
     Contract,
-    DEModel,
+    Family,
+    JumpDensity,
+    MarketParams,
     OptionStyle,
     PayoffKind,
     PriceMethod,
@@ -33,19 +35,16 @@ T_BAR = 0.25
 DISC = math.exp(-R * T_BAR)
 
 
-def wiener_model(rho: float) -> DEModel:
+def wiener_model(rho: float) -> MarketParams:
     """Model on the diffusion-limit slice gamma = rho - 1 + 2r/sigma^2."""
-    return DEModel.from_rho_sigma(rho, R, 0.1)
+    return MarketParams.from_rho_sigma(rho, R, 0.1)
 
 
 class TestModel:
     def test_risk_neutral_intensity(self, de_model):
         assert de_model.lam == pytest.approx(0.05, abs=1e-15)
         assert de_model.is_risk_neutral
-
-    def test_epsilon_and_sigma(self, de_model):
-        assert de_model.epsilon == pytest.approx(8.0, abs=1e-12)
-        assert de_model.sigma_equivalent == pytest.approx(0.1, abs=1e-12)
+        assert de_model.exponential_rates() == (2.0, 9.0)
 
     def test_gamma_for_sigma(self):
         assert gamma_for_sigma(2000.0, 0.04, 0.1) == pytest.approx(2007.0, abs=1e-9)
@@ -56,23 +55,18 @@ class TestModel:
 
     def test_admissibility_band(self):
         with pytest.raises(InvalidParametersError):
-            DEModel.risk_neutral(1.0, 9.0, R)
+            MarketParams.exponential(1.0, 9.0, R)
         with pytest.raises(InvalidParametersError):
-            DEModel.risk_neutral(10.0, 5.0, R)
+            MarketParams.exponential(10.0, 5.0, R)
         with pytest.raises(InvalidParametersError):
-            DEModel.risk_neutral(2.0, 9.0, 0.0)
+            MarketParams.exponential(2.0, 9.0, 0.0)
         with pytest.raises(InvalidParametersError):
-            DEModel(2.0, 9.0, R, -1.0)
+            MarketParams.exponential(2.0, 9.0, R, -1.0)
 
     def test_intensity_override_is_not_risk_neutral(self):
-        m = DEModel(2.0, 9.0, R, 0.2)
+        m = MarketParams.exponential(2.0, 9.0, R, 0.2)
+        assert m.lam == 0.2
         assert not m.is_risk_neutral
-
-    def test_market_round_trip(self, de_model):
-        back = DEModel.from_market(de_model.market_params())
-        assert back.rho == pytest.approx(de_model.rho, rel=1e-14)
-        assert back.gamma == pytest.approx(de_model.gamma, rel=1e-14)
-        assert back.lam == pytest.approx(de_model.lam, rel=1e-14)
 
 
 class TestContract:
@@ -118,12 +112,12 @@ class TestCharacteristicRoots:
     )
     @settings(max_examples=80, deadline=None)
     def test_vieta_identities(self, re, im):
-        m = DEModel.risk_neutral(2.0, 9.0, R)
+        m = MarketParams.exponential(2.0, 9.0, R)
         s = complex(re, im)
         bp, bm = beta_pm(m, s)
         bp, bm = complex(bp), complex(bm)
-        assert bp + bm == pytest.approx(-(m.gamma - m.rho), abs=1e-9)
-        prod = -m.gamma * m.rho * (m.r + s) / (m.lam + m.r + s)
+        assert bp + bm == pytest.approx(-(9.0 - 2.0), abs=1e-9)
+        prod = -9.0 * 2.0 * (m.r + s) / (m.lam + m.r + s)
         assert bp * bm == pytest.approx(prod, rel=1e-9, abs=1e-9)
 
     def test_vectorised_matches_scalar(self, de_model):
@@ -241,7 +235,7 @@ class TestVanillaPrice:
                 assert abs(closed - laplace) < 1e-6 * max(1.0, strike)
 
     def test_no_trade_limit(self):
-        m = DEModel.risk_neutral(1.0 + 1e-6, gamma_for_sigma(1.0 + 1e-6, R, 0.1), R)
+        m = MarketParams.exponential(1.0 + 1e-6, gamma_for_sigma(1.0 + 1e-6, R, 0.1), R)
         c = Contract(PayoffKind.VANILLA_CALL, 1.0, T_BAR)
         x = math.log(1.05)
         limit = no_trade_vanilla_call(1.0, x, T_BAR, R)
@@ -356,6 +350,13 @@ class TestLogReturnMoments:
     def test_negative_horizon_rejected(self, de_model):
         with pytest.raises(InvalidParametersError):
             log_return_moments(de_model, -1.0)
+
+    def test_any_jump_law(self):
+        # lam dt (E[J], E[J^2]) for a Gaussian law of mean 1e-3, std 1e-2
+        m = MarketParams.risk_neutral(R, JumpDensity(Family.GAUSSIAN, 1e-3, 1e-2))
+        m1, m2 = log_return_moments(m, 0.5)
+        assert m1 == pytest.approx(0.5 * m.lam * 1e-3, rel=1e-14)
+        assert m2 == pytest.approx(0.5 * m.lam * (1e-4 + 1e-6), rel=1e-14)
 
     def test_frequent_jump_limit_matches_diffusion(self):
         m = wiener_model(2000.0)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from ctrwpricer import (
     Contract,
-    DEModel,
     Family,
     JumpDensity,
     MarketParams,
@@ -163,7 +162,6 @@ class TestReplication:
         # the butterfly is two long calls at the midpoint against short calls
         # at the wings, so its transform price must match the call combination
         pay = butterfly_payoff(100.0, 10.0)
-        mp = de_model.market_params()
         for spot in (90.0, 100.0, 110.0):
             x = math.log(spot)
             legs = (
@@ -171,7 +169,7 @@ class TestReplication:
                 - vanilla_call_price(de_model, Contract(PayoffKind.VANILLA_CALL, 100.0, T_BAR), x)
                 - vanilla_call_price(de_model, Contract(PayoffKind.VANILLA_CALL, 110.0, T_BAR), x)
             )
-            assert price_fourier(mp, pay, x, T_BAR) == pytest.approx(legs, abs=1e-4)
+            assert price_fourier(de_model, pay, x, T_BAR) == pytest.approx(legs, abs=1e-4)
 
 
 class TestFittedFamilies:
@@ -330,15 +328,13 @@ class TestPhaseSeed:
     @pytest.mark.parametrize("t_bar", [0.25, 5.0])
     @pytest.mark.parametrize("market", ["reference", "fitted"])
     def test_far_spots_match_replication(self, de_model, market, t_bar):
-        model = de_model if market == "reference" else DEModel.from_market(
-            fitted_market(Family.EXPONENTIAL))
-        mp = model.market_params()
+        mp = de_model if market == "reference" else fitted_market(Family.EXPONENTIAL)
         pay = butterfly_payoff(100.0, 10.0)
         xs = np.log([20.0, 500.0])
 
         def legs(x):
             call = lambda K: vanilla_call_price(
-                model, Contract(PayoffKind.VANILLA_CALL, K, t_bar), x)
+                mp, Contract(PayoffKind.VANILLA_CALL, K, t_bar), x)
             return 2.0 * call(105.0) - call(100.0) - call(110.0)
 
         batch = price_fourier(mp, pay, xs, t_bar)

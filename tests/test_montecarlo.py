@@ -10,7 +10,6 @@ from scipy import stats
 
 from ctrwpricer import (
     Contract,
-    DEModel,
     Family,
     JumpDensity,
     MarketParams,
@@ -56,7 +55,7 @@ def assert_refused_before_drawing(call):
 
 @pytest.fixture
 def market(de_model) -> MarketParams:
-    return de_model.market_params()
+    return de_model
 
 
 @pytest.fixture
@@ -214,9 +213,9 @@ class TestEuropeanMC:
         assert est.std_error <= 1e-15
 
     def test_binary_call_matches_transform_price(self):
-        m = DEModel.risk_neutral(4.0, 11.0, R)
+        m = MarketParams.exponential(4.0, 11.0, R)
         c = Contract(PayoffKind.BINARY_CALL, 1.0, 0.25)
-        est = price_european_mc(m.market_params(), c, 0.0,
+        est = price_european_mc(m, c, 0.0,
                                 MCConfig(paths=1_000_000, seed=3))
         assert est.within(european_price(m, c, 0.0))
 
@@ -232,19 +231,19 @@ class TestEuropeanMC:
         # the criterion-4 market: rho=2000, sigma=0.1, lam*T ~ 2e4 at T=1,
         # far too many jumps to draw one by one
         start = time.perf_counter()
-        m = DEModel.from_rho_sigma(2000.0, R, 0.1)
+        m = MarketParams.from_rho_sigma(2000.0, R, 0.1)
         for kind, seed in ((PayoffKind.VANILLA_CALL, 2001), (PayoffKind.BINARY_CALL, 2002)):
             c = Contract(kind, 1.0, 1.0)
-            est = price_european_mc(m.market_params(), c, math.log(1.02),
+            est = price_european_mc(m, c, math.log(1.02),
                                     MCConfig(paths=200_000, seed=seed))
             assert est.within(european_price(m, c, math.log(1.02))), (kind, est)
         assert time.perf_counter() - start < 5.0
 
     def test_seed_independence_within_statistics(self):
-        m = DEModel.risk_neutral(4.0, 11.0, R)
+        m = MarketParams.exponential(4.0, 11.0, R)
         c = Contract(PayoffKind.BINARY_CALL, 1.0, 0.25)
-        a = price_european_mc(m.market_params(), c, 0.0, MCConfig(paths=200_000, seed=11))
-        b = price_european_mc(m.market_params(), c, 0.0, MCConfig(paths=200_000, seed=12))
+        a = price_european_mc(m, c, 0.0, MCConfig(paths=200_000, seed=11))
+        b = price_european_mc(m, c, 0.0, MCConfig(paths=200_000, seed=12))
         assert abs(a.value - b.value) <= 5.0 * math.hypot(a.std_error, b.std_error)
 
     def test_antithetic_does_not_hurt(self, gaussian_market):
@@ -286,7 +285,7 @@ class TestAmericanMC:
 
     def test_refused_over_draw_budget(self):
         # every jump of a first passage is drawn: lam*T ~ 2e4 at rho=2000
-        mp = DEModel.from_rho_sigma(2000.0, R, 0.1).market_params()
+        mp = MarketParams.from_rho_sigma(2000.0, R, 0.1)
         assert_refused_before_drawing(
             lambda: price_american_binary_put_mc(mp, 0.0, 0.1, 1.0,
                                                  MCConfig(paths=1000, seed=0)))
@@ -309,7 +308,7 @@ class TestMartingaleCheck:
         assert report["passed"]
 
     def test_doubled_intensity_fails_upward(self, de_model):
-        bad = MarketParams(r=R, density=de_model.density(), lam=2.0 * de_model.lam)
+        bad = MarketParams(r=R, density=de_model.density, lam=2.0 * de_model.lam)
         report = martingale_check(bad, 0.0, 1.0, MCConfig(paths=100_000, seed=8))
         assert not report["passed"]
         assert report["drift"] > 3.0 * report["std_error"]

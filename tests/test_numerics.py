@@ -6,6 +6,8 @@ generating script.
 """
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ctrwpricer.numerics import (
     LaplaceFn,
     bessel_i1_scaled,
     expm1_complex,
+    integrate_panels,
     integrate_real_line,
     integrate_semi_infinite,
     laplace_invert,
@@ -161,6 +164,26 @@ class TestSemiInfiniteQuadrature:
         step = lambda u: (u < 1.0 / 3.0).astype(float)
         with pytest.raises(AccuracyError) as exc:
             integrate_semi_infinite(step, QuadSpec(max_nodes=4096), bumps=[(0.0, 1.0)])
+        best, bound = exc.value.best, exc.value.bound
+        assert math.isfinite(best) and math.isfinite(bound) and bound > 0.0
+        assert abs(best - 1.0 / 3.0) <= bound
+
+    def test_node_budget_counts_every_row(self):
+        # five panels, one with a jump that no refinement resolves: the
+        # default budget of 2^21 nodes x rows per block gives up at about
+        # 16 MB a block, where a 2^24 budget per row would need several GB
+        step = lambda u: (u < 1.0 / 3.0).astype(float)
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(AccuracyError) as exc:
+                integrate_panels(step, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 1.0
+        assert peak < 128 * 2**20
         best, bound = exc.value.best, exc.value.bound
         assert math.isfinite(best) and math.isfinite(bound) and bound > 0.0
         assert abs(best - 1.0 / 3.0) <= bound

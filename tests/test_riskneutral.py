@@ -1,20 +1,31 @@
 """Risk-neutral intensity derivation and admissibility diagnostics."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
 from ctrwpricer import (
+    Contract,
     DegenerateMarketError,
     Family,
     InadmissibleModelError,
     InvalidParametersError,
     JumpDensity,
     MarketParams,
+    PayoffKind,
+    european_price,
     risk_neutral_intensity,
     validate,
 )
+from ctrwpricer.american import (
+    binary_put_price,
+    perpetual_binary_put,
+    perpetual_vanilla_put,
+    vanilla_exercise_trigger,
+)
 from ctrwpricer.densities import exp_moment
+from ctrwpricer.european import beta_pm
 
 EXP_29 = JumpDensity(Family.EXPONENTIAL, 0.5, 1.0 / 9.0)
 
@@ -114,3 +125,48 @@ class TestValidate:
     def test_intensity_mismatch_reported(self):
         diag = validate(MarketParams(r=0.04, density=EXP_29, lam=0.25))
         assert not diag.passed
+
+
+class TestExponentialMarket:
+    """The two-sided exponential market, built from (rho, gamma) or sigma."""
+
+    @pytest.mark.parametrize("rho", [1.01, 1.1, 1.5, 2.0, 5.0, 20.0, 30.0, 200.0,
+                                     500.0, 1000.0, 2000.0])
+    def test_intensity_exact_across_slices(self, rho):
+        # E[e^J] - 1 is O(1/rho^2) here (3.1e-8 at rho = 2000, sigma = 0.8),
+        # so forming it by subtracting 1 from E[e^J] loses eight digits
+        for sigma in (0.05, 0.1, 0.2, 0.4, 0.8):
+            mk = MarketParams.from_rho_sigma(rho, 0.04, sigma)
+            a, b = Fraction(mk.density.a), Fraction(mk.density.b)
+            exact = Fraction(0.04) / (1 / ((1 - a) * (1 + b)) - 1)
+            assert abs(Fraction(mk.lam) - exact) <= Fraction(1, 10**12) * exact
+            assert mk.is_risk_neutral
+            assert validate(mk).passed
+
+    def test_rates_read_back(self):
+        mk = MarketParams.exponential(2.0, 9.0, 0.04)
+        assert mk.density == EXP_29
+        assert mk.exponential_rates() == (2.0, 9.0)
+        assert MarketParams.exponential(2.0, 9.0, 0.04, lam=0.2).lam == 0.2
+
+
+NOT_EXPONENTIAL = {
+    "gaussian": MarketParams.risk_neutral(0.04, JumpDensity(Family.GAUSSIAN, 0.0, 0.01)),
+    "rho-below-one": MarketParams(0.04, JumpDensity.exponential(2.0, 1.0), 0.05),
+}
+EXPONENTIAL_PRICERS = {
+    "european_price": lambda m: european_price(
+        m, Contract(PayoffKind.VANILLA_CALL, 1.0, 0.25), 0.05),
+    "binary_put_price": lambda m: binary_put_price(m, 0.0, 0.05, 0.25),
+    "perpetual_binary_put": lambda m: perpetual_binary_put(m, 0.0, 0.05),
+    "perpetual_vanilla_put": lambda m: perpetual_vanilla_put(m, 1.0, 0.05),
+    "vanilla_exercise_trigger": lambda m: vanilla_exercise_trigger(m, 1.0),
+    "beta_pm": lambda m: beta_pm(m, 1.0),
+}
+
+
+@pytest.mark.parametrize("market", sorted(NOT_EXPONENTIAL))
+@pytest.mark.parametrize("pricer", sorted(EXPONENTIAL_PRICERS))
+def test_exponential_pricers_refuse_other_markets(pricer, market):
+    with pytest.raises(InvalidParametersError):
+        EXPONENTIAL_PRICERS[pricer](NOT_EXPONENTIAL[market])
