@@ -45,9 +45,9 @@ __all__ = [
 def binary_put_laplace(m: MarketParams, k: float, x: float, s):
     """Transform (in remaining time) of the American binary put, log-strike k."""
     s = np.asarray(s, dtype=complex)
+    _, g = m.exponential_rates()
     if x <= k:
         return 1.0 / s
-    _, g = m.exponential_rates()
     _, bm = beta_pm(m, s)
     return (g + bm) / g * np.exp(bm * (x - k)) / s
 
@@ -98,6 +98,7 @@ def binary_put_price(m: MarketParams, k: float, x: float, t_bar: float,
         pass
     if method not in (PriceMethod.CLOSED, PriceMethod.LAPLACE):
         raise InvalidParametersError(f"unsupported method {method!r} for American binary puts")
+    m.exponential_rates()  # refuses other markets, also on the shortcuts below
     if x <= k:
         return 1.0
     if t_bar == 0.0:

@@ -99,7 +99,9 @@ def implied_vol(price, spot, strike, r, T, kind: str = "vanilla-call") -> float:
         lo, hi = (lo, sigma) if f > 0.0 else (sigma, hi)
         d1, _ = _d1_d2(spot, strike, r, sigma, T)
         vega = spot * math.sqrt(T / (2.0 * math.pi)) * math.exp(-0.5 * d1 * d1)
-        new = sigma - f / vega if vega > 0.0 else math.inf
+        # sigma ends the bracket, so a step twice its length leaves it; bisect
+        # then without dividing, as a subnormal vega overflows f / vega
+        new = sigma - f / vega if abs(f) < 2.0 * vega * (hi - lo) else math.inf
         new = new if lo <= new <= hi else 0.5 * (lo + hi)
         sigma, step = new, new - sigma
         if abs(step) <= 1e-14 + 8.9e-16 * sigma:

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import (
     DivergentMomentError,
@@ -26,7 +25,7 @@ from .errors import (
     UnsupportedFamilyError,
     ValidationError,
 )
-from .numerics import expm1_ratio
+from .numerics import expm1_ratio, log_gamma
 
 __all__ = ["Family", "JumpDensity", "char_fn", "exp_moment", "pdf", "mean_var",
            "fit_from_moments", "sample", "sample_sum", "check_draw_budget",
@@ -106,11 +105,14 @@ def char_fn(d: JumpDensity, omega):
     elif d.family is Family.LOGISTIC:
         z = 1j * b * w
         _guard_pole(_pole_distance(1.0 - z) * _pole_distance(1.0 + z), "logistic")
-        out = np.exp(1j * a * w + _special.loggamma(1.0 - z) + _special.loggamma(1.0 + z))
+        # Gamma(1-z) Gamma(1+z) = pi z / sin(pi z), even in z; on the half
+        # plane Im zeta >= 0 this form cannot overflow
+        zeta = np.where(z.imag >= 0.0, z, -z)
+        out = np.exp(1j * a * w + 1j * np.pi * zeta) / expm1_ratio(2j * np.pi * zeta)
     elif d.family is Family.GUMBEL:
         z = 1j * b * w
         _guard_pole(_pole_distance(1.0 - z), "gumbel")
-        out = np.exp(1j * a * w + _special.loggamma(1.0 - z))
+        out = np.exp(1j * a * w + log_gamma(1.0 - z))
     elif d.family is Family.PARETO_HALF:
         sp = 2.0 * math.sqrt(math.pi)
         out = 1.0 - sp * (a * np.sqrt(1.0 - 1j * w * b)

@@ -257,6 +257,7 @@ def binary_call_price(m: MarketParams, c: Contract, x: float,
         return binary_call_closed(m, k, x, c.t_bar, spec)
     if method is PriceMethod.LAPLACE:
         if c.t_bar == 0.0:
+            m.exponential_rates()  # refuses other markets, as every other input does
             return 1.0 if x >= k else 0.0
         return laplace_invert(lambda s: binary_call_laplace(m, k, x, s), c.t_bar, spec)
     raise InvalidParametersError(f"unsupported method {method!r} for binary calls")
@@ -269,6 +270,7 @@ def vanilla_call_price(m: MarketParams, c: Contract, x: float,
         return vanilla_call_closed(m, c.strike, x, c.t_bar, spec)
     if method is PriceMethod.LAPLACE:
         if c.t_bar == 0.0:
+            m.exponential_rates()  # refuses other markets, as every other input does
             return max(math.exp(x) - c.strike, 0.0)
         return laplace_invert(lambda s: vanilla_call_laplace(m, c.strike, x, s),
                               c.t_bar, spec)

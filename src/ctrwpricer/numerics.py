@@ -10,8 +10,10 @@ transform used by the pricing modules can be cross-checked:
 Both assume the transform is analytic to the right of a known abscissa and
 real-valued in the time domain.  Every integral runs on one engine of
 32-point Gauss-Legendre panels refined by slice doubling, with vectorised
-integrands.  Special functions are thin wrappers over scipy.special, the
-only part of scipy the pricing routes import.
+integrands.  Special functions are thin wrappers over scipy.special, which
+the first of them to run imports: only the exponential closed forms,
+Black-Scholes and the Gumbel law need it, and it takes longer to import
+than numpy and this package together.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import special as _special
 
 from .errors import AccuracyError, InvalidParametersError, TailBoundError
 
@@ -34,6 +35,7 @@ __all__ = [
     "bessel_i1_scaled",
     "normal_cdf",
     "log_normal_cdf",
+    "log_gamma",
     "expm1_complex",
     "expm1_ratio",
     "poisson_difference_pmf",
@@ -80,19 +82,33 @@ class LaplaceFn:
 # special functions
 # ----------------------------------------------------------------------
 
+_special = None   # scipy.special, bound by the first call below
+
+
+def _scipy_special():
+    global _special
+    from scipy import special as _special
+    return _special
+
+
 def bessel_i1_scaled(u):
     """e^{-u} I_1(u) for u >= 0 (vectorised)."""
-    return _special.i1e(u)
+    return (_special or _scipy_special()).i1e(u)
 
 
 def normal_cdf(z):
     """Standard normal CDF (vectorised)."""
-    return _special.ndtr(z)
+    return (_special or _scipy_special()).ndtr(z)
 
 
 def log_normal_cdf(z):
     """log of the standard normal CDF, stable deep in the left tail."""
-    return _special.log_ndtr(z)
+    return (_special or _scipy_special()).log_ndtr(z)
+
+
+def log_gamma(z):
+    """Principal branch of log Gamma(z) for complex z (vectorised)."""
+    return (_special or _scipy_special()).loggamma(z)
 
 
 def expm1_complex(w):
@@ -118,9 +134,15 @@ def poisson_difference_pmf(m_max: int, up: float, down: float) -> np.ndarray:
     of two Poisson pmfs, exact for a zero mean and for far-apart large means,
     where the e^{-z} I_m(z) form leaves the double range."""
     n = np.arange(m_max + 1)
-    up_pmf, down_pmf = (np.exp(_special.xlogy(n, mu) - mu - _special.gammaln(n + 1))
-                        for mu in (up, down))
-    return np.correlate(up_pmf, down_pmf, "full")
+    # log n! one integer at a time: a cumulative sum of logs drifts by 1e-10
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(m_max + 1)])
+
+    def pmf(mu):
+        if mu == 0.0:
+            return (n == 0).astype(float)
+        return np.exp(n * math.log(mu) - mu - log_fact)
+
+    return np.correlate(pmf(up), pmf(down), "full")
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Diffusion-limit reference formulas and implied-volatility inversion."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,13 @@ class TestImpliedVol:
         d1 = (math.log(spot) + (0.04 + 0.5 * sigma * sigma) * T) / (sigma * math.sqrt(T))
         vega = spot * math.sqrt(T) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
         assert abs(iv - sigma) <= 1e-9 + 1e-15 * max(price, 1.0) / vega
+
+    def test_subnormal_vega_takes_bisection_step(self):
+        # the Newton step here divides by a subnormal vega and overflowed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sigma = implied_vol(2.156638760748209, 2.9753694783052795, 1.0, 0.04, 5.0)
+        assert sigma == 0.11758041603806982
 
     def test_band_edges_rejected(self):
         intrinsic = 1.05 - math.exp(-0.01)

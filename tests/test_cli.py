@@ -1,7 +1,8 @@
 """End-to-end checks of the command-line interface.
 
-Everything runs in process through ``main(argv)`` so exit codes, stdout
-JSON, and written CSV files are all observable without subprocesses.
+Almost everything runs in process through ``main(argv)`` so exit codes,
+stdout JSON, and written CSV files are all observable without
+subprocesses; the import-path checks start fresh interpreters.
 """
 
 import json
@@ -40,17 +41,91 @@ def run_json(capsys, *argv):
     return json.loads(out)
 
 
+def fresh_env():
+    src = os.path.dirname(os.path.dirname(ctrwpricer.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_cli_import_loads_no_heavy_scipy_subpackage():
     # a fresh interpreter, so modules other tests imported do not count
-    src = os.path.dirname(os.path.dirname(ctrwpricer.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     probe = ("import sys, ctrwpricer.cli; print(sorted({m.split('.')[1] "
              "for m in sys.modules if m.startswith('scipy.')}))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=fresh_env(), check=True,
                          capture_output=True, text=True).stdout
     loaded = set(json.loads(out.replace("'", '"')))
-    assert not loaded & {"integrate", "optimize", "stats"}, loaded
+    assert not loaded & {"integrate", "optimize", "special", "stats"}, loaded
+
+
+# main(argv) in a fresh interpreter; with "refuse" first, any scipy import
+# raises ImportError.  The last stderr line says whether scipy.special loaded.
+FRESH_MAIN = """
+import sys
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ImportError(f"import of {name} refused")
+if sys.argv[1] == "refuse":
+    sys.meta_path.insert(0, RefuseScipy())
+from ctrwpricer.cli import main
+code = main(sys.argv[2:])
+print("scipy.special" in sys.modules, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_fresh(mode, *argv):
+    proc = subprocess.run([sys.executable, "-c", FRESH_MAIN, mode, *argv],
+                          env=fresh_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, proc.stderr.splitlines()[-1] == "True"
+
+
+def butterfly(density):
+    return ("price", "--method", "fourier", "--contract", "butterfly", "--density",
+            density, "--mu1", "1e-3", "--mu2", "1e-4", "--strike", "100", "--L", "10",
+            "--spot", "92")
+
+
+NUMPY_ONLY_COMMANDS = {
+    "laplace-binary-call": ("price", "--contract", "binary-call", "--method", "laplace",
+                            "--rho", "2", "--sigma", "0.1", "--spot", "1.05"),
+    "laplace-vanilla-call": ("price", "--contract", "vanilla-call", "--method", "laplace",
+                             "--rho", "5", "--sigma", "0.2", "--T", "1", "--spot", "0.9"),
+    "american-binary-put": ("price", "--style", "american", "--contract", "binary-put",
+                            "--method", "laplace", "--rho", "2", "--gamma", "9",
+                            "--T", "0.5", "--spot", "1.1"),
+    "perpetual-vanilla-put": ("price", "--style", "perpetual", "--contract", "vanilla-put",
+                              "--rho", "2", "--gamma", "9", "--spot", "0.995"),
+    **{f"butterfly-{d}": butterfly(d)
+       for d in ("exp", "discrete", "constant", "gaussian", "logistic", "pareto")},
+    "mc": ("mc", "--contract", "binary-call", "--rho", "2", "--gamma", "9",
+           "--paths", "20000", "--seed", "3"),
+    "validate": ("validate", "--rho", "2", "--gamma", "9"),
+    "calibrate-lambda": ("calibrate-lambda", "--density", "exp", "--a", "0.3",
+                         "--b", "0.05"),
+}
+
+
+class TestScipyBoundary:
+    """Only the Bessel closed forms, Black-Scholes and the Gumbel law need
+    scipy.special; every other route runs on numpy alone."""
+
+    @pytest.mark.parametrize("name", sorted(NUMPY_ONLY_COMMANDS))
+    def test_runs_without_scipy(self, capsys, name):
+        argv = NUMPY_ONLY_COMMANDS[name]
+        out, _ = run_fresh("refuse", *argv)
+        code, expected, err = run(capsys, *argv)
+        assert code == 0, err
+        assert out == expected
+
+    @pytest.mark.parametrize("argv", [
+        ("price", "--method", "closed", "--rho", "2", "--sigma", "0.1"),
+        butterfly("gumbel"),
+    ], ids=["closed", "butterfly-gumbel"])
+    def test_loads_scipy_special(self, argv):
+        _, loaded = run_fresh("allow", *argv)
+        assert loaded
 
 
 class TestPriceCommand:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from ctrwpricer import Family, JumpDensity, char_fn, exp_moment, fit_from_moments
 from ctrwpricer.densities import (
@@ -18,6 +18,7 @@ from ctrwpricer.densities import (
 )
 from ctrwpricer.errors import (
     DivergentMomentError,
+    DomainError,
     InvalidParametersError,
     UnsupportedFamilyError,
 )
@@ -127,6 +128,26 @@ class TestCharFn:
         got = char_fn(d, -1j)
         assert abs(got.imag) <= 1e-15
         assert abs(got.real - expected) <= 1e-14
+
+    @pytest.mark.parametrize("a, b", [(-0.2, 0.3), (0.01, 0.05), (0.3, 0.9), (0.0, 1.5)])
+    def test_logistic_matches_log_gamma_form(self, a, b):
+        # Gamma(1 - z) Gamma(1 + z) through scipy's log-gamma, a test-time oracle
+        d = JumpDensity(Family.LOGISTIC, a, b)
+
+        def oracle(w):
+            z = 1j * b * w
+            return np.exp(1j * a * w + special.loggamma(1.0 - z) + special.loggamma(1.0 + z))
+
+        w = np.linspace(-200.0, 200.0, 40001)   # |Im z| up to 300
+        assert np.max(np.abs(char_fn(d, w) - oracle(w))) <= 1e-14
+        if b < 1.0:  # E[e^J], the complex node of risk-neutral calibration
+            assert abs(char_fn(d, -1j) - oracle(-1j)) <= 1e-14
+        # across the strip |Im w| < 1/b where the law has exponential moments
+        strip = (w[::100, None] + 1j * np.linspace(-0.95 / b, 0.95 / b, 21)).ravel()
+        want = oracle(strip)
+        assert np.max(np.abs(char_fn(d, strip) - want) / np.maximum(1.0, np.abs(want))) <= 1e-14
+        with pytest.raises(DomainError):
+            char_fn(d, 1j / b)  # Gamma(1 + z) has its pole at z = -1
 
     def test_exponential_pole_rejected(self):
         d = JumpDensity(Family.EXPONENTIAL, 0.5, 1.0 / 9.0)

@@ -208,6 +208,30 @@ class TestPoissonDifferencePmf:
         assert abs(got.sum() - 1.0) <= 1e-11
 
 
+    @pytest.mark.parametrize("m_max, up, down", [
+        (60, 0.0, 3.0), (60, 3.0, 0.0), (200, 10.0, 5.0), (4000, 1500.0, 1400.0),
+        (6000, 3000.0, 2000.0), (6000, 2500.0, 0.0), (6000, 0.5, 5000.0)])
+    def test_matches_log_gamma_form(self, m_max, up, down):
+        # the xlogy/gammaln form through scipy.special, a test-time oracle
+        from scipy import special
+
+        n = np.arange(m_max + 1)
+        want = np.correlate(*(np.exp(special.xlogy(n, mu) - mu - special.gammaln(n + 1))
+                              for mu in (up, down)), "full")
+        got = poisson_difference_pmf(m_max, up, down)
+        assert got.shape == want.shape
+        # both forms round log n! (4.6e4 at n = 6000) on their own, and exp
+        # turns each ulp of it into that much relative error of the pmf
+        tol = 1e-15 + 4.0 * np.spacing(math.lgamma(m_max + 1.0))
+        big = want > 1e-300
+        assert np.all(got[~big] <= 1e-290)
+        assert np.max(np.abs(got[big] - want[big]) / want[big]) <= tol
+        if down == 0.0:  # the net count is never negative
+            assert np.all(got[:m_max] == 0.0)
+        if up == 0.0:
+            assert np.all(got[m_max + 1:] == 0.0)
+
+
 class TestRealLineQuadrature:
     def test_lorentzian(self):
         val = integrate_real_line(lambda w: 1.0 / (1.0 + w * w), 2.0, DEFAULT_QUAD)

@@ -19,13 +19,14 @@ from ctrwpricer import (
     validate,
 )
 from ctrwpricer.american import (
+    binary_put_laplace,
     binary_put_price,
     perpetual_binary_put,
     perpetual_vanilla_put,
     vanilla_exercise_trigger,
 )
 from ctrwpricer.densities import exp_moment
-from ctrwpricer.european import beta_pm
+from ctrwpricer.european import PriceMethod, beta_pm
 
 EXP_29 = JumpDensity(Family.EXPONENTIAL, 0.5, 1.0 / 9.0)
 
@@ -158,6 +159,14 @@ EXPONENTIAL_PRICERS = {
     "european_price": lambda m: european_price(
         m, Contract(PayoffKind.VANILLA_CALL, 1.0, 0.25), 0.05),
     "binary_put_price": lambda m: binary_put_price(m, 0.0, 0.05, 0.25),
+    # the shortcuts: exercised region and expiry
+    "binary_put_price-exercised": lambda m: binary_put_price(m, 0.0, -0.05, 0.25),
+    "binary_put_price-expiry": lambda m: binary_put_price(m, 0.0, 0.05, 0.0),
+    "binary_put_laplace-exercised": lambda m: binary_put_laplace(m, 0.0, -0.05, 1.0),
+    "binary_call-laplace-expiry": lambda m: european_price(
+        m, Contract(PayoffKind.BINARY_CALL, 1.0, 0.0), 0.05, PriceMethod.LAPLACE),
+    "vanilla_call-laplace-expiry": lambda m: european_price(
+        m, Contract(PayoffKind.VANILLA_CALL, 1.0, 0.0), 0.05, PriceMethod.LAPLACE),
     "perpetual_binary_put": lambda m: perpetual_binary_put(m, 0.0, 0.05),
     "perpetual_vanilla_put": lambda m: perpetual_vanilla_put(m, 1.0, 0.05),
     "vanilla_exercise_trigger": lambda m: vanilla_exercise_trigger(m, 1.0),
