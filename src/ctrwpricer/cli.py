@@ -156,9 +156,8 @@ def _fig_iv2(meta) -> FigureData:
 
 
 def _bs_butterfly(spot, K, L, r, sigma, T):
-    c = blackscholes.bs_vanilla_call
-    return (2.0 * c(spot, K + 0.5 * L, r, sigma, T) - c(spot, K, r, sigma, T)
-            - c(spot, K + L, r, sigma, T))
+    return sum(wt * blackscholes.bs_vanilla_call(spot, strike, r, sigma, T)
+               for wt, strike in fourier.butterfly_legs(K, L))
 
 
 def _fig_butterfly_rho(meta) -> FigureData:
@@ -361,11 +360,11 @@ def _cmd_price(args) -> int:
     }
 
     if method is PriceMethod.FOURIER:
-        if contract.kind is not PayoffKind.PORTFOLIO:
+        payoff = contract.payoff
+        if payoff.transform is None:
             raise ValidationError("the transform route prices butterfly portfolios")
         if contract.style is not OptionStyle.EUROPEAN:
             raise ValidationError("the transform route prices European claims")
-        payoff = fourier.butterfly_payoff(contract.strike, contract.width)
         price = _transform_price(market, payoff, x, contract.t_bar, args.tol)
         out.update(price=price, T=contract.t_bar)
         _emit(out)

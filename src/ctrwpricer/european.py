@@ -93,22 +93,24 @@ class Contract:
     def log_strike(self) -> float:
         return math.log(self.strike)
 
-    def payoff(self, x):
-        """Terminal payoff as a function of log-price x (vectorised)."""
-        x = np.asarray(x, dtype=float)
-        s = np.exp(x)
-        K = self.strike
-        if self.kind is PayoffKind.BINARY_CALL:
-            out = (s >= K).astype(float)
-        elif self.kind is PayoffKind.BINARY_PUT:
-            out = (s < K).astype(float)
-        elif self.kind is PayoffKind.VANILLA_CALL:
-            out = np.maximum(s - K, 0.0)
-        elif self.kind is PayoffKind.VANILLA_PUT:
-            out = np.maximum(K - s, 0.0)
-        else:
-            out = fourier.butterfly_payoff(K, self.width).value(x)
-        return out if out.shape else float(out)
+    @property
+    def payoff(self) -> fourier.Payoff:
+        """The terminal payoff record, from ``_PROFILES`` or ``butterfly_payoff``."""
+        if self.kind is PayoffKind.PORTFOLIO:
+            return fourier.butterfly_payoff(self.strike, self.width)
+        profile, K, k = _PROFILES[self.kind], self.strike, self.log_strike
+        return fourier.Payoff(value=lambda x: profile(np.asarray(x, dtype=float), K, k),
+                              breakpoints=(k,))
+
+
+# Profiles f(x, K, k = ln K) on log-price x, none integrable.  Binaries test
+# x >= k as every pricer does; e^x >= K fails at x = k when e^k < K.
+_PROFILES = {
+    PayoffKind.BINARY_CALL: lambda x, K, k: (x >= k).astype(float),
+    PayoffKind.BINARY_PUT: lambda x, K, k: (x < k).astype(float),
+    PayoffKind.VANILLA_CALL: lambda x, K, k: np.maximum(np.exp(x) - K, 0.0),
+    PayoffKind.VANILLA_PUT: lambda x, K, k: np.maximum(K - np.exp(x), 0.0),
+}
 
 
 class PriceMethod(enum.Enum):

@@ -1,7 +1,11 @@
 """Characteristic-function pricing for arbitrary jump families and payoffs.
 
-Any European claim with an integrable payoff profile Phi (written against
-log-price) can be priced for any jump family directly from transforms:
+A payoff is one ``Payoff`` record: its profile Phi on log-price (always
+given), its kinks and, for an integrable profile only, its Fourier
+transform.  Every transform is taken to decay like |w|^-2, the tail of a
+continuous profile with kinks, so the tail order is one constant here
+rather than a field.  Any European claim whose profile has a transform can
+be priced for any jump family directly from transforms:
 
     C(x, t_bar) = (1/2pi) integral  Phi~(w) exp(-[r + lam (1 - h~(-w))] t_bar
                                     - i w x) dw
@@ -57,8 +61,8 @@ from .riskneutral import MarketParams
 
 __all__ = [
     "Payoff",
+    "butterfly_legs",
     "butterfly_payoff",
-    "payoff_transform",
     "price_fourier",
     "price_two_point_exact",
 ]
@@ -71,28 +75,33 @@ _DECAYING_FAMILIES = {
     Family.GUMBEL,
 }
 
+# decay rate of |Phi~(w)|: a continuous profile with kinks (the butterfly)
+# has |Phi~(w)| ~ w^-2
+_TAIL_ORDER = 2.0
+
 
 @dataclass(frozen=True)
 class Payoff:
-    """Payoff profile given by its Fourier transform.
+    """Terminal payoff profile on log-price.
 
-    ``transform`` must be vectorised over a real numpy array of
-    frequencies; ``tail_order`` is the guaranteed algebraic decay rate of
-    |transform|.  ``value`` evaluates the profile on a numpy array of
-    log-prices; when missing, it is recovered by numerical Fourier
-    inversion.  ``breakpoints`` are the log-price kinks of the profile,
-    used to seed oscillation-aware quadrature and to split piecewise-smooth
-    averages.  They must span the profile's support (the smallest and
-    largest breakpoint bound where the profile is nonzero, or where a
+    ``value`` (required) evaluates the profile on a numpy array of
+    log-prices.  ``breakpoints`` are its kinks or jumps, used to seed
+    oscillation-aware quadrature and to split piecewise-smooth averages.
+    They must span the profile's support (where it is nonzero, or where a
     smooth profile carries its mass): the transform then turns at no more
-    than max |k - x| radians per unit of frequency, and that bound seeds
-    the quadrature.
+    than max |k - x| radians per unit of frequency.  ``transform`` exists
+    only for an integrable profile (None for binaries and vanillas); it is
+    vectorised over real frequencies and decays like |w|^-2.
     """
 
-    transform: Callable[[np.ndarray], np.ndarray]
-    tail_order: float
-    value: Callable[[np.ndarray], np.ndarray] | None = None
-    breakpoints: tuple = ()
+    value: Callable[[np.ndarray], np.ndarray]
+    breakpoints: tuple
+    transform: Callable[[np.ndarray], np.ndarray] | None = None
+
+
+def butterfly_legs(K: float, L: float) -> tuple:
+    """The butterfly's (weight, strike) call legs, in summation order."""
+    return ((2.0, K + 0.5 * L), (-1.0, K), (-1.0, K + L))
 
 
 def butterfly_payoff(K: float, L: float) -> Payoff:
@@ -109,6 +118,7 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
     k1, k2, k3 = math.log(K), math.log(K + 0.5 * L), math.log(K + L)
     d1, d3 = k1 - k2, k3 - k2
     e1, e3 = math.exp(d1), math.exp(d3)
+    legs = butterfly_legs(K, L)
 
     def transform(w):
         w = np.asarray(w, dtype=complex)
@@ -118,16 +128,9 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
 
     def value(x):
         s = np.exp(x)
-        return 2.0 * np.maximum(s - (K + 0.5 * L), 0.0) - np.maximum(s - K, 0.0) \
-            - np.maximum(s - (K + L), 0.0)
+        return sum(wt * np.maximum(s - strike, 0.0) for wt, strike in legs)
 
-    return Payoff(transform=transform, tail_order=2.0, value=value,
-                  breakpoints=(k1, k2, k3))
-
-
-def payoff_transform(payoff: Payoff, omega):
-    """Evaluate the payoff's Fourier transform (vectorised)."""
-    return payoff.transform(np.asarray(omega, dtype=complex))
+    return Payoff(value=value, breakpoints=(k1, k2, k3), transform=transform)
 
 
 def _spots(x):
@@ -144,18 +147,6 @@ def _spots(x):
 def _phase_block(f, w, xs):
     """(n_x, nodes) integrand block f(w) e^{-iwx}, one row per spot."""
     return f[None, :] * np.exp(-1j * np.outer(xs, w))
-
-
-def _payoff_value(payoff: Payoff, xs: np.ndarray, spec: QuadSpec) -> np.ndarray:
-    if payoff.value is not None:
-        return np.asarray(payoff.value(xs), dtype=float)
-    inv = integrate_real_line(
-        lambda w: _phase_block(payoff.transform(w) / (2.0 * math.pi), w, xs),
-        payoff.tail_order,
-        spec,
-        osc_hint=_osc_hint(payoff, xs, 0.0),
-    )
-    return inv.real
 
 
 def _one_jump_average(payoff: Payoff, x: float, lo: float, hi: float,
@@ -182,14 +173,17 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
     """Price a European claim with payoff profile ``payoff`` at log-price x.
 
     ``x`` is a float (the price is a float) or a 1-D array of log-prices
-    (the prices are an ndarray); all spots share one frequency grid.
+    (the prices are an ndarray); all spots share one frequency grid.  The
+    payoff must carry a transform.
     """
+    if payoff.transform is None:
+        raise InvalidParametersError("the transform route needs a payoff with a transform")
     if t_bar < 0:
         raise InvalidParametersError("remaining time must be non-negative")
     xs, shaped = _spots(x)
     lam, r, d = params.lam, params.r, params.density
     if t_bar == 0.0:
-        return shaped(_payoff_value(payoff, xs, spec))
+        return shaped(payoff.value(xs))
 
     lt = lam * t_bar
     disc = math.exp(-r * t_bar)
@@ -202,23 +196,22 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
         def weight(h):
             return disc * np.exp(-lt * (1.0 - h))
     else:
-        atom = math.exp(-lt) * disc * _payoff_value(payoff, xs, spec)
-        split_one_jump = fam is Family.CONSTANT and payoff.value is not None
+        atom = math.exp(-lt) * disc * payoff.value(xs)
+        split_one_jump = fam is Family.CONSTANT
         if split_one_jump:
             atom += lt * math.exp(-lt) * disc * np.array(
                 [_one_jump_average(payoff, xi, d.a, d.b, spec) for xi in xs])
         extra = 2.0 if fam in _DECAYING_FAMILIES or split_one_jump else 0.0
 
+        # both forms leave out the one-jump term lt h when it is in the atom
+        lt_one = lt if split_one_jump else 0.0
         if lt <= 30.0:
             def weight(h):
-                w = expm1_complex(lt * h)
-                if split_one_jump:
-                    w = w - lt * h
-                return disc * math.exp(-lt) * w
+                return disc * math.exp(-lt) * (expm1_complex(lt * h) - lt_one * h)
         else:
             # exp(-lt) underflows; evaluate in the always-bounded form
             def weight(h):
-                return disc * (np.exp(lt * (h - 1.0)) - math.exp(-lt))
+                return disc * (np.exp(lt * (h - 1.0)) - math.exp(-lt) * (1.0 + lt_one * h))
 
     def integrand(w):
         w = np.asarray(w, dtype=float)
@@ -226,7 +219,7 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
         return _phase_block(f, w, xs)
 
     hint = _osc_hint(payoff, xs, lt * abs(mean_var(d)[0]))
-    val = integrate_real_line(integrand, payoff.tail_order + extra, spec, osc_hint=hint)
+    val = integrate_real_line(integrand, _TAIL_ORDER + extra, spec, osc_hint=hint)
     return shaped(atom + val.real)
 
 
@@ -245,13 +238,11 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
     d = params.density
     if d.family is not Family.DISCRETE:
         raise InvalidParametersError("net-count conditioning applies to the two-point law")
-    if payoff.value is None:
-        raise InvalidParametersError("needs a pointwise payoff profile")
     if t_bar < 0:
         raise InvalidParametersError("remaining time must be non-negative")
     xs, shaped = _spots(x)
     if t_bar == 0.0:
-        return shaped(_payoff_value(payoff, xs, DEFAULT_QUAD))
+        return shaped(payoff.value(xs))
 
     up = params.lam * t_bar * d.a
     down = params.lam * t_bar * (1.0 - d.a)

@@ -123,7 +123,7 @@ def price_european_mc(params: MarketParams, contract: Contract, x0: float,
     """Discounted-payoff estimator for any European contract."""
     xt = simulate_terminal(params, x0, contract.t_bar, config)
     disc = math.exp(-params.r * contract.t_bar)
-    return _estimate(disc * contract.payoff(xt), config)
+    return _estimate(disc * contract.payoff.value(xt), config)
 
 
 def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,

@@ -220,10 +220,13 @@ class TestPriceCommand:
         assert payload["price"] == pytest.approx(expected, rel=1e-12)
 
     def test_fourier_method_requires_butterfly(self, capsys):
-        code, _, err = run(capsys, "price", "--method", "fourier",
-                           "--rho", "2", "--gamma", "9")
-        assert code == 2
-        assert "butterfly" in err
+        # every profile without a transform is refused, the default one too
+        for contract in ((), *(("--contract", k) for k in (
+                "binary-call", "binary-put", "vanilla-call", "vanilla-put"))):
+            code, _, err = run(capsys, "price", "--method", "fourier", *contract,
+                               "--rho", "2", "--gamma", "9")
+            assert code == 2, contract
+            assert "the transform route prices butterfly portfolios" in err
 
     def test_divergent_rho_exits_2(self, capsys):
         code, out, err = run(capsys, "price", "--rho", "0.5", "--gamma", "9")

@@ -29,6 +29,7 @@ from ctrwpricer.european import (
     vanilla_call_laplace,
     vanilla_call_price,
 )
+from ctrwpricer.fourier import butterfly_payoff
 
 R = 0.04
 T_BAR = 0.25
@@ -81,11 +82,39 @@ class TestContract:
     def test_butterfly_payoff_is_negative_tent(self):
         c = Contract(PayoffKind.PORTFOLIO, 100.0, 0.25, width=10.0)
         s = np.linspace(80.0, 130.0, 501)
-        vals = c.payoff(np.log(s))
+        vals = c.payoff.value(np.log(s))
         assert np.all(vals <= 1e-12)
-        assert c.payoff(math.log(105.0)) == pytest.approx(-5.0, abs=1e-12)
-        assert c.payoff(math.log(100.0)) == pytest.approx(0.0, abs=1e-12)
-        assert c.payoff(math.log(110.0)) == pytest.approx(0.0, abs=1e-12)
+        assert c.payoff.value(math.log(105.0)) == pytest.approx(-5.0, abs=1e-12)
+        assert c.payoff.value(math.log(100.0)) == pytest.approx(0.0, abs=1e-12)
+        assert c.payoff.value(math.log(110.0)) == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("K", [1.0, 3.0, 100.0, 105.0])
+class TestPayoffTable:
+    """Binaries are defined on log-price: at x = ln K the call pays and the
+    put does not, also where e^{ln K} rounds below K (K = 105)."""
+
+    def test_binaries_at_the_strike(self, K):
+        k = math.log(K)
+        assert Contract(PayoffKind.BINARY_CALL, K, 0.25).payoff.value(k) == 1.0
+        assert Contract(PayoffKind.BINARY_PUT, K, 0.25).payoff.value(k) == 0.0
+
+    @pytest.mark.parametrize("kind", [PayoffKind.BINARY_CALL, PayoffKind.BINARY_PUT,
+                                      PayoffKind.VANILLA_CALL, PayoffKind.VANILLA_PUT])
+    def test_breakpoint_is_the_log_strike(self, K, kind):
+        pay = Contract(kind, K, 0.25).payoff
+        assert pay.breakpoints == (math.log(K),)
+        assert pay.transform is None
+
+    def test_vanillas_and_butterfly_profiles(self, K):
+        x = np.log(K * np.array([0.5, 1.0, 1.5]))
+        call = Contract(PayoffKind.VANILLA_CALL, K, 0.25).payoff.value(x)
+        put = Contract(PayoffKind.VANILLA_PUT, K, 0.25).payoff.value(x)
+        np.testing.assert_array_equal(call, np.maximum(np.exp(x) - K, 0.0))
+        np.testing.assert_array_equal(put, np.maximum(K - np.exp(x), 0.0))
+        fly = Contract(PayoffKind.PORTFOLIO, K, 0.25, width=0.2 * K).payoff
+        assert fly.breakpoints == butterfly_payoff(K, 0.2 * K).breakpoints
+        assert fly.transform is not None
 
 
 class TestCharacteristicRoots:

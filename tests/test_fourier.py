@@ -20,8 +20,8 @@ from ctrwpricer.errors import InvalidParametersError
 from ctrwpricer.european import vanilla_call_price
 from ctrwpricer.fourier import (
     Payoff,
+    butterfly_legs,
     butterfly_payoff,
-    payoff_transform,
     price_fourier,
     price_two_point_exact,
 )
@@ -57,8 +57,10 @@ def gaussian_bump_payoff(center: float) -> Payoff:
         w = np.asarray(w, dtype=complex)
         return math.sqrt(2.0 * math.pi) * np.exp(1j * w * center - 0.5 * w * w)
 
-    return Payoff(transform=transform, tail_order=2.0, value=None,
-                  breakpoints=(center,))
+    def value(x):
+        return np.exp(-0.5 * (np.asarray(x, dtype=float) - center) ** 2)
+
+    return Payoff(value=value, breakpoints=(center,), transform=transform)
 
 
 class TestButterflyTransform:
@@ -70,27 +72,27 @@ class TestButterflyTransform:
 
     def test_zero_frequency_is_profile_integral(self):
         pay = butterfly_payoff(100.0, 10.0)
-        val = complex(payoff_transform(pay, 0.0))
+        val = complex(pay.transform(0.0))
         assert val.real == pytest.approx(PROFILE_INTEGRAL, abs=1e-10)
         assert abs(val.imag) < 1e-14
 
     def test_against_quadrature_oracle(self):
         pay = butterfly_payoff(100.0, 10.0)
-        val = complex(payoff_transform(pay, 0.7))
+        val = complex(pay.transform(0.7))
         assert val.real == pytest.approx(TRANSFORM_AT_07.real, abs=1e-10)
         assert val.imag == pytest.approx(TRANSFORM_AT_07.imag, abs=1e-10)
 
     def test_removable_singularity_at_zero(self):
         pay = butterfly_payoff(100.0, 10.0)
-        tiny = complex(payoff_transform(pay, 1e-12))
-        assert tiny == pytest.approx(complex(payoff_transform(pay, 0.0)), abs=1e-9)
+        tiny = complex(pay.transform(1e-12))
+        assert tiny == pytest.approx(complex(pay.transform(0.0)), abs=1e-9)
 
     def test_series_switchover_is_smooth(self):
         # the series-vs-ratio switch sits near w ~ 2e-7 for these kinks; a
         # branch glitch would dominate the tiny true curvature of the
         # second difference across that region
         pay = butterfly_payoff(100.0, 10.0)
-        f = lambda w: complex(payoff_transform(pay, w))
+        f = lambda w: complex(pay.transform(w))
         second_diff = f(3e-7) - 2.0 * f(2e-7) + f(1e-7)
         assert abs(second_diff) < 1e-12
 
@@ -98,21 +100,29 @@ class TestButterflyTransform:
     @settings(max_examples=60, deadline=None)
     def test_conjugate_symmetry(self, w):
         pay = butterfly_payoff(100.0, 10.0)
-        plus = complex(payoff_transform(pay, w))
-        minus = complex(payoff_transform(pay, -w))
+        plus = complex(pay.transform(w))
+        minus = complex(pay.transform(-w))
         assert cmath.isclose(minus, plus.conjugate(), rel_tol=1e-12, abs_tol=1e-14)
 
     def test_quadratic_tail_decay(self):
         pay = butterfly_payoff(100.0, 10.0)
         for w in (10.0, 100.0, 1e3, 1e4):
-            assert abs(complex(payoff_transform(pay, w))) * w * w < 500.0
+            assert abs(complex(pay.transform(w))) * w * w < 500.0
 
     def test_vectorised_evaluation(self):
         pay = butterfly_payoff(100.0, 10.0)
         ws = np.array([-1.0, 0.5, 3.0])
-        batch = payoff_transform(pay, ws)
+        batch = pay.transform(ws)
         for i, w in enumerate(ws):
-            assert batch[i] == pytest.approx(complex(payoff_transform(pay, w)), rel=1e-14)
+            assert batch[i] == pytest.approx(complex(pay.transform(w)), rel=1e-14)
+
+    def test_profile_is_the_sum_of_its_legs(self):
+        pay = butterfly_payoff(100.0, 10.0)
+        x = np.log(np.linspace(80.0, 130.0, 101))
+        legs = butterfly_legs(100.0, 10.0)
+        assert legs == ((2.0, 105.0), (-1.0, 100.0), (-1.0, 110.0))
+        want = sum(w * np.maximum(np.exp(x) - K, 0.0) for w, K in legs)
+        np.testing.assert_array_equal(pay.value(x), want)
 
     def test_profile_peak_and_kinks(self):
         pay = butterfly_payoff(100.0, 10.0)
@@ -131,13 +141,6 @@ class TestExpiryRecovery:
             x = math.log(spot)
             assert price_fourier(mp, pay, x, 0.0) == pytest.approx(pay.value(x), abs=1e-14)
 
-    def test_profile_recovered_by_inversion_when_not_given(self):
-        pay = gaussian_bump_payoff(0.3)
-        mp = fitted_market(Family.GAUSSIAN)
-        for x in (-0.5, 0.3, 1.0):
-            want = math.exp(-0.5 * (x - 0.3) ** 2)
-            assert price_fourier(mp, pay, x, 0.0) == pytest.approx(want, abs=1e-8)
-
     def test_small_time_limit_all_finite_activity_families(self):
         # the two-point law keeps |h~| = 1 at all frequencies, so its tail
         # budget must be set from the required tolerance, not the default
@@ -155,6 +158,12 @@ class TestExpiryRecovery:
         pay = butterfly_payoff(100.0, 10.0)
         with pytest.raises(InvalidParametersError):
             price_fourier(fitted_market(Family.GAUSSIAN), pay, 0.0, -0.1)
+
+    @pytest.mark.parametrize("t_bar", [0.0, T_BAR])
+    def test_refuses_payoff_without_transform(self, t_bar):
+        pay = Contract(PayoffKind.BINARY_CALL, 100.0, t_bar).payoff
+        with pytest.raises(InvalidParametersError, match="transform"):
+            price_fourier(fitted_market(Family.GAUSSIAN), pay, math.log(100.0), t_bar)
 
 
 class TestReplication:
@@ -242,16 +251,26 @@ class TestTwoPointExact:
         with pytest.raises(InvalidParametersError):
             price_two_point_exact(fitted_market(Family.GAUSSIAN), pay, 0.0, T_BAR)
 
-    def test_requires_pointwise_profile(self):
-        mp = fitted_market(Family.DISCRETE)
-        pay = gaussian_bump_payoff(0.0)
-        with pytest.raises(InvalidParametersError):
-            price_two_point_exact(mp, pay, 0.0, T_BAR)
-
     def test_negative_time_rejected(self):
         pay = butterfly_payoff(100.0, 10.0)
         with pytest.raises(InvalidParametersError):
             price_two_point_exact(fitted_market(Family.DISCRETE), pay, 0.0, -1.0)
+
+
+class TestUniformJumpWeight:
+    """For uniform jumps the one-jump term is added to the atom, so both
+    forms of the jump weight (lam T <= 30 and > 30) must leave it out of
+    the integrand; a double count would show as a jump in price at 30."""
+
+    def test_price_continuous_across_lam_t_30(self):
+        pay = butterfly_payoff(100.0, 10.0)
+        d = fit_from_moments(Family.CONSTANT, 1e-3, 1e-4)
+        spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-13)
+        xs = np.log([92.0, 100.0, 105.0, 108.0])
+        at, above = (
+            price_fourier(MarketParams(r=R, density=d, lam=lt / T_BAR), pay, xs, T_BAR, spec)
+            for lt in (30.0, math.nextafter(30.0, math.inf)))
+        np.testing.assert_allclose(above, at, rtol=0.0, atol=1e-13)
 
 
 class TestSmoothPayoffPricing:
@@ -296,13 +315,6 @@ class TestBatchedSpots:
             single = price_fourier(mp, pay, float(x), t_bar, BATCH_SPEC)
             assert isinstance(single, float)
             assert abs(got - single) <= BATCH_SPEC.abs_tol
-
-    def test_profile_inversion_batched(self):
-        pay = gaussian_bump_payoff(0.3)
-        mp = fitted_market(Family.GAUSSIAN)
-        xs = np.array([-0.5, 0.3, 1.0])
-        got = price_fourier(mp, pay, xs, 0.0)
-        np.testing.assert_allclose(got, np.exp(-0.5 * (xs - 0.3) ** 2), atol=1e-8)
 
     @pytest.mark.parametrize("t_bar", [0.0, T_BAR, 5.0])
     def test_two_point_exact_matches_scalar_calls_exactly(self, t_bar):

@@ -227,6 +227,16 @@ class TestEuropeanMC:
         four = price_fourier(gaussian_market, butterfly_payoff(100.0, 10.0), x, 0.25)
         assert est.within(four)
 
+    @pytest.mark.parametrize("kind", [PayoffKind.BINARY_CALL, PayoffKind.BINARY_PUT])
+    def test_binary_at_the_money_matches_closed_form(self, market, kind):
+        # spot = strike = 105, where e^{ln 105} rounds below 105: most paths
+        # never jump and end exactly at the strike, so the estimator must
+        # apply the pricers' log-price test x >= ln K
+        c = Contract(kind, 105.0, 0.25)
+        x = math.log(105.0)
+        est = price_european_mc(market, c, x, MCConfig(paths=20_000, seed=5))
+        assert est.within(european_price(market, c, x), n_se=5.0), est
+
     def test_diffusion_limit_market_matches_closed_form(self):
         # the criterion-4 market: rho=2000, sigma=0.1, lam*T ~ 2e4 at T=1,
         # far too many jumps to draw one by one
