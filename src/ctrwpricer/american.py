@@ -42,14 +42,19 @@ __all__ = [
 # American binary put
 # ----------------------------------------------------------------------
 
-def binary_put_laplace(m: MarketParams, k: float, x: float, s):
-    """Transform (in remaining time) of the American binary put, log-strike k."""
+def binary_put_laplace(m: MarketParams, k: float, x, s):
+    """Transform (in remaining time) of the American binary put, log-strike k.
+
+    A 1-D array of log-spots x gives one row per spot, all on one beta_pm.
+    """
     s = np.asarray(s, dtype=complex)
     _, g = m.exponential_rates()
-    if x <= k:
+    if np.ndim(x) == 0 and x <= k:
         return 1.0 / s
+    d = np.asarray(x, dtype=float)[:, None] - k if np.ndim(x) else x - k
     _, bm = beta_pm(m, s)
-    return (g + bm) / g * np.exp(bm * (x - k)) / s
+    # exercised rows take the cash transform; clamping keeps their exp finite
+    return np.where(d > 0.0, (g + bm) / g * np.exp(bm * np.maximum(d, 0.0)) / s, 1.0 / s)
 
 
 def binary_put_closed(m: MarketParams, k: float, x: float, t_bar: float,
@@ -88,10 +93,15 @@ def binary_put_closed(m: MarketParams, k: float, x: float, t_bar: float,
     return integrate_semi_infinite(integrand, spec, bumps=bumps)
 
 
-def binary_put_price(m: MarketParams, k: float, x: float, t_bar: float,
+def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
                      method: PriceMethod = PriceMethod.LAPLACE,
-                     spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Finite-horizon American binary put; ``method`` is a PriceMethod or its value."""
+                     spec: QuadSpec = DEFAULT_QUAD):
+    """Finite-horizon American binary put; ``method`` is a PriceMethod or its value.
+
+    On the Laplace route x may be a 1-D array of log-spots, priced by one
+    inversion: exercised spots are exactly 1, and an AccuracyError carries
+    one best value and bound per spot.
+    """
     try:
         method = PriceMethod(method)
     except ValueError:
@@ -99,6 +109,15 @@ def binary_put_price(m: MarketParams, k: float, x: float, t_bar: float,
     if method not in (PriceMethod.CLOSED, PriceMethod.LAPLACE):
         raise InvalidParametersError(f"unsupported method {method!r} for American binary puts")
     m.exponential_rates()  # refuses other markets, also on the shortcuts below
+    if np.ndim(x):
+        if method is PriceMethod.CLOSED or np.ndim(x) != 1:
+            raise InvalidParametersError(
+                "x must be a log-price, or on the Laplace route a 1-D array of them")
+        x = np.asarray(x, dtype=float)
+        if t_bar == 0.0:
+            return np.where(x <= k, 1.0, 0.0)
+        prices = laplace_invert(lambda s: binary_put_laplace(m, k, x, s), t_bar, spec)
+        return np.where(x <= k, 1.0, prices)
     if x <= k:
         return 1.0
     if t_bar == 0.0:

@@ -200,15 +200,11 @@ def _fig_american(meta) -> FigureData:
     cols = ["s_over_k"]
     for name in models:
         cols += [f"{name}_t{t:g}" for t in T_list]  # t ascending within each rho
-    rows = []
     k = math.log(K)
-    for mny in grid:
-        x = math.log(mny * K)
-        row = [mny]
-        for m in models.values():
-            for t in T_list:
-                row.append(american.binary_put_price(m, k, x, t, PriceMethod.LAPLACE))
-        rows.append(row)
+    xs = np.array([math.log(mny * K) for mny in grid])
+    columns = [american.binary_put_price(m, k, xs, t, PriceMethod.LAPLACE)
+               for m in models.values() for t in T_list]
+    rows = [[mny] + [col[i] for col in columns] for i, mny in enumerate(grid)]
     return FigureData(meta, cols, rows)
 
 

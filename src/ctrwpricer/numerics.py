@@ -4,7 +4,8 @@ The inversion routines implement two independent algorithms so that every
 transform used by the pricing modules can be cross-checked:
 
 * fixed-Talbot deformation of the Bromwich contour (primary, deterministic
-  node set for a given number of terms), and
+  node set for a given number of terms; the working and check orders share
+  one cached node set, so an inversion calls its transform once), and
 * the Euler-accelerated Bromwich series of Abate and Whitt (secondary).
 
 Both assume the transform is analytic to the right of a known abscissa and
@@ -18,6 +19,7 @@ than numpy and this package together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -71,7 +73,9 @@ class LaplaceFn:
     """A Laplace transform handle plus the abscissa of convergence.
 
     ``handle`` must accept a complex numpy array of s-values and evaluate
-    elementwise; every transform in this package is written that way.
+    elementwise; every transform in this package is written that way.  It
+    may return one row per spot (shape ``(n_x, nodes)``), which
+    ``laplace_invert`` inverts row by row.  The s-array may be read-only.
     """
 
     handle: Callable[[np.ndarray], np.ndarray]
@@ -155,21 +159,33 @@ def _as_laplace_fn(f) -> LaplaceFn:
     return LaplaceFn(handle=f)
 
 
-def _talbot_sum(fhat, t: float, M: int) -> float:
-    """Fixed-Talbot rule with M nodes at time t > 0."""
-    r = 2.0 * M / (5.0 * t)
-    theta = np.arange(1, M) * (math.pi / M)
-    cot = 1.0 / np.tan(theta)
-    s = r * theta * (cot + 1j)
-    sigma = theta + (theta * cot - 1.0) * cot
-    values = np.asarray(fhat(s), dtype=complex)
-    terms = np.real(np.exp(t * s) * (1.0 + 1j * sigma) * values)
-    head = 0.5 * math.exp(r * t) * np.real(complex(fhat(np.array([r + 0j]))[0]))
-    return (2.0 / (5.0 * t)) * (head + terms.sum())
+@functools.lru_cache(maxsize=64)
+def _talbot_rule(t: float, orders: tuple):
+    """Fixed-Talbot contours of each order M at time t > 0, on one node set.
+
+    Returns the nodes, per order its M - 1 body nodes then its head node r,
+    and per order the body weights e^{ts}(1 + i sigma) and the head factor
+    e^{rt}/2.  The arrays are cached, so they are read-only.
+    """
+    nodes, parts = [], []
+    for M in orders:
+        r = 2.0 * M / (5.0 * t)
+        theta = np.arange(1, M) * (math.pi / M)
+        cot = 1.0 / np.tan(theta)
+        s = r * theta * (cot + 1j)
+        sigma = theta + (theta * cot - 1.0) * cot
+        weights = np.exp(t * s) * (1.0 + 1j * sigma)
+        weights.flags.writeable = False
+        nodes += [s, [r + 0j]]
+        parts.append((weights, 0.5 * math.exp(r * t)))
+    nodes = np.concatenate(nodes)
+    nodes.flags.writeable = False
+    return nodes, tuple(parts)
 
 
-def laplace_invert_talbot(f, t: float, terms: int = TALBOT_TERMS) -> float:
-    """Invert a Laplace transform at t > 0 with the fixed-Talbot rule.
+def _talbot(f, t: float, orders: tuple) -> list:
+    """The fixed-Talbot inverse at t of each order, from one call of the
+    transform on all their nodes; one value per row of a batched handle.
 
     A nonzero abscissa of convergence shifts the evaluation: positive, so
     the deformed contour stays inside the region of analyticity; negative,
@@ -180,10 +196,26 @@ def laplace_invert_talbot(f, t: float, terms: int = TALBOT_TERMS) -> float:
     lf = _as_laplace_fn(f)
     if t <= 0:
         raise InvalidParametersError("inversion time must be positive")
+    nodes, parts = _talbot_rule(float(t), orders)
+    a = 0.0
     if lf.abscissa != 0.0:
         a = lf.abscissa + 1.0 if lf.abscissa > 0.0 else lf.abscissa
-        return math.exp(a * t) * _talbot_sum(lambda s: lf.handle(s + a), t, terms)
-    return _talbot_sum(lf.handle, t, terms)
+        nodes = nodes + a
+    values = np.asarray(lf.handle(nodes), dtype=complex)
+    sums, start = [], 0
+    for weights, head in parts:
+        stop = start + weights.size
+        terms = np.real(weights * values[..., start:stop]).sum(axis=-1)
+        total = (2.0 / (5.0 * t)) * (head * np.real(values[..., stop]) + terms)
+        sums.append(math.exp(a * t) * total if a else total)
+        start = stop + 1
+    return sums
+
+
+def laplace_invert_talbot(f, t: float, terms: int = TALBOT_TERMS) -> float:
+    """Invert a Laplace transform at t > 0 with the fixed-Talbot rule of
+    ``terms`` nodes; see ``_talbot`` for the abscissa shift."""
+    return _talbot(f, t, (terms,))[0]
 
 
 def _euler_weights(M: int) -> np.ndarray:
@@ -213,29 +245,34 @@ def laplace_invert_euler(f, t: float, terms: int = EULER_TERMS) -> float:
     return (10.0 ** (M / 3.0) / t) * float(np.dot(eta, values.real)) * math.exp(shift * t)
 
 
-def laplace_invert(f, t: float, spec: QuadSpec = DEFAULT_QUAD) -> float:
+def laplace_invert(f, t: float, spec: QuadSpec = DEFAULT_QUAD):
     """Primary inversion entry point with an internal error estimate.
 
-    Runs the fixed-Talbot rule at the working order and once more at a
-    higher order; the difference between the two node sets serves as the
-    error estimate.  The working order balances truncation against the
-    contour's e^{2M/5} rounding amplification, which floors the achievable
-    relative accuracy in double precision, so the acceptance threshold
-    floors at that plateau rather than at the quadrature tolerances.
-    Raises AccuracyError, carrying the best value and the estimate, when
-    the estimate sits above the threshold.
+    Runs the fixed-Talbot rule at the working order and at a higher order,
+    both from one call of the transform on their joint node set; the
+    difference between the two serves as the error estimate.  The working
+    order balances truncation against the contour's e^{2M/5} rounding
+    amplification, which floors the achievable relative accuracy in double
+    precision, so the acceptance threshold floors at that plateau rather
+    than at the quadrature tolerances.  A handle returning one row per spot
+    (shape ``(n_x, nodes)``) gets one value per row, each judged by its own
+    threshold.  Raises AccuracyError, carrying the best values and the
+    estimates (inf where a value is not finite), when any row fails.
     """
-    lf = _as_laplace_fn(f)
-    best = laplace_invert_talbot(lf, t, TALBOT_TERMS)
-    check = laplace_invert_talbot(lf, t, TALBOT_CHECK_TERMS)
-    err = abs(best - check)
-    scale = max(abs(best), abs(check), 1e-300)
-    if err > max(spec.rel_tol * scale * 10.0, 1e-7 * scale, 10.0 * spec.abs_tol):
+    best, check = _talbot(f, t, (TALBOT_TERMS, TALBOT_CHECK_TERMS))
+    with np.errstate(invalid="ignore"):  # inf - inf: non-finite rows fail below
+        err = np.abs(best - check)
+    scale = np.maximum(np.maximum(np.abs(best), np.abs(check)), 1e-300)
+    threshold = np.maximum(np.maximum(spec.rel_tol * scale * 10.0, 1e-7 * scale),
+                           10.0 * spec.abs_tol)
+    finite = np.isfinite(best) & np.isfinite(check)
+    if np.any(~finite | (err > threshold)):
+        bound = np.where(finite, err, np.inf)[()]
         raise AccuracyError(
             f"Laplace inversion did not converge at t={t}: "
-            f"estimate {best!r}, error bound {err!r}",
+            f"estimate {best!r}, error bound {bound!r}",
             best=best,
-            bound=err,
+            bound=bound,
         )
     return best
 

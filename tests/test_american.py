@@ -112,6 +112,30 @@ class TestBinaryPutPrice:
             binary_put_price(de_model, 0.0, 0.1, 0.25, "simplex")
 
 
+class TestBatchedSpots:
+    XS = [-0.3, 0.0, 1e-3, 0.05, 0.2, 0.8]   # both sides of k = 0
+
+    @pytest.mark.parametrize("t_bar", [0.0, 0.25, 1.0, 5.0])
+    def test_column_equals_scalar_calls_exactly(self, de_model, t_bar):
+        batch = binary_put_price(de_model, 0.0, np.array(self.XS), t_bar, "laplace")
+        assert list(batch) == [binary_put_price(de_model, 0.0, x, t_bar, "laplace")
+                               for x in self.XS]
+        assert list(batch[:2]) == [1.0, 1.0]
+
+    def test_transform_rows_equal_scalar_transforms(self, de_model):
+        s = np.array([0.3 + 0.0j, 1.0 + 2.0j])
+        rows = binary_put_laplace(de_model, 0.0, np.array(self.XS), s)
+        assert rows.shape == (len(self.XS), 2)
+        for x, row in zip(self.XS, rows):
+            assert list(row) == list(binary_put_laplace(de_model, 0.0, x, s))
+
+    def test_closed_route_and_2d_spots_rejected(self, de_model):
+        with pytest.raises(InvalidParametersError):
+            binary_put_price(de_model, 0.0, np.array(self.XS), 1.0, "closed")
+        with pytest.raises(InvalidParametersError):
+            binary_put_price(de_model, 0.0, np.zeros((2, 2)), 1.0, "laplace")
+
+
 class TestPerpetualBinaryPut:
     def test_exercised_region(self, de_model):
         assert perpetual_binary_put(de_model, 0.0, -0.3) == 1.0

@@ -388,7 +388,7 @@ class TestMcCommand:
 
 
 class TestFigCommand:
-    @pytest.mark.parametrize("fig_id", ["iv2", "fig3"])
+    @pytest.mark.parametrize("fig_id", ["iv2", "fig3", "fig5"])
     def test_regeneration_is_bit_identical(self, capsys, tmp_path, fig_id):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"
@@ -398,6 +398,20 @@ class TestFigCommand:
         run_json(capsys, "fig", "--from-meta", str(first),
                  "--out", str(second))
         assert first.read_bytes() == second.read_bytes()
+
+    def test_fig5_cells_match_closed_form(self):
+        # criterion 3 on the figure grid: every Laplace cell against the
+        # time-domain Bessel integral
+        fig = build_figure("fig5")
+        meta = fig.meta
+        k = math.log(meta["K"])
+        for j, col in enumerate(fig.columns[1:], start=1):
+            rho, t_bar = (float(v) for v in col[len("rho_"):].split("_t"))
+            m = MarketParams.from_rho_sigma(rho, meta["r"], meta["sigma"])
+            for row in fig.rows:
+                x = math.log(row[0] * meta["K"])
+                closed = american.binary_put_closed(m, k, x, t_bar)
+                assert abs(row[j] - closed) <= 1e-6, (col, row[0])
 
     def test_meta_line_is_json_with_figure_id(self, capsys, tmp_path):
         out = tmp_path / "f.csv"

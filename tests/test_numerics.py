@@ -88,6 +88,77 @@ class TestLaplaceInversion:
         assert laplace_invert(f, 3.0) == laplace_invert(f, 3.0)
 
 
+class TestTalbotSingleCall:
+    """laplace_invert evaluates its transform once, on the 72 nodes of the
+    32- and 40-node contours, and reproduces the two separate passes."""
+
+    PAIRS = [
+        (LaplaceFn(lambda s: 1.0 / (s + 2.0), abscissa=-2.0), 1.0),
+        (lambda s: 1.0 / s, 7.3),
+        (lambda s: 1.0 / (s * s + 1.0), math.pi / 2.0),
+        (LaplaceFn(lambda s: 1.0 / (s - 1.0), abscissa=1.0), 2.0),
+    ]
+
+    def test_one_call_on_72_nodes(self):
+        sizes = []
+
+        def counted(s):
+            sizes.append(s.size)
+            return 1.0 / (s + 0.5)
+
+        laplace_invert(counted, 1.3)
+        assert sizes == [72]
+
+    @pytest.mark.parametrize("fhat, t", PAIRS)
+    def test_bit_equal_to_the_working_pass(self, fhat, t):
+        assert laplace_invert(fhat, t) == laplace_invert_talbot(fhat, t, 32)
+
+    def test_error_carries_the_two_pass_values(self):
+        step = lambda s: np.exp(-s) / s     # unit step at t = 1: no convergence there
+        with pytest.raises(AccuracyError) as exc:
+            laplace_invert(step, 1.0)
+        best = laplace_invert_talbot(step, 1.0, 32)
+        assert exc.value.best == best
+        assert exc.value.bound == abs(best - laplace_invert_talbot(step, 1.0, 40))
+
+    def test_handle_writing_into_nodes_raises_and_corrupts_nothing(self):
+        f = lambda s: 1.0 / (s + 0.5)
+        before = laplace_invert(f, 2.7)
+
+        def scribbler(s):
+            s *= 2.0
+            return 1.0 / (s + 0.5)
+
+        with pytest.raises(ValueError):
+            laplace_invert(scribbler, 2.7)
+        assert laplace_invert(f, 2.7) == before
+
+    def test_non_finite_transform_raises(self):
+        with pytest.raises(AccuracyError) as exc:
+            laplace_invert(lambda s: np.full(s.shape, np.nan + 0j), 1.0)
+        assert math.isnan(exc.value.best)
+        assert exc.value.bound == math.inf
+
+    def test_rows_equal_single_inversions(self):
+        rows = [lambda s: 1.0 / (s + 1.0), lambda s: 1.0 / (s * s + 1.0), lambda s: 1.0 / s]
+        batch = laplace_invert(lambda s: np.stack([f(s) for f in rows]), 2.5)
+        assert batch.shape == (3,)
+        assert list(batch) == [laplace_invert(f, 2.5) for f in rows]
+
+    def test_failing_rows_raise_with_per_row_arrays(self):
+        rows = [lambda s: 1.0 / (s + 1.0),
+                lambda s: np.exp(-s) / s,
+                lambda s: np.full(s.shape, np.nan + 0j)]
+        with pytest.raises(AccuracyError) as exc:
+            laplace_invert(lambda s: np.stack([f(s) for f in rows]), 1.0)
+        best, bound = exc.value.best, exc.value.bound
+        assert best.shape == bound.shape == (3,)
+        assert best[0] == laplace_invert(rows[0], 1.0)
+        assert best[1] == laplace_invert_talbot(rows[1], 1.0, 32)
+        assert bound[1] == abs(best[1] - laplace_invert_talbot(rows[1], 1.0, 40))
+        assert math.isnan(best[2]) and bound[2] == math.inf
+
+
 class TestSpecialFunctions:
     def test_i1_scaled_at_zero(self):
         assert bessel_i1_scaled(0.0) == 0.0
