@@ -23,6 +23,7 @@ from .numerics import (
     laplace_invert,
     log_normal_cdf,
     normal_cdf,
+    spots,
 )
 from .european import PriceMethod, beta_pm
 from .riskneutral import MarketParams
@@ -108,23 +109,17 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
         pass
     if method not in (PriceMethod.CLOSED, PriceMethod.LAPLACE):
         raise InvalidParametersError(f"unsupported method {method!r} for American binary puts")
-    m.exponential_rates()  # refuses other markets, also on the shortcuts below
-    if np.ndim(x):
-        if method is PriceMethod.CLOSED or np.ndim(x) != 1:
-            raise InvalidParametersError(
-                "x must be a log-price, or on the Laplace route a 1-D array of them")
-        x = np.asarray(x, dtype=float)
-        if t_bar == 0.0:
-            return np.where(x <= k, 1.0, 0.0)
-        prices = laplace_invert(lambda s: binary_put_laplace(m, k, x, s), t_bar, spec)
-        return np.where(x <= k, 1.0, prices)
-    if x <= k:
-        return 1.0
-    if t_bar == 0.0:
-        return 0.0
+    m.exponential_rates()  # refuses other markets, also on the shortcut below
     if method is PriceMethod.CLOSED:
+        if np.ndim(x):
+            raise InvalidParametersError("the closed route takes one log-price")
         return binary_put_closed(m, k, x, t_bar, spec)
-    return laplace_invert(lambda s: binary_put_laplace(m, k, x, s), t_bar, spec)
+    xs, shaped = spots(x)
+    exercised = xs <= k
+    if t_bar == 0.0 or exercised.all():
+        return shaped(exercised.astype(float))
+    prices = laplace_invert(lambda s: binary_put_laplace(m, k, x, s), t_bar, spec)
+    return shaped(np.where(exercised, 1.0, prices))
 
 
 def perpetual_binary_put(m: MarketParams, k: float, x: float) -> float:

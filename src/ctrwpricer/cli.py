@@ -4,9 +4,10 @@ Exit codes: 0 success, 2 validation failure (bad parameters, inadmissible
 model, out-of-band inputs), 3 accuracy failure (a numerical routine could
 not certify its tolerance).
 
-Every CSV written by this module starts with a single ``#``-prefixed JSON
-meta line carrying all inputs needed to regenerate the file; regeneration
-from that line is bit-identical.
+Every CSV is one table, a grid column then named value columns, under a
+``#``-prefixed JSON meta line.  ``fig --from-meta`` rebuilds a ``fig`` CSV
+from its meta line bit for bit; an ``iv`` CSV's meta line describes the
+curve but omits a ``--lambda-override`` intensity, so it is refused there.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ __all__ = ["main", "FigureData", "build_figure", "write_csv", "read_meta", "FIGU
 FOURIER_TOL = 1e-6
 
 
-def _fourier_spec(tol: float | None) -> QuadSpec:
-    return QuadSpec(rel_tol=1e-9, abs_tol=FOURIER_TOL if tol is None else tol)
+def _spec(tol: float | None, default: float) -> QuadSpec:
+    """The quadrature spec of a ``--tol`` (an absolute tolerance), else of ``default``."""
+    return QuadSpec(abs_tol=default if tol is None else tol)
 
 
 def _transform_price(market, payoff, x, t_bar: float, tol: float | None):
@@ -42,7 +44,7 @@ def _transform_price(market, payoff, x, t_bar: float, tol: float | None):
     # transform integral would converge only through the payoff tail
     if market.density.family is Family.DISCRETE:
         return fourier.price_two_point_exact(market, payoff, x, t_bar)
-    return fourier.price_fourier(market, payoff, x, t_bar, _fourier_spec(tol))
+    return fourier.price_fourier(market, payoff, x, t_bar, _spec(tol, FOURIER_TOL))
 
 
 # ----------------------------------------------------------------------
@@ -56,17 +58,27 @@ class FigureData:
     rows: list  # list of lists, cells are float or None
 
 
+def _table(meta: dict, first: str, grid: list, columns: dict) -> FigureData:
+    """The figure whose first column ``first`` is the grid, followed by the
+    named value columns in order, each one value per grid point."""
+    values = list(columns.values())
+    rows = [[g] + [col[i] for col in values] for i, g in enumerate(grid)]
+    return FigureData(meta, [first, *columns], rows)
+
+
 def _cell(v) -> str:
     return "" if v is None else repr(float(v))
 
 
+def _csv_body(fig: FigureData) -> str:
+    """The header and rows of a CSV, without its meta line."""
+    lines = [",".join(fig.columns)] + [",".join(map(_cell, row)) for row in fig.rows]
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(fig: FigureData, path: str) -> None:
-    lines = ["# " + json.dumps(fig.meta, sort_keys=True)]
-    lines.append(",".join(fig.columns))
-    for row in fig.rows:
-        lines.append(",".join(_cell(v) for v in row))
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("# " + json.dumps(fig.meta, sort_keys=True) + "\n" + _csv_body(fig))
 
 
 def read_meta(path: str) -> dict:
@@ -93,66 +105,51 @@ def _exp_models(meta) -> dict:
 
 
 def _fig_european(meta) -> FigureData:
-    binary = meta["payoff"] == "binary-call"
-    models = _exp_models(meta)
     K, T, r, sigma = meta["K"], meta["T"], meta["r"], meta["sigma"]
+    binary = meta["payoff"] == "binary-call"
+    price = european.binary_call_closed if binary else european.vanilla_call_closed
+    bs = blackscholes.bs_binary_call if binary else blackscholes.bs_vanilla_call
+    strike = math.log(K) if binary else K  # the binary pricer takes the log-strike
     grid = _grid(meta["grid"])
-    cols = ["s_over_k"] + list(models) + ["bs"]
+    xs = [math.log(mny * K) for mny in grid]
+    columns = {name: [price(m, strike, x, T) for x in xs]
+               for name, m in _exp_models(meta).items()}
+    columns["bs"] = [bs(mny * K, K, r, sigma, T) for mny in grid]
     if not binary:
-        cols.append("no_trade")
-    rows = []
-    for mny in grid:
-        x = math.log(mny * K)
-        row = [mny]
-        for m in models.values():
-            if binary:
-                row.append(european.binary_call_closed(m, math.log(K), x, T))
-            else:
-                row.append(european.vanilla_call_closed(m, K, x, T))
-        if binary:
-            row.append(blackscholes.bs_binary_call(mny * K, K, r, sigma, T))
-        else:
-            row.append(blackscholes.bs_vanilla_call(mny * K, K, r, sigma, T))
-            row.append(european.no_trade_vanilla_call(K, x, T, r))
-        rows.append(row)
-    return FigureData(meta, cols, rows)
+        columns["no_trade"] = [european.no_trade_vanilla_call(K, x, T, r) for x in xs]
+    return _table(meta, "s_over_k", grid, columns)
 
 
-def _iv_rows(models, K, T, r, grid, sigma=None):
-    """Rows of s/K, each model's implied vol and, given sigma, the implied
-    vol of the Black-Scholes price at sigma (a self-check); and the number
-    of out-of-band model cells, which are left empty."""
+def _iv_table(meta: dict, models: dict, sigma: float | None = None) -> FigureData:
+    """Each model's implied-vol column over the s/K grid and, given sigma,
+    ``bs_check``: the implied vol of the Black-Scholes price at sigma (a
+    self-check).  Out-of-band model cells stay empty, counted in the meta."""
+    K, T, r = meta["K"], meta["T"], meta["r"]
+    grid = _grid(meta["grid"])
+    spots = [mny * K for mny in grid]
+
     def iv(price, spot):
         try:
             return blackscholes.implied_vol(price, spot, K, r, T)
         except OutOfBandError:
             return None
 
-    rows, skipped = [], 0
-    for mny in grid:
-        spot = mny * K
-        row = [mny]
-        for m in models:
-            row.append(iv(european.vanilla_call_closed(m, K, math.log(spot), T), spot))
-            skipped += row[-1] is None
-        if sigma is not None:
-            row.append(iv(blackscholes.bs_vanilla_call(spot, K, r, sigma, T), spot))
-        rows.append(row)
-    return rows, skipped
+    columns = {name: [iv(european.vanilla_call_closed(m, K, math.log(s), T), s) for s in spots]
+               for name, m in models.items()}
+    skipped = sum(v is None for col in columns.values() for v in col)
+    if sigma is not None:
+        columns["bs_check"] = [iv(blackscholes.bs_vanilla_call(s, K, r, sigma, T), s)
+                               for s in spots]
+    return _table(dict(meta, out_of_band=skipped), "s_over_k", grid, columns)
 
 
 def _fig_iv1(meta) -> FigureData:
-    models = _exp_models(meta)
-    rows, skipped = _iv_rows(models.values(), meta["K"], meta["T"], meta["r"],
-                             _grid(meta["grid"]), meta["sigma"])
-    cols = ["s_over_k"] + list(models) + ["bs_check"]
-    return FigureData(dict(meta, out_of_band=skipped), cols, rows)
+    return _iv_table(meta, _exp_models(meta), meta["sigma"])
 
 
 def _fig_iv2(meta) -> FigureData:
     m = MarketParams.from_rho_sigma(meta["rho"], meta["r"], meta["sigma"])
-    rows, skipped = _iv_rows([m], meta["K"], meta["T"], meta["r"], _grid(meta["grid"]))
-    return FigureData(dict(meta, out_of_band=skipped), ["s_over_k", "model_iv"], rows)
+    return _iv_table(meta, {"model_iv": m})
 
 
 def _bs_butterfly(spot, K, L, r, sigma, T):
@@ -161,51 +158,38 @@ def _bs_butterfly(spot, K, L, r, sigma, T):
 
 
 def _fig_butterfly_rho(meta) -> FigureData:
-    models = _exp_models(meta)
     K, L, T, r, sigma = meta["K"], meta["L"], meta["T"], meta["r"], meta["sigma"]
     payoff = fourier.butterfly_payoff(K, L)
     grid = _grid(meta["grid"])
     xs = np.log(grid)
-    columns = [_transform_price(m, payoff, xs, T, meta["tol"])
-               for m in models.values()]
-    cols = ["spot"] + list(models) + ["bs"]
-    rows = []
-    for i, spot in enumerate(grid):
-        row = [spot] + [col[i] for col in columns]
-        row.append(_bs_butterfly(spot, K, L, r, sigma, T))
-        rows.append(row)
-    return FigureData(meta, cols, rows)
+    columns = {name: _transform_price(m, payoff, xs, T, meta["tol"])
+               for name, m in _exp_models(meta).items()}
+    columns["bs"] = [_bs_butterfly(spot, K, L, r, sigma, T) for spot in grid]
+    return _table(meta, "spot", grid, columns)
 
 
 def _fig_butterfly_families(meta) -> FigureData:
-    K, L, T, r = meta["K"], meta["L"], meta["T"], meta["r"]
-    mu1, mu2 = meta["mu1"], meta["mu2"]
-    payoff = fourier.butterfly_payoff(K, L)
-    fams = [Family(f) for f in meta["families"]]
+    r, mu1, mu2 = meta["r"], meta["mu1"], meta["mu2"]
+    payoff = fourier.butterfly_payoff(meta["K"], meta["L"])
     grid = _grid(meta["grid"])
     xs = np.log(grid)
-    columns = [
-        _transform_price(MarketParams.risk_neutral(r, fit_from_moments(f, mu1, mu2)),
-                         payoff, xs, T, meta["tol"])
-        for f in fams
-    ]
-    rows = [[spot] + [col[i] for col in columns] for i, spot in enumerate(grid)]
-    return FigureData(meta, ["spot"] + [f.value for f in fams], rows)
+    columns = {
+        f: _transform_price(MarketParams.risk_neutral(r, fit_from_moments(Family(f), mu1, mu2)),
+                            payoff, xs, meta["T"], meta["tol"])
+        for f in meta["families"]
+    }
+    return _table(meta, "spot", grid, columns)
 
 
 def _fig_american(meta) -> FigureData:
-    models = _exp_models(meta)
-    K, T_list = meta["K"], meta["t_bars"]
+    K = meta["K"]
     grid = _grid(meta["grid"])
-    cols = ["s_over_k"]
-    for name in models:
-        cols += [f"{name}_t{t:g}" for t in T_list]  # t ascending within each rho
     k = math.log(K)
     xs = np.array([math.log(mny * K) for mny in grid])
-    columns = [american.binary_put_price(m, k, xs, t, PriceMethod.LAPLACE)
-               for m in models.values() for t in T_list]
-    rows = [[mny] + [col[i] for col in columns] for i, mny in enumerate(grid)]
-    return FigureData(meta, cols, rows)
+    # t ascending within each rho, one inversion per column
+    columns = {f"{name}_t{t:g}": american.binary_put_price(m, k, xs, t, PriceMethod.LAPLACE)
+               for name, m in _exp_models(meta).items() for t in meta["t_bars"]}
+    return _table(meta, "s_over_k", grid, columns)
 
 
 _BASE_EXP = {"K": 1.0, "T": 0.25, "r": 0.04, "sigma": 0.1, "rho": [2, 5, 20]}
@@ -240,6 +224,8 @@ def build_figure(fig_id: str | None = None, meta: dict | None = None) -> FigureD
         meta = dict(defaults, figure=fig_id)
     else:
         fig_id = meta.get("figure")
+        if meta.get("command") == "iv":
+            raise ValidationError("meta line is from an iv CSV; fig --from-meta rebuilds fig CSVs")
         if fig_id not in FIGURES:
             raise ValidationError(f"meta line names unknown figure {fig_id!r}")
         builder = FIGURES[fig_id][0]
@@ -266,15 +252,20 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--lambda-override", dest="lambda_override", type=float)
 
 
-def _add_contract(p: argparse.ArgumentParser):
-    p.add_argument("--contract", default="vanilla-call",
-                   choices=[k.value for k in PayoffKind])
-    p.add_argument("--style", default="european",
-                   choices=[s.value for s in OptionStyle])
-    p.add_argument("--T", type=float, default=0.25)
-    p.add_argument("--spot", type=float, default=1.0)
-    p.add_argument("--strike", type=float, default=1.0)
-    p.add_argument("--L", type=float, help="butterfly wing width")
+# price, mc and iv share these declarations; iv takes --T and --strike only
+_CONTRACT_FLAGS = {
+    "--contract": dict(default="vanilla-call", choices=[k.value for k in PayoffKind]),
+    "--style": dict(default="european", choices=[s.value for s in OptionStyle]),
+    "--T": dict(type=float, default=0.25),
+    "--spot": dict(type=float, default=1.0),
+    "--strike": dict(type=float, default=1.0),
+    "--L": dict(type=float, help="butterfly wing width"),
+}
+
+
+def _add_contract(p: argparse.ArgumentParser, *flags: str):
+    for flag in flags or _CONTRACT_FLAGS:
+        p.add_argument(flag, **_CONTRACT_FLAGS[flag])
 
 
 def _config_defaults(args: argparse.Namespace) -> dict:
@@ -344,49 +335,43 @@ def _emit(payload: dict) -> None:
 def _cmd_price(args) -> int:
     market = _build_market(args)
     contract = _build_contract(args)
-    x = math.log(args.spot)
+    kind, style, x = contract.kind, contract.style, math.log(args.spot)
     method = PriceMethod(args.method)
     out = {
-        "contract": contract.kind.value,
-        "style": contract.style.value,
-        "method": method.value,
+        "contract": kind.value,
+        "style": style.value,
+        # perpetual prices are algebraic whatever the method
+        "method": "closed" if style is OptionStyle.PERPETUAL else method.value,
         "spot": args.spot,
         "strike": args.strike,
         "risk_neutral": market.is_risk_neutral,
     }
+    if style is not OptionStyle.PERPETUAL:
+        out["T"] = contract.t_bar
 
+    # a bad --tol fails every route up front but the transform's, which may not read it
+    spec = None if method is PriceMethod.FOURIER else _spec(args.tol, QuadSpec.abs_tol)
     if method is PriceMethod.FOURIER:
         payoff = contract.payoff
         if payoff.transform is None:
             raise ValidationError("the transform route prices butterfly portfolios")
-        if contract.style is not OptionStyle.EUROPEAN:
+        if style is not OptionStyle.EUROPEAN:
             raise ValidationError("the transform route prices European claims")
-        price = _transform_price(market, payoff, x, contract.t_bar, args.tol)
-        out.update(price=price, T=contract.t_bar)
-        _emit(out)
-        return 0
-
-    spec = QuadSpec() if args.tol is None else QuadSpec(rel_tol=1e-9, abs_tol=args.tol)
-    if contract.style is OptionStyle.EUROPEAN:
-        price = european.european_price(market, contract, x, method, spec)
-        out.update(price=price, T=contract.t_bar)
-    elif contract.style is OptionStyle.AMERICAN:
-        if contract.kind is not PayoffKind.BINARY_PUT:
+        out["price"] = _transform_price(market, payoff, x, contract.t_bar, args.tol)
+    elif style is OptionStyle.EUROPEAN:
+        out["price"] = european.european_price(market, contract, x, method, spec)
+    elif style is OptionStyle.AMERICAN:
+        if kind is not PayoffKind.BINARY_PUT:
             raise ValidationError("finite-expiry American pricing covers binary puts only")
-        price = american.binary_put_price(market, contract.log_strike, x,
-                                          contract.t_bar, method, spec)
-        out.update(price=price, T=contract.t_bar)
-    else:  # perpetual
-        if contract.kind is PayoffKind.BINARY_PUT:
-            price = american.perpetual_binary_put(market, contract.log_strike, x)
-            out.update(price=price)
-        elif contract.kind is PayoffKind.VANILLA_PUT:
-            price = american.perpetual_vanilla_put(market, contract.strike, x)
-            out.update(price=price,
-                       exercise_boundary=american.perpetual_exercise_boundary(
-                           market, contract.strike))
-        else:
-            raise ValidationError("perpetual pricing covers binary and vanilla puts")
+        out["price"] = american.binary_put_price(market, contract.log_strike, x,
+                                                 contract.t_bar, method, spec)
+    elif kind is PayoffKind.BINARY_PUT:
+        out["price"] = american.perpetual_binary_put(market, contract.log_strike, x)
+    elif kind is PayoffKind.VANILLA_PUT:
+        out["price"] = american.perpetual_vanilla_put(market, contract.strike, x)
+        out["exercise_boundary"] = american.perpetual_exercise_boundary(market, contract.strike)
+    else:
+        raise ValidationError("perpetual pricing covers binary and vanilla puts")
     _emit(out)
     return 0
 
@@ -394,22 +379,18 @@ def _cmd_price(args) -> int:
 def _cmd_iv(args) -> int:
     market = _build_market(args)
     rho, gamma = market.exponential_rates()
-    K, T, r = args.strike, args.T, args.rate
-    grid = _grid([args.smin, args.smax, args.spoints])
-    rows, skipped = _iv_rows([market], K, T, r, grid, math.sqrt(2.0 * r / (gamma - rho + 1.0)))
     meta = {
-        "command": "iv", "rho": rho, "gamma": gamma, "r": r,
-        "K": K, "T": T, "grid": [args.smin, args.smax, args.spoints],
-        "out_of_band": skipped, "risk_neutral": market.is_risk_neutral,
+        "command": "iv", "rho": rho, "gamma": gamma, "r": args.rate,
+        "K": args.strike, "T": args.T, "grid": [args.smin, args.smax, args.spoints],
+        "risk_neutral": market.is_risk_neutral,
     }
-    fig = FigureData(meta, ["s_over_k", "model_iv", "bs_check"], rows)
+    sigma = math.sqrt(2.0 * args.rate / (gamma - rho + 1.0))
+    fig = _iv_table(meta, {"model_iv": market}, sigma)
     if args.out:
         write_csv(fig, args.out)
-        _emit({"written": args.out, "out_of_band": skipped})
+        _emit({"written": args.out, "out_of_band": fig.meta["out_of_band"]})
     else:
-        sys.stdout.write("\n".join(
-            [",".join(fig.columns)] + [",".join(_cell(v) for v in row) for row in rows]
-        ) + "\n")
+        sys.stdout.write(_csv_body(fig))
     return 0
 
 
@@ -483,8 +464,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("iv", help="implied-volatility curve")
     _add_common(p)
-    p.add_argument("--T", type=float, default=0.25)
-    p.add_argument("--strike", type=float, default=1.0)
+    _add_contract(p, "--T", "--strike")
     p.add_argument("--smin", type=float, default=0.9)
     p.add_argument("--smax", type=float, default=1.2)
     p.add_argument("--spoints", type=int, default=31)
@@ -494,8 +474,8 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     p = sub.add_parser("mc", help="Monte Carlo estimate")
     _add_common(p)
     _add_contract(p)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--paths", type=int, default=montecarlo.MCConfig.paths)
+    p.add_argument("--seed", type=int, default=montecarlo.MCConfig.seed)
     p.add_argument("--antithetic", action="store_true")
     p.set_defaults(func=_cmd_mc)
 

@@ -56,6 +56,7 @@ from .numerics import (
     integrate_panels,
     integrate_real_line,
     poisson_difference_pmf,
+    spots,
 )
 from .riskneutral import MarketParams
 
@@ -133,17 +134,6 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
     return Payoff(value=value, breakpoints=(k1, k2, k3), transform=transform)
 
 
-def _spots(x):
-    """x as a 1-D array of log-prices, and a function that shapes a price
-    array like x (a float for a scalar x)."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    if xs.ndim != 1:
-        raise InvalidParametersError("x must be a scalar or a 1-D array of log-prices")
-    if np.ndim(x) == 0:
-        return xs, lambda prices: float(prices[0])
-    return xs, lambda prices: prices
-
-
 def _phase_block(f, w, xs):
     """(n_x, nodes) integrand block f(w) e^{-iwx}, one row per spot."""
     return f[None, :] * np.exp(-1j * np.outer(xs, w))
@@ -180,7 +170,7 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
         raise InvalidParametersError("the transform route needs a payoff with a transform")
     if t_bar < 0:
         raise InvalidParametersError("remaining time must be non-negative")
-    xs, shaped = _spots(x)
+    xs, shaped = spots(x)
     lam, r, d = params.lam, params.r, params.density
     if t_bar == 0.0:
         return shaped(payoff.value(xs))
@@ -240,7 +230,7 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
         raise InvalidParametersError("net-count conditioning applies to the two-point law")
     if t_bar < 0:
         raise InvalidParametersError("remaining time must be non-negative")
-    xs, shaped = _spots(x)
+    xs, shaped = spots(x)
     if t_bar == 0.0:
         return shaped(payoff.value(xs))
 

@@ -41,6 +41,7 @@ __all__ = [
     "expm1_complex",
     "expm1_ratio",
     "poisson_difference_pmf",
+    "spots",
     "integrate_semi_infinite",
     "integrate_panels",
     "integrate_real_line",
@@ -147,6 +148,17 @@ def poisson_difference_pmf(m_max: int, up: float, down: float) -> np.ndarray:
         return np.exp(n * math.log(mu) - mu - log_fact)
 
     return np.correlate(pmf(up), pmf(down), "full")
+
+
+def spots(x):
+    """x as a 1-D array of log-prices, and a function that shapes a price
+    array like x (a float for a scalar x); a 2-D x raises."""
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    if xs.ndim != 1:
+        raise InvalidParametersError("x must be a scalar or a 1-D array of log-prices")
+    if np.ndim(x) == 0:
+        return xs, lambda prices: float(prices[0])
+    return xs, lambda prices: prices
 
 
 # ----------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ctrwpricer import MarketParams, PriceMethod
+from ctrwpricer import MarketParams, PriceMethod, american
 from ctrwpricer.american import (
     binary_put_closed,
     binary_put_laplace,
@@ -128,6 +128,15 @@ class TestBatchedSpots:
         assert rows.shape == (len(self.XS), 2)
         for x, row in zip(self.XS, rows):
             assert list(row) == list(binary_put_laplace(de_model, 0.0, x, s))
+
+    def test_exercised_spots_run_no_inversion(self, de_model, monkeypatch):
+        def inversion(*args, **kwargs):
+            raise AssertionError("an exercised spot needs no inversion")
+
+        monkeypatch.setattr(american, "laplace_invert", inversion)
+        assert list(binary_put_price(de_model, 0.0, np.array([-0.3, 0.0]), 1.0)) == [1.0, 1.0]
+        assert binary_put_price(de_model, 0.0, -0.3, 1.0) == 1.0
+        assert binary_put_price(de_model, 0.0, 0.2, 0.0) == 0.0
 
     def test_closed_route_and_2d_spots_rejected(self, de_model):
         with pytest.raises(InvalidParametersError):

@@ -187,6 +187,18 @@ class TestPriceCommand:
         assert payload["price"] == pytest.approx(expected, rel=1e-12)
         assert "T" not in payload
 
+    @pytest.mark.parametrize("contract", ["binary-put", "vanilla-put"])
+    @pytest.mark.parametrize("method", [(), ("--method", "laplace")],
+                             ids=["default", "laplace"])
+    def test_perpetual_reports_closed_route(self, capsys, contract, method):
+        # perpetual puts are algebraic: whatever --method says, the price is
+        # the closed form's and the payload names that route
+        args = ("price", "--style", "perpetual", "--contract", contract,
+                "--rho", "2", "--gamma", "9", "--spot", "1.05")
+        payload = run_json(capsys, *args, *method)
+        assert payload == run_json(capsys, *args, "--method", "closed")
+        assert payload["method"] == "closed"
+
     def test_perpetual_call_rejected(self, capsys):
         code, _, err = run(capsys, "price", "--style", "perpetual",
                            "--contract", "vanilla-call", "--rho", "2",
@@ -350,6 +362,28 @@ class TestIvCommand:
         assert lines[0] == "s_over_k,model_iv,bs_check"
         assert len(lines) == 6
 
+    def test_stdout_equals_out_file_without_meta_line(self, capsys, tmp_path):
+        args = ("iv", "--rho", "2", "--gamma", "9", "--spoints", "7", "--T", "0.5")
+        code, stdout, err = run(capsys, *args)
+        assert code == 0, err
+        out = tmp_path / "iv.csv"
+        run_json(capsys, *args, "--out", str(out))
+        meta, body = out.read_text().split("\n", 1)
+        assert meta.startswith("# {")
+        assert body == stdout
+
+    def test_fig_from_meta_refuses_iv_csv(self, capsys, tmp_path):
+        # an iv meta line describes its curve but is not a figure recipe
+        out = tmp_path / "iv.csv"
+        run_json(capsys, "iv", "--rho", "20", "--sigma", "0.1", "--out", str(out))
+        again = tmp_path / "again.csv"
+        code, stdout, err = run(capsys, "fig", "--from-meta", str(out),
+                                "--out", str(again))
+        assert code == 2
+        assert stdout == ""
+        assert "iv CSV" in err
+        assert not again.exists()
+
 
 class TestMcCommand:
     ARGS = ("mc", "--contract", "binary-call", "--rho", "2", "--gamma", "9",
@@ -388,7 +422,7 @@ class TestMcCommand:
 
 
 class TestFigCommand:
-    @pytest.mark.parametrize("fig_id", ["iv2", "fig3", "fig5"])
+    @pytest.mark.parametrize("fig_id", sorted(cli.FIGURES))
     def test_regeneration_is_bit_identical(self, capsys, tmp_path, fig_id):
         first = tmp_path / "a.csv"
         second = tmp_path / "b.csv"

@@ -29,6 +29,7 @@ from ctrwpricer.numerics import (
     log_normal_cdf,
     normal_cdf,
     poisson_difference_pmf,
+    spots,
 )
 
 
@@ -353,6 +354,23 @@ class TestRealLineQuadrature:
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-10, max_nodes=1 << 10)
         with pytest.raises(AccuracyError):
             integrate_real_line(lambda w: np.cos(500.0 * w) / (1.0 + w * w), 2.0, spec)
+
+
+class TestSpots:
+    def test_scalar_gives_a_float(self):
+        xs, shaped = spots(0.5)
+        assert xs.shape == (1,)
+        price = shaped(2.0 * xs)
+        assert type(price) is float and price == 1.0
+
+    def test_column_keeps_its_shape(self):
+        xs, shaped = spots([0.1, 0.2, 0.3])
+        assert xs.dtype == float
+        np.testing.assert_array_equal(shaped(xs), [0.1, 0.2, 0.3])
+
+    def test_two_dimensional_rejected(self):
+        with pytest.raises(InvalidParametersError):
+            spots(np.zeros((2, 2)))
 
 
 class TestQuadSpec:
