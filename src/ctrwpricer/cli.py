@@ -324,6 +324,14 @@ def _build_contract(args) -> Contract:
     )
 
 
+def _price_flag(args, flag: str) -> float:
+    """The value of ``flag``, a price that must be positive and finite."""
+    value = getattr(args, flag.lstrip("-"))
+    if not 0.0 < value < math.inf:  # a NaN fails here too
+        raise ValidationError(f"{flag} must be positive and finite, got {value!r}")
+    return value
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -335,7 +343,7 @@ def _emit(payload: dict) -> None:
 def _cmd_price(args) -> int:
     market = _build_market(args)
     contract = _build_contract(args)
-    kind, style, x = contract.kind, contract.style, math.log(args.spot)
+    kind, style, x = contract.kind, contract.style, math.log(_price_flag(args, "--spot"))
     method = PriceMethod(args.method)
     out = {
         "contract": kind.value,
@@ -377,11 +385,14 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_iv(args) -> int:
+    smin, smax = _price_flag(args, "--smin"), _price_flag(args, "--smax")
+    if args.spoints < 1:
+        raise ValidationError(f"--spoints must be at least 1, got {args.spoints!r}")
     market = _build_market(args)
     rho, gamma = market.exponential_rates()
     meta = {
         "command": "iv", "rho": rho, "gamma": gamma, "r": args.rate,
-        "K": args.strike, "T": args.T, "grid": [args.smin, args.smax, args.spoints],
+        "K": args.strike, "T": args.T, "grid": [smin, smax, args.spoints],
         "risk_neutral": market.is_risk_neutral,
     }
     sigma = math.sqrt(2.0 * args.rate / (gamma - rho + 1.0))
@@ -397,7 +408,7 @@ def _cmd_iv(args) -> int:
 def _cmd_mc(args) -> int:
     market = _build_market(args)
     contract = _build_contract(args)
-    x = math.log(args.spot)
+    x = math.log(_price_flag(args, "--spot"))
     config = montecarlo.MCConfig(paths=args.paths, seed=args.seed,
                                  antithetic=args.antithetic)
     if contract.style is OptionStyle.AMERICAN:

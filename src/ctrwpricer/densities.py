@@ -66,7 +66,7 @@ class JumpDensity:
             Family.GUMBEL: b > 0,
             Family.PARETO_HALF: 0 <= a <= 1 and 0 < b < 1,
         }[f]
-        if not ok:
+        if not (ok and math.isfinite(a) and math.isfinite(b)):
             raise InvalidParametersError(
                 f"invalid parameters (a={a!r}, b={b!r}) for family {f.value}"
             )

@@ -82,10 +82,13 @@ class Contract:
     width: float | None = None  # butterfly wing width L
 
     def __post_init__(self):
-        if self.strike <= 0.0:
-            raise InvalidParametersError("strike must be positive")
-        if self.t_bar < 0.0:
-            raise InvalidParametersError("remaining time must be non-negative")
+        # the negated ranges refuse NaN as well as infinities
+        if not 0.0 < self.strike < math.inf:
+            raise InvalidParametersError("strike must be positive and finite")
+        if not 0.0 <= self.t_bar < math.inf:
+            raise InvalidParametersError("remaining time must be non-negative and finite")
+        if self.width is not None and not math.isfinite(self.width):
+            raise InvalidParametersError("butterfly width must be finite")
         if self.kind is PayoffKind.PORTFOLIO and (self.width is None or self.width <= 0):
             raise InvalidParametersError("butterfly contracts need a positive width")
 

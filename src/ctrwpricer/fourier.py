@@ -32,11 +32,14 @@ h~ behaves at large frequency:
 
 The spot enters only through the phase e^{-iwx}.  Both pricers therefore
 take x as a float or as a 1-D array of log-prices: the frequency factor
-F(w) = Phi~(w) weight(h~(-w)) / 2pi is evaluated once per quadrature node
-and multiplied by the (n_x, nodes) phase block, and the grid is refined
-until the worst spot has converged, so every price keeps the certificate a
-single-spot call would give.  The figure builders price one column (one
-market, all spots) per call.
+F(w) = Phi~(w) weight(h~(-w)) / 2pi is evaluated once per quadrature node,
+at w >= 0 only, and turned into the real (n_x, nodes) block
+Re(F(w) e^{-iwx}).  Phi~ and h~ are transforms of real functions, so the
+integrand is Hermitian and its integral over the line is that of twice
+its real part over w >= 0.  The grid is refined until the worst spot has
+converged, so every price keeps the certificate a single-spot call would
+give.  The figure builders price one column (one market, all spots) per
+call.
 """
 
 from __future__ import annotations
@@ -135,8 +138,10 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
 
 
 def _phase_block(f, w, xs):
-    """(n_x, nodes) integrand block f(w) e^{-iwx}, one row per spot."""
-    return f[None, :] * np.exp(-1j * np.outer(xs, w))
+    """(n_x, nodes) block Re(f(w) e^{-iwx}), one row per spot: the real
+    part of the integrand, which is all a Hermitian integral reads."""
+    phase = np.outer(xs, w)
+    return f.real * np.cos(phase) + f.imag * np.sin(phase)
 
 
 def _one_jump_average(payoff: Payoff, x: float, lo: float, hi: float,

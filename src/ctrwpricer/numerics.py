@@ -62,8 +62,8 @@ class QuadSpec:
     max_nodes: int = 1 << 21       # nodes x rows of one block: 16 MB of floats
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise InvalidParametersError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise InvalidParametersError("tolerances must be positive and finite")
 
 
 DEFAULT_QUAD = QuadSpec()
@@ -383,23 +383,27 @@ def _integrate_panel(g, lo: float, hi: float, tol: float, max_nodes: int,
 
 def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
                         osc_hint: float | None = None):
-    """Integrate g over the whole real line, for one integrand or a batch.
+    """Integrate a Hermitian g over the whole real line, for one integrand
+    or a batch.
 
-    ``g(w)`` returns either one value per node (shape ``(N,)``; the result
-    is a complex scalar) or a batch of integrands, one row each (shape
-    ``(n_x, N)``; the result is a complex array of shape ``(n_x,)``).
+    The caller guarantees g(-w) = conj(g(w)), as for the transform of any
+    real function; g is then evaluated once per node, at w >= 0 only, and
+    the interior is integrated as  \\int_0^Omega 2 Re g(w) dw.  ``g(w)``
+    returns either one value per node (shape ``(N,)``; the result is a
+    complex scalar) or a batch of integrands, one row each (shape
+    ``(n_x, N)``; the result is a complex array of shape ``(n_x,)``); the
+    imaginary part of the result is exactly 0.  g may return only its real
+    part, which has the same integral.
 
-    The caller guarantees |g(w)| <= C |w|^-tail_order for large |w| with
-    tail_order > 1.  C is estimated by sampling, the domain is truncated
-    where the analytic tail bound  2 C Omega^(1-p) / (p - 1)  drops below
-    half the absolute tolerance, and the interior is integrated as
-    \\int_0^Omega (g(w) + g(-w)) dw  on geometrically growing panels, each
-    refined until converged.  The symmetric pairing keeps the imaginary
-    part at rounding level for conjugate-symmetric integrands.  For a
-    batch, the tail constant, the decay probe and each panel's convergence
-    test take the worst row, so every entry carries the same certificate
-    as a single integral would; g is called one panel at a time, so memory
-    stays at one panel's nodes times n_x.
+    The caller also guarantees |g(w)| <= C |w|^-tail_order for large |w|
+    with tail_order > 1.  C is estimated by sampling, the domain is
+    truncated where the analytic tail bound  2 C Omega^(1-p) / (p - 1)
+    drops below half the absolute tolerance, and the interior is
+    integrated on geometrically growing panels, each refined until
+    converged.  For a batch, the tail constant, the decay probe and each
+    panel's convergence test take the worst row, so every entry carries
+    the same certificate as a single integral would; g is called one panel
+    at a time, so memory stays at one panel's nodes times n_x.
 
     ``osc_hint`` is an optional bound on the phase speed of g in radians
     per unit of w; it seeds each panel with enough slices to resolve the
@@ -412,7 +416,7 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
 
     def paired(w):
         nonlocal batched
-        vals = np.asarray(g(w), dtype=complex) + np.asarray(g(-w), dtype=complex)
+        vals = 2.0 * np.real(g(w))
         batched = vals.ndim == 2
         return vals if batched else vals[None, :]
 
@@ -461,4 +465,4 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
         if osc_hint:
             start = max(1, math.ceil((hi - lo) * osc_hint / 40.0))
         total += _integrate_panel(paired, lo, hi, tol, spec.max_nodes, start)
-    return total if batched else complex(total[0])
+    return total.astype(complex) if batched else complex(total[0])

@@ -15,6 +15,7 @@ without cancellation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .densities import Family, JumpDensity, exp_moment
@@ -52,10 +53,14 @@ def _exp_moment_excess(density: JumpDensity) -> tuple[float, float]:
     return exp_moment(density) - 1.0, 1.0
 
 
+def _check_rate(r: float) -> None:
+    if not 0.0 <= r < math.inf:  # a NaN rate fails here too
+        raise InvalidParametersError(f"interest rate must be non-negative and finite, got {r!r}")
+
+
 def risk_neutral_intensity(r: float, density: JumpDensity) -> float:
     """Martingale-consistent jump intensity for rate r and jump law density."""
-    if r < 0.0:
-        raise InvalidParametersError("interest rate must be non-negative")
+    _check_rate(r)
     if r == 0.0:
         raise DegenerateMarketError(
             "r = 0: no finite risk-neutral intensity exists; price directly "
@@ -79,10 +84,10 @@ class MarketParams:
     lam: float
 
     def __post_init__(self):
-        if self.r < 0.0:
-            raise InvalidParametersError("interest rate must be non-negative")
-        if self.lam <= 0.0:
-            raise InvalidParametersError("jump intensity must be positive")
+        _check_rate(self.r)
+        if not 0.0 < self.lam < math.inf:
+            raise InvalidParametersError(
+                f"jump intensity must be positive and finite, got {self.lam!r}")
 
     @classmethod
     def risk_neutral(cls, r: float, density: JumpDensity) -> "MarketParams":

@@ -421,6 +421,36 @@ class TestMcCommand:
         assert code == 2
 
 
+class TestBadNumericInputs:
+    MARKET = ("--rho", "2", "--gamma", "9")
+
+    @pytest.mark.parametrize("argv", [
+        ("price", "--spot", "0"),
+        ("mc", "--spot", "0", "--paths", "100"),
+        ("iv", "--smin", "0"),
+        ("price", "--T", "nan"),
+        ("price", "--rate", "nan"),
+        ("price", "--strike", "nan"),
+        ("price", "--spot", "nan"),
+        ("price", "--spot", "inf"),
+        ("price", "--strike", "inf", "--method", "laplace"),
+        ("price", "--lambda-override", "nan"),
+        ("mc", "--spot", "-1", "--paths", "100"),
+        ("iv", "--smax", "inf"),
+        ("iv", "--spoints", "-3"),
+        ("iv", "--spoints", "0"),
+        ("calibrate-lambda", "--rate", "nan"),
+        ("price", "--tol", "nan"),
+        ("price", "--tol", "inf", "--method", "laplace"),
+    ], ids=" ".join)
+    def test_refused_with_exit_2(self, capsys, argv):
+        # refused before any pricing runs: no traceback, no accuracy error
+        code, out, err = run(capsys, *argv, *self.MARKET)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error:")
+
+
 class TestFigCommand:
     @pytest.mark.parametrize("fig_id", sorted(cli.FIGURES))
     def test_regeneration_is_bit_identical(self, capsys, tmp_path, fig_id):

@@ -64,6 +64,14 @@ class TestParameterValidation:
         with pytest.raises(InvalidParametersError):
             JumpDensity(Family.DISCRETE, 1.2, 0.5)
 
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, family, bad):
+        with pytest.raises(InvalidParametersError):
+            JumpDensity(family, bad, 0.5)
+        with pytest.raises(InvalidParametersError):
+            JumpDensity(family, 0.5, bad)
+
     def test_serialization_round_trip(self):
         d = JumpDensity(Family.LOGISTIC, -0.2, 0.3)
         assert JumpDensity.from_dict(d.to_dict()) == d

@@ -79,6 +79,15 @@ class TestContract:
         with pytest.raises(InvalidParametersError):
             Contract(PayoffKind.PORTFOLIO, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        with pytest.raises(InvalidParametersError):
+            Contract(PayoffKind.BINARY_CALL, bad, 1.0)
+        with pytest.raises(InvalidParametersError):
+            Contract(PayoffKind.BINARY_CALL, 1.0, bad)
+        with pytest.raises(InvalidParametersError):
+            Contract(PayoffKind.PORTFOLIO, 100.0, 0.25, width=bad)
+
     def test_butterfly_payoff_is_negative_tent(self):
         c = Contract(PayoffKind.PORTFOLIO, 100.0, 0.25, width=10.0)
         s = np.linspace(80.0, 130.0, 501)

@@ -350,6 +350,23 @@ class TestRealLineQuadrature:
         with pytest.raises(TailBoundError):
             integrate_real_line(g, 3.0, QuadSpec(rel_tol=1e-9, abs_tol=1e-8))
 
+    def test_evaluates_non_negative_nodes_only(self):
+        # g(-w) = conj g(w) is taken on trust, never evaluated; the result's
+        # imaginary part is exactly 0, for a single integrand and a batch
+        xs = np.array([0.0, 1.0, 3.0])
+        seen = []
+
+        def g(w):
+            seen.append(np.array(w))
+            return np.exp(-0.5 * w * w)[None, :] * np.exp(-1j * np.outer(xs, w))
+
+        batch = integrate_real_line(g, 4.0, DEFAULT_QUAD)
+        single = integrate_real_line(lambda w: g(w)[1], 4.0, DEFAULT_QUAD)
+        assert min(float(np.min(w)) for w in seen) >= 0.0
+        assert np.all(batch.imag == 0.0) and single.imag == 0.0
+        exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * xs * xs)
+        assert np.max(np.abs(batch - exact)) <= 1e-9
+
     def test_node_budget_exhaustion_raises(self):
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-10, max_nodes=1 << 10)
         with pytest.raises(AccuracyError):
@@ -379,3 +396,10 @@ class TestQuadSpec:
             QuadSpec(rel_tol=0.0, abs_tol=1e-10)
         with pytest.raises(InvalidParametersError):
             QuadSpec(rel_tol=1e-9, abs_tol=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_tolerances_must_be_finite(self, bad):
+        with pytest.raises(InvalidParametersError):
+            QuadSpec(rel_tol=bad, abs_tol=1e-10)
+        with pytest.raises(InvalidParametersError):
+            QuadSpec(rel_tol=1e-9, abs_tol=bad)

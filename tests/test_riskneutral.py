@@ -69,6 +69,11 @@ class TestIntensity:
         with pytest.raises(InvalidParametersError):
             risk_neutral_intensity(-0.01, EXP_29)
 
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_rate_rejected(self, r):
+        with pytest.raises(InvalidParametersError):
+            risk_neutral_intensity(r, EXP_29)
+
     def test_submartingale_density_rejected(self):
         # strictly negative drift with tiny variance: E[e^X] < 1
         d = JumpDensity(Family.GAUSSIAN, -1.0, 0.01)
@@ -101,6 +106,13 @@ class TestMarketParams:
             MarketParams(r=0.04, density=EXP_29, lam=0.0)
         with pytest.raises(InvalidParametersError):
             MarketParams(r=-0.04, density=EXP_29, lam=0.05)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_fields_rejected(self, bad):
+        with pytest.raises(InvalidParametersError):
+            MarketParams(r=bad, density=EXP_29, lam=0.05)
+        with pytest.raises(InvalidParametersError):
+            MarketParams(r=0.04, density=EXP_29, lam=bad)
 
 
 class TestValidate:
