@@ -5,7 +5,8 @@ or below the log-strike k.  Because the process is a pure jump walk, the
 optimal exercise boundary for this claim is the strike itself, which makes
 both the transform and a time-domain integral available in closed form.
 For vanilla perpetual puts the optimal boundary and value are algebraic.
-Every function takes a two-sided exponential ``MarketParams``.
+Every function takes a two-sided exponential ``MarketParams``; the closed
+American put and the vanilla perpetual formulas need its martingale intensity.
 """
 
 from __future__ import annotations
@@ -39,6 +40,14 @@ __all__ = [
 ]
 
 
+def _martingale_rates(m: MarketParams, formula: str) -> tuple[float, float]:
+    """(rho, gamma) of a market at its martingale intensity, which ``formula`` assumes."""
+    rates = m.exponential_rates()
+    if not m.is_risk_neutral:
+        raise InvalidParametersError(f"{formula} assumes the martingale intensity")
+    return rates
+
+
 # ----------------------------------------------------------------------
 # American binary put
 # ----------------------------------------------------------------------
@@ -66,7 +75,7 @@ def binary_put_closed(m: MarketParams, k: float, x: float, t_bar: float,
     kernel (using the log of the normal CDF for the boundary kernel), so
     the integrand is overflow-free even deep in the diffusion limit.
     """
-    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
+    (p, g), lam, r = _martingale_rates(m, "the closed route (use --method laplace)"), m.lam, m.r
     if x <= k:
         return 1.0
     if t_bar == 0.0:
@@ -123,11 +132,12 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
 
 
 def perpetual_binary_put(m: MarketParams, k: float, x: float) -> float:
-    """t_bar -> infinity limit of the American binary put."""
-    p, g = m.exponential_rates()
+    """t_bar -> infinity limit of the American binary put, at any intensity."""
+    _, g = m.exponential_rates()
     if x <= k:
         return 1.0
-    return (p - 1.0) / g * math.exp(-(g - p + 1.0) * (x - k))
+    bm = float(beta_pm(m, 0.0)[1].real)
+    return (g + bm) / g * math.exp(bm * (x - k))
 
 
 # ----------------------------------------------------------------------
@@ -140,20 +150,20 @@ def vanilla_exercise_trigger(m: MarketParams, K: float) -> float:
     This is the fixed point of the one-step dominance condition for the
     vanilla put payoff; it sits slightly above the perpetual boundary.
     """
-    p, g = m.exponential_rates()
+    p, g = _martingale_rates(m, "the exercise trigger")
     return K * ((g + p) * (g - p + 1.0) / (g * (g + 1.0))) ** (1.0 / p)
 
 
 def perpetual_exercise_boundary(m: MarketParams, K: float) -> float:
     """Optimal exercise level of the perpetual vanilla put."""
-    p, g = m.exponential_rates()
+    p, g = _martingale_rates(m, "the perpetual vanilla put")
     return K * (g + 1.0) * (g - p + 1.0) / (g * (g - p + 2.0))
 
 
 def perpetual_vanilla_put(m: MarketParams, K: float, x: float) -> float:
     """Value of the perpetual vanilla put at log-price x."""
     p, g = m.exponential_rates()
-    zs = perpetual_exercise_boundary(m, K)
+    zs = perpetual_exercise_boundary(m, K)  # refuses other intensities
     if math.exp(x) <= zs:
         return K - math.exp(x)
     ls = math.log(zs)

@@ -62,8 +62,8 @@ def bs_binary_put(spot, strike, r, sigma, T):
     return math.exp(-r * T) - bs_binary_call(spot, strike, r, sigma, T)
 
 
-def implied_vol(price, spot, strike, r, T, kind: str = "vanilla-call") -> float:
-    """Invert a Black-Scholes price for sigma on [1e-4, 5].
+def implied_vol(price, spot, strike, r, T) -> float:
+    """Invert a Black-Scholes vanilla call price for sigma on [1e-4, 5].
 
     Newton steps on the closed-form vega inside a bracket that shrinks
     around the root; a step that would leave the bracket, as it does where
@@ -72,8 +72,6 @@ def implied_vol(price, spot, strike, r, T, kind: str = "vanilla-call") -> float:
     attainable band raise OutOfBandError, and so does a band narrower than
     that residual, where every sigma would fit.
     """
-    if kind != "vanilla-call":
-        raise InvalidParametersError(f"implied vol supports vanilla calls, not {kind!r}")
     if T <= 0:
         raise InvalidParametersError("T must be positive for implied vol")
     lo_price = bs_vanilla_call(spot, strike, r, _SIGMA_LO, T)

@@ -106,13 +106,12 @@ def _exp_models(meta) -> dict:
 
 def _fig_european(meta) -> FigureData:
     K, T, r, sigma = meta["K"], meta["T"], meta["r"], meta["sigma"]
-    binary = meta["payoff"] == "binary-call"
-    price = european.binary_call_closed if binary else european.vanilla_call_closed
+    contract = Contract(PayoffKind(meta["payoff"]), K, T)
+    binary = contract.kind is PayoffKind.BINARY_CALL
     bs = blackscholes.bs_binary_call if binary else blackscholes.bs_vanilla_call
-    strike = math.log(K) if binary else K  # the binary pricer takes the log-strike
     grid = _grid(meta["grid"])
     xs = [math.log(mny * K) for mny in grid]
-    columns = {name: [price(m, strike, x, T) for x in xs]
+    columns = {name: [european.european_price(m, contract, x) for x in xs]
                for name, m in _exp_models(meta).items()}
     columns["bs"] = [bs(mny * K, K, r, sigma, T) for mny in grid]
     if not binary:
@@ -268,8 +267,8 @@ def _add_contract(p: argparse.ArgumentParser, *flags: str):
         p.add_argument(flag, **_CONTRACT_FLAGS[flag])
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The ``--config`` file's values, keyed by the subcommand's flag names."""
+def _config_flags(args: argparse.Namespace) -> list:
+    """The ``--config`` file's values as the subcommand's command-line flags."""
     try:
         with open(args.config) as fh:
             conf = json.load(fh)
@@ -277,13 +276,17 @@ def _config_defaults(args: argparse.Namespace) -> dict:
         raise ValidationError(f"cannot read config file: {exc}") from exc
     if not isinstance(conf, dict):
         raise ValidationError("config file must hold a JSON object")
-    defaults = {}
+    flags = []
     for key, val in conf.items():
         attr = key.replace("-", "_")
         if attr in ("command", "func", "config") or not hasattr(args, attr):
             raise ValidationError(f"unknown config key {key!r}")
-        defaults[attr] = val
-    return defaults
+        flag = "--" + attr.replace("_", "-")
+        if isinstance(getattr(args, attr), bool) and isinstance(val, bool):  # a switch
+            flags += [flag] if val else []
+        else:
+            flags.append(f"{flag}={val}")
+    return flags
 
 
 def _build_density(args) -> JumpDensity:
@@ -509,15 +512,15 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def main(argv=None) -> int:
     parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
         if getattr(args, "config", None):
-            # config values become the subcommand's defaults, so explicit
-            # flags win over them and flags left out take them
-            commands[args.command].set_defaults(**_config_defaults(args))
-            args = parser.parse_args(argv)
+            # the file's flags go first: each passes its flag's checks, explicit flags win
+            parser.exit_on_error = commands[args.command].exit_on_error = False
+            args = parser.parse_args(argv[:1] + _config_flags(args) + argv[1:])
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, argparse.ArgumentError) as exc:  # the latter from --config only
         print(f"validation error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:

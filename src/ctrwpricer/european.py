@@ -6,16 +6,19 @@ family with a = 1/rho, b = 1/gamma; one jump has density
     h(x) = gamma*rho/(gamma+rho) * (e^{-rho x} 1_{x>=0} + e^{gamma x} 1_{x<0}),
 
 read back as (rho, gamma) by ``MarketParams.exponential_rates``, which
-refuses any other market.  Conditioning on the time and size of the next
-jump turns the price into an integral equation in remaining time t_bar
-whose Laplace transform in t_bar is available in closed form through the
-two characteristic roots beta_pm of the jump operator.  Each contract is
-priced two independent ways:
+refuses any other market.  Each call is a sum of legs L_alpha =
+e^{-r t_bar} E[e^{alpha X} 1{X >= k}], alpha in {0, 1}: the binary call is
+L_0, the vanilla call L_1 - K L_0, and each put its call's complement.  The
+Esscher tilt e^{alpha J} (Gerber & Shiu 1994) makes L_alpha e^{alpha x} times
+a binary call at the rates (rho - alpha, gamma + alpha), so every price
+holds at any intensity.  Each leg solves a renewal equation in remaining
+time whose Laplace transform is closed-form in the two roots beta_pm of the
+jump operator, and each contract is priced two independent ways:
 
 * ``LAPLACE``: numerical inversion of the transform, and
-* ``CLOSED``: a one-dimensional Bessel/Gaussian integral in the time domain,
+* ``CLOSED``: one Bessel/Gaussian integral in the time domain, summed over legs;
 
-which back each other in the test-suite.
+the two back each other in the test-suite.
 """
 
 from __future__ import annotations
@@ -123,7 +126,7 @@ class PriceMethod(enum.Enum):
 
 
 # ----------------------------------------------------------------------
-# characteristic roots
+# characteristic roots, legs and the public pricing API
 # ----------------------------------------------------------------------
 
 def beta_pm(m: MarketParams, s):
@@ -158,88 +161,127 @@ def beta_pm(m: MarketParams, s):
     return bp, bm
 
 
-# ----------------------------------------------------------------------
-# Laplace-domain prices
-# ----------------------------------------------------------------------
+# Each call pays the sum of w e^{alpha X} 1{X >= k} over its legs (alpha, w), and
+# its put sign * (forward payoff - call payoff), the forward payoff being that sum
+# without the indicator: 1{X < k} = 1 - 1{X >= k}, (K - e^X)^+ = (e^X - K)^+ - (e^X - K).
+_LEGS = {PayoffKind.BINARY_CALL: lambda K: ((0, 1.0),),
+         PayoffKind.VANILLA_CALL: lambda K: ((1, 1.0), (0, -K))}
+_PARITY = {PayoffKind.BINARY_CALL: (PayoffKind.BINARY_CALL, 1.0),
+           PayoffKind.BINARY_PUT: (PayoffKind.BINARY_CALL, 1.0),
+           PayoffKind.VANILLA_CALL: (PayoffKind.VANILLA_CALL, -1.0),
+           PayoffKind.VANILLA_PUT: (PayoffKind.VANILLA_CALL, -1.0)}
+
+
+def _tilted(m: MarketParams, legs) -> list:
+    """Each leg (alpha, w) with its tilt's intensity lam (1 + E_alpha), drift lam E_alpha - r."""
+    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
+    return [(alpha, w, lam * (g * p / den), lam * (alpha * (g - p + alpha) / den) - r)
+            for alpha, w in legs for den in [(g + alpha) * (p - alpha)]]
+
+
+def _legs_laplace(m: MarketParams, k: float, x: float, s, legs):
+    """Transform (in remaining time) of the sum of w L_alpha over the legs.
+
+    With D = (lam + r + s)(beta_+ - beta_-), leg alpha's transform times
+    s - (lam E_alpha - r) is e^{alpha k} lam (1 + E_alpha)(alpha - beta_-) e^{beta_+(x-k)}/D
+    for x < k, else e^{alpha x} + e^{alpha k} lam (1 + E_alpha)(alpha - beta_+) e^{beta_-(x-k)}/D.
+    """
+    s = np.asarray(s, dtype=complex)
+    bp, bm = beta_pm(m, s)
+    below = x < k
+    root = np.exp((bp if below else bm) * (x - k)) / ((m.lam + m.r + s) * (bp - bm))
+    terms = []
+    for alpha, w, intensity, drift in _tilted(m, legs):
+        term = w * intensity * math.exp(alpha * k) * (alpha - (bm if below else bp)) * root
+        terms.append((term if below else term + w * math.exp(alpha * x)) / (s - drift))
+    return sum(terms[1:], terms[0])
+
+
+def _legs_closed(m: MarketParams, k: float, x: float, t_bar: float, legs, spec: QuadSpec):
+    """Time-domain price of the sum of w L_alpha as one Bessel integral.
+
+    The tilt keeps (gamma + alpha)(rho - alpha) lam (1 + E_alpha) = gamma rho lam, so the legs
+    share one Bessel factor, exponentially scaled to stay bounded for any lam * t_bar.  A leg's
+    kernel carries the sign of w and adds log |w e^{alpha x}| to its log-discount.
+    """
+    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
+    intrinsic = sum(w * math.exp(alpha * x) for alpha, w in legs) if x >= k else 0.0
+    if t_bar == 0.0:
+        return max(intrinsic, 0.0)
+    s2 = math.sqrt(2.0 * g * p * lam * t_bar)
+    kernels = [(w > 0.0, intensity * t_bar, drift * t_bar + alpha * x + math.log(abs(w)),
+                (g - p + 2.0 * alpha) / s2) for alpha, w, intensity, drift in _tilted(m, legs)]
+
+    def integrand(u):
+        two_u = 2.0 * u
+        level = (x - k) * s2 / two_u
+        total = 0.0
+        for positive, centre, shift, slope in kernels:
+            term = np.exp(shift - (u - centre) ** 2 / centre) * normal_cdf(level + slope * u)
+            total = total + term if positive else total - term
+        return 2.0 * bessel_i1_scaled(two_u) * total
+
+    bumps = [(centre, math.sqrt(centre / 2.0) + 1e-12) for _, centre, _, _ in kernels]
+    return intrinsic * math.exp(-(lam + r) * t_bar) \
+        + integrate_semi_infinite(integrand, spec, bumps=bumps)
+
 
 def binary_call_laplace(m: MarketParams, k: float, x: float, s):
     """Transform (in remaining time) of the cash-or-nothing call, log-strike k."""
-    s = np.asarray(s, dtype=complex)
-    bp, bm = beta_pm(m, s)
-    lam, r = m.lam, m.r
-    amp = lam / ((lam + r + s) * (r + s) * (bp - bm))
-    if x < k:
-        return -bm * amp * np.exp(bp * (x - k))
-    return -bp * amp * np.exp(bm * (x - k)) + 1.0 / (r + s)
+    return _legs_laplace(m, k, x, s, _LEGS[PayoffKind.BINARY_CALL](math.exp(k)))
 
 
 def vanilla_call_laplace(m: MarketParams, K: float, x: float, s):
     """Transform (in remaining time) of the vanilla call with strike K."""
-    s = np.asarray(s, dtype=complex)
-    k = math.log(K)
-    bp, bm = beta_pm(m, s)
-    lam, r = m.lam, m.r
+    return _legs_laplace(m, math.log(K), x, s, _LEGS[PayoffKind.VANILLA_CALL](K))
 
-    def wing(beta_other):
-        return (lam * beta_other / (r + s)
-                + (lam + r) * (1.0 - beta_other) / s) / ((lam + r + s) * (bp - bm))
-
-    if x < k:
-        return K * wing(bm) * np.exp(bp * (x - k))
-    return K * wing(bp) * np.exp(bm * (x - k)) + math.exp(x) / s - K / (r + s)
-
-
-# ----------------------------------------------------------------------
-# closed-form (time-domain) prices
-# ----------------------------------------------------------------------
 
 def binary_call_closed(m: MarketParams, k: float, x: float, t_bar: float,
                        spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Time-domain binary call price as a single Bessel integral.
-
-    The Bessel function is used in exponentially scaled form so the
-    integrand stays bounded for arbitrarily large lam * t_bar.
-    """
-    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
-    if t_bar == 0.0:
-        return 1.0 if x >= k else 0.0
-    c = lam * t_bar
-    s2 = math.sqrt(2.0 * g * p * c)
-    atom = math.exp(-(lam + r) * t_bar) if x >= k else 0.0
-
-    def integrand(u):
-        arg = (x - k) * s2 / (2.0 * u) + (g - p) * u / s2
-        return 2.0 * bessel_i1_scaled(2.0 * u) \
-            * np.exp(-((u - c) ** 2) / c - r * t_bar) * normal_cdf(arg)
-
-    tail = integrate_semi_infinite(integrand, spec, bumps=[(c, math.sqrt(c / 2.0) + 1e-12)])
-    return atom + tail
+    return _legs_closed(m, k, x, t_bar, _LEGS[PayoffKind.BINARY_CALL](math.exp(k)), spec)
 
 
 def vanilla_call_closed(m: MarketParams, K: float, x: float, t_bar: float,
                         spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Time-domain vanilla call price as a single Bessel integral."""
-    (p, g), lam, r = m.exponential_rates(), m.lam, m.r
-    k = math.log(K)
-    if t_bar == 0.0:
-        return max(math.exp(x) - K, 0.0)
-    c = lam * t_bar
-    c1 = g * p * lam * t_bar / ((g + 1.0) * (p - 1.0))
-    shift1 = c1 - (lam + r) * t_bar  # zero in the risk-neutral parameterisation
-    xf = math.sqrt(2.0 / (g * p * c))
-    ex = math.exp(x)
-    atom = (ex - K) * math.exp(-(lam + r) * t_bar) if x >= k else 0.0
+    return _legs_closed(m, math.log(K), x, t_bar, _LEGS[PayoffKind.VANILLA_CALL](K), spec)
 
-    def integrand(u):
-        xi = xf * u
-        a1 = 0.5 * (g - p + 2.0) * xi + (x - k) / xi
-        a2 = 0.5 * (g - p) * xi + (x - k) / xi
-        t1 = ex * np.exp(-((u - c1) ** 2) / c1 + shift1) * normal_cdf(a1)
-        t2 = K * np.exp(-((u - c) ** 2) / c - r * t_bar) * normal_cdf(a2)
-        return 2.0 * bessel_i1_scaled(2.0 * u) * (t1 - t2)
 
-    bumps = [(c1, math.sqrt(c1 / 2.0) + 1e-12), (c, math.sqrt(c / 2.0) + 1e-12)]
-    return atom + integrate_semi_infinite(integrand, spec, bumps=bumps)
+def binary_call_price(m: MarketParams, c: Contract, x: float,
+                      method: PriceMethod = PriceMethod.CLOSED, spec: QuadSpec = DEFAULT_QUAD):
+    return european_price(m, Contract(PayoffKind.BINARY_CALL, c.strike, c.t_bar), x, method, spec)
+
+
+def vanilla_call_price(m: MarketParams, c: Contract, x: float,
+                       method: PriceMethod = PriceMethod.CLOSED, spec: QuadSpec = DEFAULT_QUAD):
+    return european_price(m, Contract(PayoffKind.VANILLA_CALL, c.strike, c.t_bar), x, method, spec)
+
+
+def put_price_from_parity(m: MarketParams, call_price: float, kind: PayoffKind,
+                          x: float, K: float, t_bar: float) -> float:
+    """European put value implied by put-call parity, at any intensity: leg
+    alpha's forward is e^{alpha x + (lam E_alpha - r) t_bar}."""
+    if kind not in _PARITY:
+        raise InvalidParametersError(f"no parity relation for {kind!r}")
+    call, sign = _PARITY[kind]
+    forward = sum(w * math.exp(alpha * x + drift * t_bar)
+                  for alpha, w, _, drift in _tilted(m, _LEGS[call](K)))
+    return sign * (forward - call_price)
+
+
+def european_price(m: MarketParams, c: Contract, x: float,
+                   method: PriceMethod = PriceMethod.CLOSED, spec: QuadSpec = DEFAULT_QUAD):
+    """Price any European contract of this module, puts via parity."""
+    call = _PARITY.get(c.kind, (None,))[0]
+    if c.style is not OptionStyle.EUROPEAN or call is None:
+        raise InvalidParametersError(f"european_price prices European calls and puts, not {c}")
+    k, t_bar, legs = c.log_strike, c.t_bar, _LEGS[call](c.strike)
+    if method is PriceMethod.LAPLACE and t_bar > 0.0:
+        price = laplace_invert(lambda s: _legs_laplace(m, k, x, s, legs), t_bar, spec)
+    elif method in (PriceMethod.CLOSED, PriceMethod.LAPLACE):  # Laplace at expiry too
+        price = _legs_closed(m, k, x, t_bar, legs, spec)
+    else:
+        raise InvalidParametersError(f"unsupported method {method!r} for European contracts")
+    return price if call is c.kind else put_price_from_parity(m, price, c.kind, x, c.strike, t_bar)
 
 
 def no_trade_vanilla_call(K: float, x: float, t_bar: float, r: float) -> float:
@@ -248,59 +290,6 @@ def no_trade_vanilla_call(K: float, x: float, t_bar: float, r: float) -> float:
     disc = math.exp(-r * t_bar)
     intrinsic = (ex - K) * disc if ex >= K else 0.0
     return ex * (1.0 - disc) + intrinsic
-
-
-# ----------------------------------------------------------------------
-# public pricing API
-# ----------------------------------------------------------------------
-
-def binary_call_price(m: MarketParams, c: Contract, x: float,
-                      method: PriceMethod = PriceMethod.CLOSED,
-                      spec: QuadSpec = DEFAULT_QUAD) -> float:
-    k = c.log_strike
-    if method is PriceMethod.LAPLACE and c.t_bar > 0.0:
-        return laplace_invert(lambda s: binary_call_laplace(m, k, x, s), c.t_bar, spec)
-    if method in (PriceMethod.CLOSED, PriceMethod.LAPLACE):  # Laplace at expiry too
-        return binary_call_closed(m, k, x, c.t_bar, spec)
-    raise InvalidParametersError(f"unsupported method {method!r} for binary calls")
-
-
-def vanilla_call_price(m: MarketParams, c: Contract, x: float,
-                       method: PriceMethod = PriceMethod.CLOSED,
-                       spec: QuadSpec = DEFAULT_QUAD) -> float:
-    if method is PriceMethod.LAPLACE and c.t_bar > 0.0:
-        return laplace_invert(lambda s: vanilla_call_laplace(m, c.strike, x, s),
-                              c.t_bar, spec)
-    if method in (PriceMethod.CLOSED, PriceMethod.LAPLACE):  # Laplace at expiry too
-        return vanilla_call_closed(m, c.strike, x, c.t_bar, spec)
-    raise InvalidParametersError(f"unsupported method {method!r} for vanilla calls")
-
-
-def put_price_from_parity(call_price: float, kind: PayoffKind, x: float,
-                          K: float, r: float, t_bar: float) -> float:
-    """European put value implied by put-call parity."""
-    if kind in (PayoffKind.BINARY_PUT, PayoffKind.BINARY_CALL):
-        return math.exp(-r * t_bar) - call_price
-    if kind in (PayoffKind.VANILLA_PUT, PayoffKind.VANILLA_CALL):
-        return call_price + K * math.exp(-r * t_bar) - math.exp(x)
-    raise InvalidParametersError(f"no parity relation for {kind!r}")
-
-
-def european_price(m: MarketParams, c: Contract, x: float,
-                   method: PriceMethod = PriceMethod.CLOSED,
-                   spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Price any European contract of this module, puts via parity."""
-    if c.style is not OptionStyle.EUROPEAN:
-        raise InvalidParametersError("european_price handles European contracts only")
-    if c.kind is PayoffKind.BINARY_CALL:
-        return binary_call_price(m, c, x, method, spec)
-    if c.kind is PayoffKind.VANILLA_CALL:
-        return vanilla_call_price(m, c, x, method, spec)
-    if c.kind in (PayoffKind.BINARY_PUT, PayoffKind.VANILLA_PUT):
-        call = (binary_call_price if c.kind is PayoffKind.BINARY_PUT else vanilla_call_price)
-        return put_price_from_parity(call(m, c, x, method, spec), c.kind, x, c.strike,
-                                     m.r, c.t_bar)
-    raise InvalidParametersError(f"contract kind {c.kind!r} is not priced here")
 
 
 def log_return_moments(m: MarketParams, dt: float) -> tuple[float, float]:

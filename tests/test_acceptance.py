@@ -96,13 +96,13 @@ def test_criterion_02_put_call_parity():
         for mny, t_bar in GRID:
             x, disc = math.log(mny), math.exp(-R * t_bar)
             put_b = european.put_price_from_parity(
-                binary(REF, x, t_bar), PayoffKind.BINARY_CALL, x, 1.0, R, t_bar)
+                REF, binary(REF, x, t_bar), PayoffKind.BINARY_CALL, x, 1.0, t_bar)
             call_b = binary(REF, x, t_bar, PriceMethod.LAPLACE)
             assert abs(put_b + call_b - disc) <= 1e-6
 
             put_v = european.put_price_from_parity(
-                vanilla(REF, 1.0, x, t_bar), PayoffKind.VANILLA_CALL,
-                x, 1.0, R, t_bar)
+                REF, vanilla(REF, 1.0, x, t_bar), PayoffKind.VANILLA_CALL,
+                x, 1.0, t_bar)
             call_v = vanilla(REF, 1.0, x, t_bar, PriceMethod.LAPLACE)
             assert abs(put_v - call_v - (disc - math.exp(x))) <= 1e-6
 

@@ -19,6 +19,7 @@ from ctrwpricer.american import (
 )
 from ctrwpricer.blackscholes import wiener_exercise_boundary, wiener_perpetual_put
 from ctrwpricer.errors import InvalidParametersError
+from ctrwpricer.montecarlo import MCConfig, price_american_binary_put_mc
 
 R = 0.04
 
@@ -240,3 +241,38 @@ class TestPerpetualVanillaPut:
             ours = perpetual_vanilla_put(m, 1.0, math.log(spot))
             ref = wiener_perpetual_put(spot, 1.0, R, 0.1)
             assert abs(ours / ref - 1.0) < 1e-4
+
+
+class TestOffMartingaleIntensity:
+    """At an intensity other than the martingale one (0.05 for rho=2, gamma=9,
+    r=4%) the transform and the perpetual binary put stay exact, and the
+    formulas that assume the martingale root beta_-(0) = -(gamma - rho + 1)
+    refuse."""
+
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 3.0])
+    def test_perpetual_binary_put_is_transform_limit(self, lam):
+        m = MarketParams.exponential(2.0, 9.0, R, lam=lam)
+        s = 1e-9
+        for dx in (0.01, 0.1, 0.5):
+            lim = s * complex(binary_put_laplace(m, 0.0, dx, s)).real
+            assert abs(lim - perpetual_binary_put(m, 0.0, dx)) < 1e-6
+
+    @pytest.mark.parametrize("formula", [
+        lambda m: binary_put_closed(m, 0.0, math.log(1.1), 1.0),
+        lambda m: binary_put_price(m, 0.0, math.log(1.1), 1.0, "closed"),
+        lambda m: perpetual_vanilla_put(m, 1.0, math.log(1.1)),
+        lambda m: perpetual_exercise_boundary(m, 1.0),
+        lambda m: vanilla_exercise_trigger(m, 1.0),
+    ], ids=["binary_put_closed", "binary_put_price-closed", "perpetual_vanilla_put",
+            "perpetual_exercise_boundary", "vanilla_exercise_trigger"])
+    def test_martingale_formulas_refuse(self, formula):
+        with pytest.raises(InvalidParametersError, match="martingale intensity"):
+            formula(MarketParams.exponential(2.0, 9.0, R, lam=0.5))
+
+    def test_laplace_route_matches_first_passage_simulation(self):
+        # the closed form, now refused here, gave 0.0389 against Laplace's 0.0320
+        m = MarketParams.exponential(2.0, 9.0, R, lam=0.5)
+        price = binary_put_price(m, 0.0, math.log(1.1), 1.0, "laplace")
+        est = price_american_binary_put_mc(m, 0.0, math.log(1.1), 1.0,
+                                           MCConfig(paths=200_000, seed=5))
+        assert abs(est.value - price) <= 4.0 * est.std_error

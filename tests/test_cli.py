@@ -199,6 +199,28 @@ class TestPriceCommand:
         assert payload == run_json(capsys, *args, "--method", "closed")
         assert payload["method"] == "closed"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--style", "american", "--contract", "binary-put", "--method", "closed", "--T", "1"),
+         "--method laplace"),
+        (("--style", "perpetual", "--contract", "vanilla-put"), "martingale intensity"),
+    ], ids=["american-closed", "perpetual-vanilla"])
+    def test_martingale_formulas_refuse_other_intensities(self, capsys, argv, message):
+        code, out, err = run(capsys, "price", "--rho", "2", "--gamma", "9", "--spot", "1.1",
+                             "--lambda-override", "0.5", *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+
+    def test_perpetual_binary_put_at_any_intensity(self, capsys):
+        payload = run_json(capsys, "price", "--style", "perpetual", "--contract", "binary-put",
+                           "--rho", "2", "--gamma", "9", "--spot", "1.1",
+                           "--lambda-override", "0.5")
+        model = MarketParams.exponential(2.0, 9.0, 0.04, lam=0.5)
+        s = 1e-9
+        limit = s * complex(american.binary_put_laplace(model, 0.0, math.log(1.1), s)).real
+        assert payload["price"] == pytest.approx(limit, abs=1e-6)
+        assert payload["risk_neutral"] is False
+
     def test_perpetual_call_rejected(self, capsys):
         code, _, err = run(capsys, "price", "--style", "perpetual",
                            "--contract", "vanilla-call", "--rho", "2",
@@ -325,6 +347,28 @@ class TestConfigFile:
                            "--rho", "2", "--gamma", "9")
         assert code == 2
         assert "volatility" in err
+
+    @pytest.mark.parametrize("command, conf, key", [
+        ("price", {"spot": [1]}, "--spot"),
+        ("price", {"T": True}, "--T"),
+        ("price", {"density": "nope"}, "--density"),
+        ("iv", {"spoints": 2.5}, "--spoints"),
+    ], ids=["list-spot", "bool-T", "bad-density", "float-spoints"])
+    def test_config_value_checked_like_its_flag(self, capsys, tmp_path, command, conf, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(conf))
+        code, out, err = run(capsys, command, "--config", str(cfg), "--rho", "2", "--gamma", "9")
+        assert code == 2
+        assert out == ""
+        assert key in err and "validation error" in err
+
+    def test_false_switch_in_config_leaves_it_off(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"antithetic": False, "paths": 2000}))
+        args = ("mc", "--density", "gaussian", "--a", "0.001", "--b", "0.01", "--seed", "3")
+        via_config = run_json(capsys, *args, "--config", str(cfg))
+        assert via_config == run_json(capsys, *args, "--paths", "2000")
+        assert via_config["paths"] == 2000
 
 
 class TestIvCommand:

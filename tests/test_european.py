@@ -30,6 +30,7 @@ from ctrwpricer.european import (
     vanilla_call_price,
 )
 from ctrwpricer.fourier import butterfly_payoff
+from ctrwpricer.montecarlo import MCConfig, price_european_mc
 
 R = 0.04
 T_BAR = 0.25
@@ -316,31 +317,31 @@ class TestVanillaPrice:
 
 
 class TestParity:
-    def test_binary_deep_in_gives_zero_put(self):
-        put = put_price_from_parity(DISC, PayoffKind.BINARY_CALL, 0.0, 1.0, R, T_BAR)
+    def test_binary_deep_in_gives_zero_put(self, de_model):
+        put = put_price_from_parity(de_model, DISC, PayoffKind.BINARY_CALL, 0.0, 1.0, T_BAR)
         assert put == 0.0
 
-    def test_vanilla_parity_pivot(self):
+    def test_vanilla_parity_pivot(self, de_model):
         x = math.log(DISC)
-        put = put_price_from_parity(0.123, PayoffKind.VANILLA_PUT, x, 1.0, R, T_BAR)
+        put = put_price_from_parity(de_model, 0.123, PayoffKind.VANILLA_PUT, x, 1.0, T_BAR)
         assert put == pytest.approx(0.123, abs=1e-15)
 
     def test_vanilla_at_the_money_shift(self, de_model):
         c = Contract(PayoffKind.VANILLA_CALL, 1.0, T_BAR)
         call = vanilla_call_price(de_model, c, 0.0)
-        put = put_price_from_parity(call, PayoffKind.VANILLA_CALL, 0.0, 1.0, R, T_BAR)
+        put = put_price_from_parity(de_model, call, PayoffKind.VANILLA_CALL, 0.0, 1.0, T_BAR)
         assert put == pytest.approx(call - (1.0 - DISC), abs=1e-15)
 
-    def test_no_relation_for_butterflies(self):
+    def test_no_relation_for_butterflies(self, de_model):
         with pytest.raises(InvalidParametersError):
-            put_price_from_parity(0.1, PayoffKind.PORTFOLIO, 0.0, 1.0, R, T_BAR)
+            put_price_from_parity(de_model, 0.1, PayoffKind.PORTFOLIO, 0.0, 1.0, T_BAR)
 
     def test_cross_method_binary_parity(self, de_model):
         c = Contract(PayoffKind.BINARY_CALL, 1.0, T_BAR)
         for x in (-0.1, 0.0, 0.1):
             call_closed = binary_call_price(de_model, c, x, PriceMethod.CLOSED)
-            put = put_price_from_parity(call_closed, PayoffKind.BINARY_PUT,
-                                        x, 1.0, R, T_BAR)
+            put = put_price_from_parity(de_model, call_closed, PayoffKind.BINARY_PUT,
+                                        x, 1.0, T_BAR)
             call_laplace = binary_call_price(de_model, c, x, PriceMethod.LAPLACE)
             assert abs(put + call_laplace - DISC) < 1e-6
 
@@ -348,8 +349,8 @@ class TestParity:
         c = Contract(PayoffKind.VANILLA_CALL, 1.0, T_BAR)
         for x in (-0.1, 0.0, 0.1):
             call_closed = vanilla_call_price(de_model, c, x, PriceMethod.CLOSED)
-            put = put_price_from_parity(call_closed, PayoffKind.VANILLA_PUT,
-                                        x, 1.0, R, T_BAR)
+            put = put_price_from_parity(de_model, call_closed, PayoffKind.VANILLA_PUT,
+                                        x, 1.0, T_BAR)
             call_laplace = vanilla_call_price(de_model, c, x, PriceMethod.LAPLACE)
             assert abs(put - call_laplace - (DISC - math.exp(x))) < 1e-6
 
@@ -362,7 +363,7 @@ class TestEuropeanDispatch:
         ):
             c = Contract(kind, 1.0, T_BAR)
             call = european_price(de_model, Contract(parity, 1.0, T_BAR), 0.05)
-            want = put_price_from_parity(call, kind, 0.05, 1.0, R, T_BAR)
+            want = put_price_from_parity(de_model, call, kind, 0.05, 1.0, T_BAR)
             assert european_price(de_model, c, 0.05) == pytest.approx(want, abs=1e-12)
 
     def test_rejects_non_european_style(self, de_model):
@@ -374,6 +375,38 @@ class TestEuropeanDispatch:
         c = Contract(PayoffKind.PORTFOLIO, 1.0, T_BAR, width=0.1)
         with pytest.raises(InvalidParametersError):
             european_price(de_model, c, 0.0)
+
+
+EUROPEAN_KINDS = (PayoffKind.BINARY_CALL, PayoffKind.BINARY_PUT,
+                  PayoffKind.VANILLA_CALL, PayoffKind.VANILLA_PUT)
+
+
+class TestAnyIntensity:
+    """Off the martingale intensity (--lambda-override) every European route
+    prices the same claim: closed and Laplace agree, and Monte Carlo brackets
+    them.  At the martingale intensity of rho=2, gamma=9, r=4% lam is 0.05."""
+
+    @pytest.mark.parametrize("lam", [0.01, 0.5, 3.0])
+    @pytest.mark.parametrize("spot", [0.9, 1.1])
+    def test_routes_agree_with_each_other_and_simulation(self, lam, spot):
+        m = MarketParams.exponential(2.0, 9.0, R, lam=lam)
+        x = math.log(spot)
+        for kind in EUROPEAN_KINDS:
+            c = Contract(kind, 1.0, 1.0)
+            closed = european_price(m, c, x, PriceMethod.CLOSED)
+            laplace = european_price(m, c, x, PriceMethod.LAPLACE)
+            assert abs(closed - laplace) <= 1e-9, (kind, closed, laplace)
+            # the vanilla call's payoff e^X has no finite variance at rho = 2
+            # (E[e^{2J}] diverges), so its standard error is only indicative;
+            # its put, bounded by K, carries the sharp check through parity
+            est = price_european_mc(m, c, x, MCConfig(paths=200_000, seed=11))
+            assert abs(est.value - closed) <= 5.0 * est.std_error, (kind, closed, est)
+
+    def test_parity_uses_the_forward_of_the_intensity(self):
+        # the forward e^{x + (lam E_1 - r) t} is e^x only at the martingale lam
+        m = MarketParams.exponential(2.0, 9.0, R, lam=0.5)
+        put = put_price_from_parity(m, 0.0, PayoffKind.VANILLA_CALL, 0.0, 1.0, 1.0)
+        assert put == pytest.approx(math.exp(-R) - math.exp(0.5 * 0.8 - R), rel=1e-15)
 
 
 class TestLogReturnMoments:
