@@ -20,6 +20,7 @@ from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
     bessel_i1_scaled,
+    exp_each,
     integrate_semi_infinite,
     laplace_invert,
     log_normal_cdf,
@@ -67,32 +68,50 @@ def binary_put_laplace(m: MarketParams, k: float, x, s):
     return np.where(d > 0.0, (g + bm) / g * np.exp(bm * np.maximum(d, 0.0)) / s, 1.0 / s)
 
 
-def binary_put_closed(m: MarketParams, k: float, x: float, t_bar: float,
-                      spec: QuadSpec = DEFAULT_QUAD) -> float:
+def binary_put_closed(m: MarketParams, k: float, x, t_bar: float,
+                      spec: QuadSpec = DEFAULT_QUAD):
     """Time-domain American binary put via a three-kernel Bessel integral.
 
     All exponentially growing pieces are folded into a single exponent per
     kernel (using the log of the normal CDF for the boundary kernel), so
-    the integrand is overflow-free even deep in the diffusion limit.
+    the integrand is overflow-free even deep in the diffusion limit.  A 1-D
+    array of log-spots x is priced by one batched quadrature over the
+    spots above the strike; exercised spots (x <= k) are exactly 1.
     """
     (p, g), lam, r = _martingale_rates(m, "the closed route (use --method laplace)"), m.lam, m.r
+    if not isinstance(x, float) and np.ndim(x):
+        xs = spots(x)[0]
+        prices = (xs <= k).astype(float)
+        live = xs > k
+        if t_bar > 0.0 and live.any():
+            prices[live] = _binary_put_integral(m, p, g, (k - xs[live])[:, None], t_bar, spec)
+        return prices
     if x <= k:
         return 1.0
     if t_bar == 0.0:
         return 0.0
-    y = k - x  # negative in the continuation region
+    return _binary_put_integral(m, p, g, k - x, t_bar, spec)
+
+
+def _binary_put_integral(m: MarketParams, p: float, g: float, y, t_bar: float, spec: QuadSpec):
+    """The continuation-region integral at y = k - x < 0: a float, or an
+    (n, 1) column of them priced by one batched quadrature."""
+    lam, r = m.lam, m.r
     c = lam * t_bar
     c1 = g * p * c / ((g + 1.0) * (p - 1.0))
     shift1 = c1 - (lam + r) * t_bar
     xf = math.sqrt(2.0 / (g * p * c))
+    up, down = (p - 1.0) * exp_each((g + 1.0 - p) * y), (g + 1.0) * exp_each(-y)
 
-    def integrand(u):
+    def integrand(u, rows=None):
+        at = (lambda a: a) if rows is None else (lambda a: a[rows])
+        yr = at(y)
         xi = xf * u
         half = 0.5 * (g - p + 2.0) * xi
         gauss1 = np.exp(-((u - c1) ** 2) / c1 + shift1)
-        t1 = (p - 1.0) * math.exp((g + 1.0 - p) * y) * gauss1 * normal_cdf(half + y / xi)
-        t2 = (g + 1.0) * math.exp(-y) * gauss1 * normal_cdf(-half + y / xi)
-        log3 = -p * y + log_normal_cdf(-0.5 * (g + p) * xi + y / xi) \
+        t1 = at(up) * gauss1 * normal_cdf(half + yr / xi)
+        t2 = at(down) * gauss1 * normal_cdf(-half + yr / xi)
+        log3 = -p * yr + log_normal_cdf(-0.5 * (g + p) * xi + yr / xi) \
             + 2.0 * u - c - r * t_bar
         t3 = (g + p) * np.exp(log3)
         return (2.0 / g) * bessel_i1_scaled(2.0 * u) * (t1 + t2 - t3)
@@ -108,9 +127,10 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
                      spec: QuadSpec = DEFAULT_QUAD):
     """Finite-horizon American binary put; ``method`` is a PriceMethod or its value.
 
-    On the Laplace route x may be a 1-D array of log-spots, priced by one
-    inversion: exercised spots are exactly 1, and an AccuracyError carries
-    one best value and bound per spot.
+    On either route x may be a 1-D array of log-spots, priced by one
+    quadrature (closed) or one inversion (Laplace): exercised spots are
+    exactly 1, and an AccuracyError carries one best value and bound per
+    spot.
     """
     try:
         method = PriceMethod(method)
@@ -120,8 +140,6 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
         raise InvalidParametersError(f"unsupported method {method!r} for American binary puts")
     m.exponential_rates()  # refuses other markets, also on the shortcut below
     if method is PriceMethod.CLOSED:
-        if np.ndim(x):
-            raise InvalidParametersError("the closed route takes one log-price")
         return binary_put_closed(m, k, x, t_bar, spec)
     xs, shaped = spots(x)
     exercised = xs <= k

@@ -111,7 +111,7 @@ def _fig_european(meta) -> FigureData:
     bs = blackscholes.bs_binary_call if binary else blackscholes.bs_vanilla_call
     grid = _grid(meta["grid"])
     xs = [math.log(mny * K) for mny in grid]
-    columns = {name: [european.european_price(m, contract, x) for x in xs]
+    columns = {name: european.european_price(m, contract, np.array(xs))
                for name, m in _exp_models(meta).items()}
     columns["bs"] = [bs(mny * K, K, r, sigma, T) for mny in grid]
     if not binary:
@@ -133,7 +133,9 @@ def _iv_table(meta: dict, models: dict, sigma: float | None = None) -> FigureDat
         except OutOfBandError:
             return None
 
-    columns = {name: [iv(european.vanilla_call_closed(m, K, math.log(s), T), s) for s in spots]
+    xs = np.array([math.log(s) for s in spots])
+    columns = {name: [iv(price, s) for price, s in
+                      zip(european.vanilla_call_closed(m, K, xs, T), spots)]
                for name, m in models.items()}
     skipped = sum(v is None for col in columns.values() for v in col)
     if sigma is not None:
@@ -230,6 +232,12 @@ def build_figure(fig_id: str | None = None, meta: dict | None = None) -> FigureD
         builder = FIGURES[fig_id][0]
         meta = dict(meta)
         meta.pop("out_of_band", None)  # derived, recomputed on build
+        try:  # a stored meta line is input from a file
+            return builder(meta)
+        except KeyError as exc:
+            raise ValidationError(f"meta line lacks key {exc.args[0]!r}") from None
+        except ValueError as exc:
+            raise ValidationError(f"meta line is invalid: {exc}") from None
     return builder(meta)
 
 

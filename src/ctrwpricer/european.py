@@ -36,9 +36,11 @@ from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
     bessel_i1_scaled,
+    exp_each,
     integrate_semi_infinite,
     laplace_invert,
     normal_cdf,
+    spots,
 )
 from .riskneutral import MarketParams, gamma_for_sigma
 
@@ -179,45 +181,65 @@ def _tilted(m: MarketParams, legs) -> list:
             for alpha, w in legs for den in [(g + alpha) * (p - alpha)]]
 
 
-def _legs_laplace(m: MarketParams, k: float, x: float, s, legs):
+def _legs_laplace(m: MarketParams, k: float, x, s, legs):
     """Transform (in remaining time) of the sum of w L_alpha over the legs.
 
     With D = (lam + r + s)(beta_+ - beta_-), leg alpha's transform times
     s - (lam E_alpha - r) is e^{alpha k} lam (1 + E_alpha)(alpha - beta_-) e^{beta_+(x-k)}/D
     for x < k, else e^{alpha x} + e^{alpha k} lam (1 + E_alpha)(alpha - beta_+) e^{beta_-(x-k)}/D.
+    A 1-D array of log-spots x gives one row per spot, each on its own branch.
     """
     s = np.asarray(s, dtype=complex)
     bp, bm = beta_pm(m, s)
+    column = isinstance(x, np.ndarray) and x.ndim > 0
+    if column:
+        x = x[:, None]
     below = x < k
-    root = np.exp((bp if below else bm) * (x - k)) / ((m.lam + m.r + s) * (bp - bm))
+    if column:
+        near, far = np.where(below, bp, bm), np.where(below, bm, bp)
+    else:
+        near, far = (bp, bm) if below else (bm, bp)
+    root = np.exp(near * (x - k)) / ((m.lam + m.r + s) * (bp - bm))
     terms = []
     for alpha, w, intensity, drift in _tilted(m, legs):
-        term = w * intensity * math.exp(alpha * k) * (alpha - (bm if below else bp)) * root
-        terms.append((term if below else term + w * math.exp(alpha * x)) / (s - drift))
+        term = w * intensity * math.exp(alpha * k) * (alpha - far) * root
+        if column:
+            term = term + w * np.where(below, 0.0, exp_each(alpha * x))
+        elif not below:
+            term = term + w * math.exp(alpha * x)
+        terms.append(term / (s - drift))
     return sum(terms[1:], terms[0])
 
 
-def _legs_closed(m: MarketParams, k: float, x: float, t_bar: float, legs, spec: QuadSpec):
+def _legs_closed(m: MarketParams, k: float, x, t_bar: float, legs, spec: QuadSpec):
     """Time-domain price of the sum of w L_alpha as one Bessel integral.
 
     The tilt keeps (gamma + alpha)(rho - alpha) lam (1 + E_alpha) = gamma rho lam, so the legs
     share one Bessel factor, exponentially scaled to stay bounded for any lam * t_bar.  A leg's
-    kernel carries the sign of w and adds log |w e^{alpha x}| to its log-discount.
+    kernel carries the sign of w and adds log |w e^{alpha x}| to its log-discount.  The bumps,
+    and so the panels, depend on the market and t_bar only: a 1-D array of log-spots x enters
+    the kernels as a column and is priced by one batched quadrature.
     """
     (p, g), lam, r = m.exponential_rates(), m.lam, m.r
-    intrinsic = sum(w * math.exp(alpha * x) for alpha, w in legs) if x >= k else 0.0
+    column = isinstance(x, np.ndarray) and x.ndim > 0
+    if column:
+        x = x[:, None]
+    forward = sum(w * exp_each(alpha * x) for alpha, w in legs)  # the legs without 1{x >= k}
+    intrinsic = np.where(x >= k, forward, 0.0)[:, 0] if column else (forward if x >= k else 0.0)
     if t_bar == 0.0:
-        return max(intrinsic, 0.0)
+        return np.maximum(intrinsic, 0.0) if column else max(intrinsic, 0.0)
     s2 = math.sqrt(2.0 * g * p * lam * t_bar)
     kernels = [(w > 0.0, intensity * t_bar, drift * t_bar + alpha * x + math.log(abs(w)),
                 (g - p + 2.0 * alpha) / s2) for alpha, w, intensity, drift in _tilted(m, legs)]
+    level = (x - k) * s2
 
-    def integrand(u):
+    def integrand(u, rows=None):
+        at = (lambda a: a) if rows is None else (lambda a: a[rows])
         two_u = 2.0 * u
-        level = (x - k) * s2 / two_u
+        lev = at(level) / two_u
         total = 0.0
         for positive, centre, shift, slope in kernels:
-            term = np.exp(shift - (u - centre) ** 2 / centre) * normal_cdf(level + slope * u)
+            term = np.exp(at(shift) - (u - centre) ** 2 / centre) * normal_cdf(lev + slope * u)
             total = total + term if positive else total - term
         return 2.0 * bessel_i1_scaled(two_u) * total
 
@@ -226,23 +248,23 @@ def _legs_closed(m: MarketParams, k: float, x: float, t_bar: float, legs, spec: 
         + integrate_semi_infinite(integrand, spec, bumps=bumps)
 
 
-def binary_call_laplace(m: MarketParams, k: float, x: float, s):
+def binary_call_laplace(m: MarketParams, k: float, x, s):
     """Transform (in remaining time) of the cash-or-nothing call, log-strike k."""
     return _legs_laplace(m, k, x, s, _LEGS[PayoffKind.BINARY_CALL](math.exp(k)))
 
 
-def vanilla_call_laplace(m: MarketParams, K: float, x: float, s):
+def vanilla_call_laplace(m: MarketParams, K: float, x, s):
     """Transform (in remaining time) of the vanilla call with strike K."""
     return _legs_laplace(m, math.log(K), x, s, _LEGS[PayoffKind.VANILLA_CALL](K))
 
 
-def binary_call_closed(m: MarketParams, k: float, x: float, t_bar: float,
-                       spec: QuadSpec = DEFAULT_QUAD) -> float:
+def binary_call_closed(m: MarketParams, k: float, x, t_bar: float,
+                       spec: QuadSpec = DEFAULT_QUAD):
     return _legs_closed(m, k, x, t_bar, _LEGS[PayoffKind.BINARY_CALL](math.exp(k)), spec)
 
 
-def vanilla_call_closed(m: MarketParams, K: float, x: float, t_bar: float,
-                        spec: QuadSpec = DEFAULT_QUAD) -> float:
+def vanilla_call_closed(m: MarketParams, K: float, x, t_bar: float,
+                        spec: QuadSpec = DEFAULT_QUAD):
     return _legs_closed(m, math.log(K), x, t_bar, _LEGS[PayoffKind.VANILLA_CALL](K), spec)
 
 
@@ -256,24 +278,33 @@ def vanilla_call_price(m: MarketParams, c: Contract, x: float,
     return european_price(m, Contract(PayoffKind.VANILLA_CALL, c.strike, c.t_bar), x, method, spec)
 
 
-def put_price_from_parity(m: MarketParams, call_price: float, kind: PayoffKind,
-                          x: float, K: float, t_bar: float) -> float:
+def put_price_from_parity(m: MarketParams, call_price, kind: PayoffKind,
+                          x, K: float, t_bar: float):
     """European put value implied by put-call parity, at any intensity: leg
-    alpha's forward is e^{alpha x + (lam E_alpha - r) t_bar}."""
+    alpha's forward is e^{alpha x + (lam E_alpha - r) t_bar}.  x and
+    call_price are a float each or 1-D arrays of one entry per spot."""
     if kind not in _PARITY:
         raise InvalidParametersError(f"no parity relation for {kind!r}")
     call, sign = _PARITY[kind]
-    forward = sum(w * math.exp(alpha * x + drift * t_bar)
+    forward = sum(w * exp_each(alpha * x + drift * t_bar)
                   for alpha, w, _, drift in _tilted(m, _LEGS[call](K)))
     return sign * (forward - call_price)
 
 
-def european_price(m: MarketParams, c: Contract, x: float,
+def european_price(m: MarketParams, c: Contract, x,
                    method: PriceMethod = PriceMethod.CLOSED, spec: QuadSpec = DEFAULT_QUAD):
-    """Price any European contract of this module, puts via parity."""
+    """Price any European contract of this module, puts via parity.
+
+    x is a log-spot, priced as a float, or a 1-D array of them, priced on
+    either route in one go: one batched quadrature (closed) or one
+    inversion (Laplace), each spot judged by its own tolerance.  An
+    AccuracyError for an array carries one best value and bound per spot.
+    """
     call = _PARITY.get(c.kind, (None,))[0]
     if c.style is not OptionStyle.EUROPEAN or call is None:
         raise InvalidParametersError(f"european_price prices European calls and puts, not {c}")
+    if not isinstance(x, float):  # the pricers below take a float or a 1-D array
+        x = spots(x)[0] if np.ndim(x) else float(x)
     k, t_bar, legs = c.log_strike, c.t_bar, _LEGS[call](c.strike)
     if method is PriceMethod.LAPLACE and t_bar > 0.0:
         price = laplace_invert(lambda s: _legs_laplace(m, k, x, s, legs), t_bar, spec)

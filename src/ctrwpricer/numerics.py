@@ -11,10 +11,15 @@ transform used by the pricing modules can be cross-checked:
 Both assume the transform is analytic to the right of a known abscissa and
 real-valued in the time domain.  Every integral runs on one engine of
 32-point Gauss-Legendre panels refined by slice doubling, with vectorised
-integrands.  Special functions are thin wrappers over scipy.special, which
-the first of them to run imports: only the exponential closed forms,
-Black-Scholes and the Gumbel law need it, and it takes longer to import
-than numpy and this package together.
+integrands.  Inversions and integrals also take a batch, one row per spot,
+so a column of spots costs one call.  An inversion judges each row by its
+own threshold; a panel integral refines each row until its own tolerance
+holds and freezes it there, as its single integral would stop, with the
+node budget counting only the rows still refining; the real-line integral
+holds the whole batch to its worst row.  Special functions are thin
+wrappers over scipy.special, which the first of them to run imports: only
+the exponential closed forms, Black-Scholes and the Gumbel law need it,
+and it takes longer to import than numpy and this package together.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ __all__ = [
     "expm1_complex",
     "expm1_ratio",
     "poisson_difference_pmf",
+    "exp_each",
     "spots",
     "integrate_semi_infinite",
     "integrate_panels",
@@ -148,6 +154,14 @@ def poisson_difference_pmf(m_max: int, up: float, down: float) -> np.ndarray:
         return np.exp(n * math.log(mu) - mu - log_fact)
 
     return np.correlate(pmf(up), pmf(down), "full")
+
+
+def exp_each(a):
+    """e^a by math.exp: of a float, or of each entry of an array, so that a
+    column of spots carries the bits each spot's scalar formula gives."""
+    if isinstance(a, np.ndarray):
+        return np.array([math.exp(v) for v in a.ravel()]).reshape(a.shape)
+    return math.exp(a)
 
 
 def spots(x):
@@ -297,15 +311,16 @@ def integrate_semi_infinite(
     g,
     spec: QuadSpec = DEFAULT_QUAD,
     bumps: Sequence[tuple[float, float]] | None = None,
-) -> float:
+):
     """Integrate g over (0, infinity) for integrands with known mass location.
 
-    ``g`` takes an array of nodes and returns one value per node.
-    ``bumps`` is a list of (center, width) pairs describing where the
-    integrand carries mass; decay beyond ``center + 14 * width`` must be at
-    least Gaussian in (u - center)/width.  The upper limit is truncated
-    there, and ``integrate_panels`` integrates up to it with panel edges at
-    0 and at each bump's center and left edge (``center - 14 * width``).
+    ``g`` is one integrand or a batch, one row per spot, as
+    ``integrate_panels`` takes them.  ``bumps`` is a list of (center, width)
+    pairs describing where every row carries mass; decay beyond
+    ``center + 14 * width`` must be at least Gaussian in (u - center)/width.
+    The upper limit is truncated there, and ``integrate_panels`` integrates
+    up to it with panel edges at 0 and at each bump's center and left edge
+    (``center - 14 * width``), one grid for all rows.
     """
     if bumps is None:
         bumps = [(0.0, 1.0)]
@@ -316,58 +331,107 @@ def integrate_semi_infinite(
     return integrate_panels(g, [0.0, *sorted(pts), upper], spec)
 
 
-def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD) -> float:
-    """Integrate g (an array of nodes to one value each) over [edges[0], edges[-1]].
+def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD):
+    """Integrate g over [edges[0], edges[-1]], for one integrand or a batch.
 
-    Each gap between edges, best placed at g's kinks and around its mass,
-    is a panel mapped onto [0, 1] as one row of a batch, so a refinement
-    evaluates all panels in one call of g.  They are refined together until
-    each moved by at most its share of max(abs_tol, rel_tol |value|), with
-    |value| from a one-slice pass; past the node budget, AccuracyError
-    carries the sum and the summed last changes as its bound.
+    ``g(u)`` returns one value per node (the result is a float) or one row
+    per spot, shape ``(n_x, N)`` (the result has shape ``(n_x,)``); a batched
+    g also answers ``g(u, rows)`` with only the spots in the index array
+    ``rows``.  Each gap between edges, best placed at g's kinks and around
+    its mass, is a panel mapped onto [0, 1].  A spot's panels are refined
+    together until each moved by at most its share of max(abs_tol,
+    rel_tol |value|), |value| from a one-slice pass, and the spot is then
+    frozen, so each row equals its single integral.  The node budget counts
+    nodes x panels x spots of one call of g; the spots still refining are
+    split over as many calls as it needs, and AccuracyError (per spot the
+    sum, and the summed last changes as its bound) is raised only where one
+    spot alone would exceed it.
     """
     lo = np.asarray(edges[:-1], dtype=float)[:, None]
     width = np.diff(np.asarray(edges, dtype=float))[:, None]
+    n_p = len(width)
+    batched = False
 
-    def rows(t):
-        return width * np.asarray(g((lo + width * t).ravel()), dtype=float).reshape(len(width), -1)
+    def panels(slices: int, rows=None) -> np.ndarray:
+        """Each panel's value per spot of ``rows`` (every spot if None), shape (spots, panels)."""
+        def block(t):
+            nonlocal batched
+            u = (lo + width * t).ravel()
+            vals = np.asarray(g(u) if rows is None else g(u, rows), dtype=float)
+            batched = vals.ndim == 2
+            return (width * vals.reshape(-1, n_p, t.size)).reshape(-1, t.size)
+        return _panel_value(block, *_unit_slice_nodes(slices)).reshape(-1, n_p)
 
-    first = _panel_value(rows, 0.0, 1.0, 1)
-    tol = max(spec.abs_tol, spec.rel_tol * abs(float(first.sum()))) / len(width)
-    try:
-        return float(_integrate_panel(rows, 0.0, 1.0, tol, spec.max_nodes, prev=first).sum())
-    except AccuracyError as exc:  # the rows are panels: report their sum
-        raise AccuracyError(f"quadrature over [{edges[0]!r}, {edges[-1]!r}] did not converge "
-                            f"(a panel last moved by {exc.bound!r})",
-                            best=float(exc.best.sum()), bound=len(width) * exc.bound) from None
+    prev = panels(1)
+    n_x = len(prev)
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(prev.sum(axis=1))) / n_p
+    total, change = np.empty(n_x), np.empty(n_x)
+    rows, slices = np.arange(n_x), 1  # the spots still refining
+    while True:
+        slices *= 2
+        per_call = max(1, spec.max_nodes // (slices * 32 * n_p))  # spots per call of g
+        if rows.size == n_x <= per_call:
+            cur = panels(slices)
+        else:
+            cur = np.concatenate([panels(slices, rows[i:i + per_call])
+                                  for i in range(0, rows.size, per_call)])
+        delta = np.abs(cur - prev).max(axis=1)
+        done = delta <= tol
+        if done.all() or slices * 64 * n_p > spec.max_nodes:
+            total[rows], change[rows] = cur.sum(axis=1), delta
+            if done.all():
+                break
+            best, bound = total, n_p * change
+            if not batched:
+                best, bound = float(best[0]), float(bound[0])
+            raise AccuracyError(f"quadrature over [{edges[0]!r}, {edges[-1]!r}] did not converge "
+                                f"(a panel last moved by {float(delta.max())!r})",
+                                best=best, bound=bound)
+        if done.any():  # freeze these spots at the refinement they converged at
+            total[rows[done]], change[rows[done]] = cur[done].sum(axis=1), delta[done]
+            rows, cur, tol = rows[~done], cur[~done], tol[~done]
+        prev = cur
+    return total if batched else float(total[0])
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _panel_value(g, lo: float, hi: float, slices: int) -> np.ndarray:
-    """Composite 32-point Gauss-Legendre over [lo, hi] with equal slices.
+def _slice_nodes(lo: float, hi: float, slices: int) -> tuple:
+    """Half a slice's width and the 32-point Gauss-Legendre nodes of
+    [lo, hi] cut into equal slices."""
+    half = 0.5 * (hi - lo) / slices
+    mid = lo + half * (2.0 * np.arange(slices) + 1.0)[:, None]
+    return half, (mid + half * _GL_NODES[None, :]).ravel()
+
+
+@functools.lru_cache(maxsize=16)
+def _unit_slice_nodes(slices: int) -> tuple:
+    """``_slice_nodes`` of [0, 1], onto which ``integrate_panels`` maps
+    every panel; cached, so the nodes are read-only."""
+    half, nodes = _slice_nodes(0.0, 1.0, slices)
+    nodes.flags.writeable = False
+    return half, nodes
+
+
+def _panel_value(g, half: float, nodes: np.ndarray) -> np.ndarray:
+    """Composite 32-point Gauss-Legendre on the nodes of ``_slice_nodes``.
 
     ``g`` returns an (n_x, nodes) block; the result has one entry per row.
     """
-    half = 0.5 * (hi - lo) / slices
-    mid = lo + half * (2.0 * np.arange(slices) + 1.0)[:, None]
-    nodes = (mid + half * _GL_NODES[None, :]).ravel()
     vals = g(nodes)
-    return (vals.reshape(vals.shape[0], slices, -1) @ _GL_WEIGHTS).sum(axis=1) * half
+    return (vals.reshape(vals.shape[0], -1, _GL_NODES.size) @ _GL_WEIGHTS).sum(axis=1) * half
 
 
 def _integrate_panel(g, lo: float, hi: float, tol: float, max_nodes: int,
-                     start_slices: int = 1, prev: np.ndarray | None = None) -> np.ndarray:
+                     start_slices: int = 1) -> np.ndarray:
     """Double [lo, hi]'s slices until no row moves by more than tol, or
-    until the next block would hold more than max_nodes nodes x rows;
-    ``prev`` is the value at ``start_slices`` slices, if known."""
+    until the next block would hold more than max_nodes nodes x rows."""
     slices = max(1, start_slices)
-    if prev is None:
-        prev = _panel_value(g, lo, hi, slices)
+    prev = _panel_value(g, *_slice_nodes(lo, hi, slices))
     while True:
         slices *= 2
-        cur = _panel_value(g, lo, hi, slices)
+        cur = _panel_value(g, *_slice_nodes(lo, hi, slices))
         delta = float(np.max(np.abs(cur - prev)))
         if delta <= tol:
             return cur

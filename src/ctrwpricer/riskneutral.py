@@ -19,7 +19,12 @@ import math
 from dataclasses import dataclass, field
 
 from .densities import Family, JumpDensity, exp_moment
-from .errors import DegenerateMarketError, InadmissibleModelError, InvalidParametersError
+from .errors import (
+    DegenerateMarketError,
+    DivergentMomentError,
+    InadmissibleModelError,
+    InvalidParametersError,
+)
 
 __all__ = ["MarketParams", "risk_neutral_intensity", "validate", "Diagnostics",
            "gamma_for_sigma"]
@@ -122,7 +127,7 @@ class MarketParams:
     def is_risk_neutral(self) -> bool:
         try:
             target = risk_neutral_intensity(self.r, self.density)
-        except (DegenerateMarketError, InadmissibleModelError):
+        except (DegenerateMarketError, DivergentMomentError, InadmissibleModelError):
             return False
         return abs(self.lam - target) <= _RN_REL_TOL * target
 

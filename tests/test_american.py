@@ -139,11 +139,18 @@ class TestBatchedSpots:
         assert binary_put_price(de_model, 0.0, -0.3, 1.0) == 1.0
         assert binary_put_price(de_model, 0.0, 0.2, 0.0) == 0.0
 
-    def test_closed_route_and_2d_spots_rejected(self, de_model):
+    @pytest.mark.parametrize("t_bar", [0.0, 0.25, 1.0, 5.0])
+    def test_closed_column_equals_scalar_calls_exactly(self, de_model, t_bar):
+        # one batched quadrature over the spots above the strike
+        batch = binary_put_price(de_model, 0.0, np.array(self.XS), t_bar, "closed")
+        assert list(batch) == [binary_put_price(de_model, 0.0, x, t_bar, "closed")
+                               for x in self.XS]
+        assert list(batch[:2]) == [1.0, 1.0]
+
+    @pytest.mark.parametrize("method", ["closed", "laplace"])
+    def test_2d_spots_rejected(self, de_model, method):
         with pytest.raises(InvalidParametersError):
-            binary_put_price(de_model, 0.0, np.array(self.XS), 1.0, "closed")
-        with pytest.raises(InvalidParametersError):
-            binary_put_price(de_model, 0.0, np.zeros((2, 2)), 1.0, "laplace")
+            binary_put_price(de_model, 0.0, np.zeros((2, 2)), 1.0, method)
 
 
 class TestPerpetualBinaryPut:

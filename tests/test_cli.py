@@ -529,6 +529,26 @@ class TestFigCommand:
         fig = build_figure(meta=meta)
         assert fig.meta == meta
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda meta: meta.pop("K"), "'K'"),
+        (lambda meta: meta.update(payoff="nope"), "nope"),
+    ], ids=["missing-key", "unknown-payoff"])
+    def test_bad_meta_line_exits_2(self, capsys, tmp_path, edit, named):
+        # a meta line is read from a file: a missing key or an unknown
+        # payoff is bad input (exit 2), not a traceback
+        first = tmp_path / "fig1.csv"
+        run_json(capsys, "fig", "--figure", "fig1", "--out", str(first))
+        meta, body = first.read_text().split("\n", 1)
+        meta = json.loads(meta[2:])
+        edit(meta)
+        first.write_text("# " + json.dumps(meta) + "\n" + body)
+        again = tmp_path / "again.csv"
+        code, stdout, err = run(capsys, "fig", "--from-meta", str(first), "--out", str(again))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("validation error:") and named in err
+        assert not again.exists()
+
     def test_file_without_meta_line_rejected(self, tmp_path):
         bare = tmp_path / "bare.csv"
         bare.write_text("s_over_k,price\n1.0,0.5\n")

@@ -18,7 +18,8 @@ from ctrwpricer import (
     gamma_for_sigma,
 )
 from ctrwpricer.blackscholes import bs_binary_call, bs_vanilla_call
-from ctrwpricer.errors import InvalidParametersError
+from ctrwpricer.cli import FIGURES
+from ctrwpricer.errors import AccuracyError, InvalidParametersError
 from ctrwpricer.european import (
     beta_pm,
     binary_call_laplace,
@@ -31,6 +32,7 @@ from ctrwpricer.european import (
 )
 from ctrwpricer.fourier import butterfly_payoff
 from ctrwpricer.montecarlo import MCConfig, price_european_mc
+from ctrwpricer.numerics import QuadSpec
 
 R = 0.04
 T_BAR = 0.25
@@ -407,6 +409,71 @@ class TestAnyIntensity:
         m = MarketParams.exponential(2.0, 9.0, R, lam=0.5)
         put = put_price_from_parity(m, 0.0, PayoffKind.VANILLA_CALL, 0.0, 1.0, 1.0)
         assert put == pytest.approx(math.exp(-R) - math.exp(0.5 * 0.8 - R), rel=1e-15)
+
+
+class TestSpotColumns:
+    """A 1-D array of log-spots is priced in one call per route, each spot
+    as it would be alone."""
+
+    @pytest.mark.parametrize("fig_id", ["fig1", "fig2", "iv1", "iv2"])
+    def test_figure_columns_equal_cell_prices(self, fig_id):
+        meta = FIGURES[fig_id][1]
+        lo, hi, n = meta["grid"]
+        step = (hi - lo) / (n - 1)
+        xs = np.array([math.log((lo + i * step) * meta["K"]) for i in range(n)])
+        c = Contract(PayoffKind(meta.get("payoff", "vanilla-call")), meta["K"], meta["T"])
+        rhos = meta["rho"] if isinstance(meta["rho"], list) else [meta["rho"]]
+        for rho in rhos:
+            m = MarketParams.from_rho_sigma(float(rho), meta["r"], meta["sigma"])
+            column = european_price(m, c, xs)
+            cells = np.array([european_price(m, c, float(x)) for x in xs])
+            assert column.shape == xs.shape
+            assert np.max(np.abs(column - cells)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", [PayoffKind.BINARY_CALL, PayoffKind.BINARY_PUT,
+                                      PayoffKind.VANILLA_CALL, PayoffKind.VANILLA_PUT])
+    @pytest.mark.parametrize("method", [PriceMethod.CLOSED, PriceMethod.LAPLACE])
+    @pytest.mark.parametrize("t_bar", [0.0, 0.01, 1.0])
+    def test_column_equals_scalar_calls_exactly(self, de_model, kind, method, t_bar):
+        xs = np.log([0.5, 0.9, 1.1, 1.1 + 1e-12, 2.0])  # both sides of the strike
+        c = Contract(kind, 1.1, t_bar)
+        column = european_price(de_model, c, xs, method)
+        assert list(column) == [european_price(de_model, c, float(x), method) for x in xs]
+        assert list(european_price(de_model, c, list(xs), method)) == list(column)
+
+    def test_transform_rows_equal_scalar_transforms(self, de_model):
+        xs = np.array([-0.3, 0.0, 0.2])
+        s = np.array([0.3 + 0.0j, 1.0 + 2.0j])
+        for transform, strike in ((binary_call_laplace, 0.0), (vanilla_call_laplace, 1.0)):
+            rows = transform(de_model, strike, xs, s)
+            assert rows.shape == (len(xs), 2)
+            for x, row in zip(xs, rows):
+                assert list(row) == list(transform(de_model, strike, float(x), s))
+
+    def test_closed_column_error_carries_each_spots_outcome(self):
+        # at this budget only the at-the-money spot converges alone; the
+        # column raises with one best value and one bound per spot, each
+        # the spot's own
+        m = MarketParams.from_rho_sigma(2.0, R, 0.1)
+        c = Contract(PayoffKind.VANILLA_CALL, 1.0, 0.25)
+        spec = QuadSpec(rel_tol=1e-13, abs_tol=1e-15, max_nodes=1 << 9)
+        xs = np.log(np.linspace(0.8, 1.2, 9))
+        with pytest.raises(AccuracyError) as exc:
+            european_price(m, c, xs, spec=spec)
+        best, bound = exc.value.best, exc.value.bound
+        assert best.shape == bound.shape == xs.shape
+        assert np.all(np.isfinite(bound)) and np.all(bound >= 0.0)
+        for x, b, e in zip(xs, best, bound):
+            try:
+                assert b == european_price(m, c, float(x), spec=spec)
+            except AccuracyError as alone:
+                assert (b, e) == (alone.best, alone.bound)
+        assert best[4] == european_price(m, c, 0.0, spec=spec)
+
+    def test_two_dimensional_spots_rejected(self, de_model):
+        with pytest.raises(InvalidParametersError):
+            european_price(de_model, Contract(PayoffKind.BINARY_CALL, 1.0, 0.25),
+                           np.zeros((2, 2)))
 
 
 class TestLogReturnMoments:

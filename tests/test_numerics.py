@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from ctrwpricer import AccuracyError, QuadSpec, TailBoundError
 from ctrwpricer.errors import InvalidParametersError
+from ctrwpricer.european import Contract, PayoffKind, european_price
 from ctrwpricer.numerics import (
     DEFAULT_QUAD,
     LaplaceFn,
@@ -31,6 +32,7 @@ from ctrwpricer.numerics import (
     poisson_difference_pmf,
     spots,
 )
+from ctrwpricer.riskneutral import MarketParams
 
 
 def i1_scaled_series(u: float) -> float:
@@ -259,6 +261,74 @@ class TestSemiInfiniteQuadrature:
         best, bound = exc.value.best, exc.value.bound
         assert math.isfinite(best) and math.isfinite(bound) and bound > 0.0
         assert abs(best - 1.0 / 3.0) <= bound
+
+
+class TestBatchedSemiInfinite:
+    """A batched integrand, one row per spot, on one panel grid: each row is
+    judged by its own tolerance and frozen where its single integral stops."""
+
+    WS = np.array([0.0, 5.0, 20.0, 60.0])
+
+    def damped_rows(self, u, rows=None):
+        # row i is e^{-u} cos(w_i u): the faster rows need finer slices
+        w = (self.WS if rows is None else self.WS[rows])[:, None]
+        return np.exp(-u) * np.cos(w * u)
+
+    def test_rows_equal_single_integrals(self):
+        asked = []
+
+        def g(u, rows=None):
+            asked.append(rows)
+            return self.damped_rows(u, rows)
+
+        bumps = [(0.0, 1.0)]
+        batch = integrate_semi_infinite(g, bumps=bumps)
+        assert batch.shape == self.WS.shape
+        singles = [integrate_semi_infinite(lambda u: self.damped_rows(u, [i])[0], bumps=bumps)
+                   for i in range(len(self.WS))]
+        assert list(batch) == singles
+        w, top = self.WS, 14.0  # the truncation point of the (0, 1) bump
+        exact = (1.0 - np.exp(-top) * (np.cos(w * top) - w * np.sin(w * top))) / (1.0 + w * w)
+        assert np.max(np.abs(batch - exact)) <= 1e-9
+        # the rows converge at different refinements: once one is frozen,
+        # only the rest are evaluated
+        assert any(rows is not None and len(rows) < len(self.WS) for rows in asked)
+
+    def test_non_converging_row_raises_with_per_row_arrays(self):
+        # row 1 jumps at u = 1/3, which no refinement within 4096 nodes resolves
+        def g(u, rows=None):
+            block = np.vstack([np.exp(-u), (u < 1.0 / 3.0).astype(float)])
+            return block if rows is None else block[rows]
+
+        spec = QuadSpec(max_nodes=4096)
+        with pytest.raises(AccuracyError) as exc:
+            integrate_semi_infinite(g, spec, bumps=[(0.0, 1.0)])
+        best, bound = exc.value.best, exc.value.bound
+        assert best.shape == bound.shape == (2,)
+        assert best[0] == integrate_semi_infinite(lambda u: np.exp(-u), spec, bumps=[(0.0, 1.0)])
+        assert 0.0 <= bound[0] <= spec.rel_tol  # within its own tolerance, |value| < 1
+        with pytest.raises(AccuracyError) as alone:
+            integrate_semi_infinite(lambda u: (u < 1.0 / 3.0).astype(float), spec,
+                                    bumps=[(0.0, 1.0)])
+        assert (best[1], bound[1]) == (alone.value.best, alone.value.bound)
+        assert abs(best[1] - 1.0 / 3.0) <= bound[1]
+
+    def test_column_budget_counts_only_rows_still_refining(self):
+        # fig2's rho = 2 market at tight tolerances: 2^10 nodes is the
+        # budget at which each of the 41 spots converges alone, and at a
+        # 41st of it every spot fails.  A budget counted over all 41 rows
+        # would refuse the column; counting the rows still refining, and
+        # splitting them into calls that fit, prices it spot for spot.
+        m = MarketParams.from_rho_sigma(2.0, 0.04, 0.1)
+        c = Contract(PayoffKind.VANILLA_CALL, 1.0, 0.25)
+        xs = np.log(np.linspace(0.8, 1.2, 41))
+        spec = QuadSpec(rel_tol=1e-13, abs_tol=1e-15, max_nodes=1 << 10)
+        singles = [european_price(m, c, float(x), spec=spec) for x in xs]
+        assert list(european_price(m, c, xs, spec=spec)) == singles
+        tight = QuadSpec(rel_tol=1e-13, abs_tol=1e-15, max_nodes=(1 << 10) // 41)
+        for x in xs:
+            with pytest.raises(AccuracyError):
+                european_price(m, c, float(x), spec=tight)
 
 
 class TestPoissonDifferencePmf:

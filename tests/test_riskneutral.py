@@ -101,6 +101,13 @@ class TestMarketParams:
         mk = MarketParams(r=0.04, density=EXP_29, lam=0.1)
         assert not mk.is_risk_neutral
 
+    def test_divergent_exp_moment_is_not_risk_neutral(self):
+        # E[e^J] diverges for an up-tail mean of 2: no martingale intensity
+        # exists, so the answer is False, as validate reports, not a raise
+        mk = MarketParams(0.04, JumpDensity.exponential(2.0, 1.0), 0.05)
+        assert mk.is_risk_neutral is False
+        assert not validate(mk).passed
+
     def test_validation(self):
         with pytest.raises(InvalidParametersError):
             MarketParams(r=0.04, density=EXP_29, lam=0.0)
