@@ -15,17 +15,17 @@ import math
 
 import numpy as np
 
-from .errors import InvalidParametersError
+from .errors import AccuracyError, InvalidParametersError
 from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
+    as_rows,
     bessel_i1_scaled,
-    exp_each,
     integrate_semi_infinite,
     laplace_invert,
     log_normal_cdf,
     normal_cdf,
-    spots,
+    over_spots,
 )
 from .european import PriceMethod, beta_pm
 from .riskneutral import MarketParams
@@ -56,16 +56,40 @@ def _martingale_rates(m: MarketParams, formula: str) -> tuple[float, float]:
 def binary_put_laplace(m: MarketParams, k: float, x, s):
     """Transform (in remaining time) of the American binary put, log-strike k.
 
-    A 1-D array of log-spots x gives one row per spot, all on one beta_pm.
+    x is a log-spot, a 1-D array of them or their rows (``as_rows``); an
+    array gives one row per spot, all on one beta_pm.
     """
     s = np.asarray(s, dtype=complex)
     _, g = m.exponential_rates()
-    if np.ndim(x) == 0 and x <= k:
-        return 1.0 / s
-    d = np.asarray(x, dtype=float)[:, None] - k if np.ndim(x) else x - k
+    d, shape = as_rows(x) - k, np.shape(x)[:1] + s.shape
+    if np.all(d <= 0.0):  # every spot exercised: the cash transform, no roots needed
+        return np.broadcast_to(1.0 / s, shape)
     _, bm = beta_pm(m, s)
     # exercised rows take the cash transform; clamping keeps their exp finite
-    return np.where(d > 0.0, (g + bm) / g * np.exp(bm * np.maximum(d, 0.0)) / s, 1.0 / s)
+    rows = np.where(d > 0.0, (g + bm) / g * np.exp(bm * np.maximum(d, 0.0)) / s, 1.0 / s)
+    return rows.reshape(shape)
+
+
+def _continuation(k: float, t_bar: float, price):
+    """A pricer of a 1-D array of log-spots xs: exercised spots (x <= k)
+    are exactly 1, the others 0 at expiry and before it ``price`` of their
+    rows (``as_rows``).  An AccuracyError from ``price`` is widened to one
+    best value and bound per spot of xs, exercised spots carrying 1 and 0."""
+    def priced(xs):
+        exercised = xs <= k
+        prices, live = exercised.astype(float), ~exercised
+        if t_bar == 0.0 or not live.any():
+            return prices
+        try:
+            prices[live] = np.ravel(price(as_rows(xs[live])))
+        except AccuracyError as exc:
+            if exc.best is not None:
+                best, bound = prices.copy(), np.zeros(xs.shape)
+                best[live], bound[live] = exc.best, exc.bound
+                exc.best, exc.bound = best, bound
+            raise
+        return prices
+    return priced
 
 
 def binary_put_closed(m: MarketParams, k: float, x, t_bar: float,
@@ -78,40 +102,28 @@ def binary_put_closed(m: MarketParams, k: float, x, t_bar: float,
     array of log-spots x is priced by one batched quadrature over the
     spots above the strike; exercised spots (x <= k) are exactly 1.
     """
-    (p, g), lam, r = _martingale_rates(m, "the closed route (use --method laplace)"), m.lam, m.r
-    if not isinstance(x, float) and np.ndim(x):
-        xs = spots(x)[0]
-        prices = (xs <= k).astype(float)
-        live = xs > k
-        if t_bar > 0.0 and live.any():
-            prices[live] = _binary_put_integral(m, p, g, (k - xs[live])[:, None], t_bar, spec)
-        return prices
-    if x <= k:
-        return 1.0
-    if t_bar == 0.0:
-        return 0.0
-    return _binary_put_integral(m, p, g, k - x, t_bar, spec)
+    p, g = _martingale_rates(m, "the closed route (use --method laplace)")
+    live = _continuation(k, t_bar, lambda x: _binary_put_integral(m, p, g, k - x, t_bar, spec))
+    return over_spots(live, x)
 
 
-def _binary_put_integral(m: MarketParams, p: float, g: float, y, t_bar: float, spec: QuadSpec):
-    """The continuation-region integral at y = k - x < 0: a float, or an
-    (n, 1) column of them priced by one batched quadrature."""
+def _binary_put_integral(m: MarketParams, p: float, g: float, ys: np.ndarray, t_bar: float,
+                         spec: QuadSpec):
+    """The continuation-region integral at each y = k - x < 0 of the rows
+    ys (``as_rows``), by one batched quadrature."""
     lam, r = m.lam, m.r
     c = lam * t_bar
     c1 = g * p * c / ((g + 1.0) * (p - 1.0))
     shift1 = c1 - (lam + r) * t_bar
     xf = math.sqrt(2.0 / (g * p * c))
-    up, down = (p - 1.0) * exp_each((g + 1.0 - p) * y), (g + 1.0) * exp_each(-y)
 
-    def integrand(u, rows=None):
-        at = (lambda a: a) if rows is None else (lambda a: a[rows])
-        yr = at(y)
+    def integrand(u, y, up, down):
         xi = xf * u
         half = 0.5 * (g - p + 2.0) * xi
         gauss1 = np.exp(-((u - c1) ** 2) / c1 + shift1)
-        t1 = at(up) * gauss1 * normal_cdf(half + yr / xi)
-        t2 = at(down) * gauss1 * normal_cdf(-half + yr / xi)
-        log3 = -p * yr + log_normal_cdf(-0.5 * (g + p) * xi + yr / xi) \
+        t1 = up * gauss1 * normal_cdf(half + y / xi)
+        t2 = down * gauss1 * normal_cdf(-half + y / xi)
+        log3 = -p * y + log_normal_cdf(-0.5 * (g + p) * xi + y / xi) \
             + 2.0 * u - c - r * t_bar
         t3 = (g + p) * np.exp(log3)
         return (2.0 / g) * bessel_i1_scaled(2.0 * u) * (t1 + t2 - t3)
@@ -119,7 +131,8 @@ def _binary_put_integral(m: MarketParams, p: float, g: float, y, t_bar: float, s
     center3 = 4.0 * g * p * c / (g + p) ** 2
     width3 = math.sqrt(2.0 * g * p * c) / (g + p)
     bumps = [(c1, math.sqrt(c1 / 2.0) + 1e-12), (center3, width3 + 1e-12)]
-    return integrate_semi_infinite(integrand, spec, bumps=bumps)
+    weights = ((p - 1.0) * np.exp((g + 1.0 - p) * ys), (g + 1.0) * np.exp(-ys))
+    return integrate_semi_infinite(integrand, spec, bumps=bumps, params=(ys, *weights))
 
 
 def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
@@ -128,9 +141,9 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
     """Finite-horizon American binary put; ``method`` is a PriceMethod or its value.
 
     On either route x may be a 1-D array of log-spots, priced by one
-    quadrature (closed) or one inversion (Laplace): exercised spots are
-    exactly 1, and an AccuracyError carries one best value and bound per
-    spot.
+    quadrature (closed) or one inversion (Laplace) over the spots above
+    the strike: exercised spots are exactly 1, and an AccuracyError
+    carries one best value and bound per spot, shaped like x.
     """
     try:
         method = PriceMethod(method)
@@ -141,12 +154,9 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
     m.exponential_rates()  # refuses other markets, also on the shortcut below
     if method is PriceMethod.CLOSED:
         return binary_put_closed(m, k, x, t_bar, spec)
-    xs, shaped = spots(x)
-    exercised = xs <= k
-    if t_bar == 0.0 or exercised.all():
-        return shaped(exercised.astype(float))
-    prices = laplace_invert(lambda s: binary_put_laplace(m, k, x, s), t_bar, spec)
-    return shaped(np.where(exercised, 1.0, prices))
+    live = _continuation(k, t_bar, lambda x: laplace_invert(
+        lambda s: binary_put_laplace(m, k, x, s), t_bar, spec))
+    return over_spots(live, x)
 
 
 def perpetual_binary_put(m: MarketParams, k: float, x: float) -> float:

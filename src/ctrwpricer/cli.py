@@ -82,11 +82,20 @@ def write_csv(fig: FigureData, path: str) -> None:
 
 
 def read_meta(path: str) -> dict:
-    with open(path) as fh:
-        first = fh.readline()
+    try:
+        with open(path) as fh:
+            first = fh.readline()
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}") from None
     if not first.startswith("# "):
         raise ValidationError(f"{path} has no meta line")
-    return json.loads(first[2:])
+    try:
+        meta = json.loads(first[2:])
+    except ValueError as exc:
+        raise ValidationError(f"{path}: meta line is not JSON ({exc})") from None
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{path}: meta line is not a JSON object")
+    return meta
 
 
 def _grid(spec) -> list:
@@ -229,16 +238,41 @@ def build_figure(fig_id: str | None = None, meta: dict | None = None) -> FigureD
             raise ValidationError("meta line is from an iv CSV; fig --from-meta rebuilds fig CSVs")
         if fig_id not in FIGURES:
             raise ValidationError(f"meta line names unknown figure {fig_id!r}")
-        builder = FIGURES[fig_id][0]
+        builder, defaults = FIGURES[fig_id]
+        _check_meta(meta, defaults)
         meta = dict(meta)
         meta.pop("out_of_band", None)  # derived, recomputed on build
-        try:  # a stored meta line is input from a file
-            return builder(meta)
-        except KeyError as exc:
-            raise ValidationError(f"meta line lacks key {exc.args[0]!r}") from None
-        except ValueError as exc:
-            raise ValidationError(f"meta line is invalid: {exc}") from None
     return builder(meta)
+
+
+def _check_meta(meta: dict, defaults: dict) -> None:
+    """Refuse a stored meta line, input from a file, that lacks a key of its
+    figure's defaults, holds a value of another kind than the default's, or
+    names an unknown payoff or jump family."""
+    for key, default in defaults.items():
+        if key not in meta:
+            raise ValidationError(f"meta line lacks key {key!r}")
+        if not _same_kind(meta[key], default) or (key == "grid" and len(meta[key]) != 3):
+            raise ValidationError(f"meta line key {key!r} holds {meta[key]!r}, "
+                                  f"not a value like {default!r}")
+    try:
+        PayoffKind(meta.get("payoff", PayoffKind.VANILLA_CALL.value))
+        for family in meta.get("families", ()):
+            Family(family)
+    except ValueError as exc:
+        raise ValidationError(f"meta line is invalid: {exc}") from None
+
+
+def _same_kind(value, default) -> bool:
+    """Whether a JSON value is of the default's kind: a string, a list of
+    the kind of its first entry, or a number (or null, where the default is)."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_same_kind(v, default[0]) for v in value)
+    if isinstance(default, str):
+        return isinstance(value, str)
+    if default is None and value is None:
+        return True
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 # ----------------------------------------------------------------------

@@ -35,12 +35,12 @@ from .errors import BranchInconsistencyError, InvalidParametersError
 from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
+    as_rows,
     bessel_i1_scaled,
-    exp_each,
     integrate_semi_infinite,
     laplace_invert,
     normal_cdf,
-    spots,
+    over_spots,
 )
 from .riskneutral import MarketParams, gamma_for_sigma
 
@@ -151,10 +151,10 @@ def beta_pm(m: MarketParams, s):
     big = -0.5 * ((g - p) + math.copysign(1.0, g - p) * root)  # beta_- if g >= p
     bp, bm = (prod_target / big, big) if g >= p else (big, prod_target / big)
 
-    sum_resid = np.max(np.abs(bp + bm + (g - p))) if bp.shape else abs(bp + bm + (g - p))
+    sum_resid = np.abs(bp + bm + (g - p)).max()
     prod_resid = np.abs(bp * bm - prod_target)
     prod_scale = g * p + np.abs(prod_target)
-    worst = float(np.max(prod_resid / prod_scale))
+    worst = float((prod_resid / prod_scale).max())
     if sum_resid > _VIETA_TOL * (1.0 + abs(g - p)) or worst > _VIETA_TOL:
         raise BranchInconsistencyError(
             f"root identities violated (sum {sum_resid!r}, product {worst!r})",
@@ -187,65 +187,54 @@ def _legs_laplace(m: MarketParams, k: float, x, s, legs):
     With D = (lam + r + s)(beta_+ - beta_-), leg alpha's transform times
     s - (lam E_alpha - r) is e^{alpha k} lam (1 + E_alpha)(alpha - beta_-) e^{beta_+(x-k)}/D
     for x < k, else e^{alpha x} + e^{alpha k} lam (1 + E_alpha)(alpha - beta_+) e^{beta_-(x-k)}/D.
-    A 1-D array of log-spots x gives one row per spot, each on its own branch.
+    x is a log-spot, a 1-D array of them or their rows (``as_rows``); an
+    array gives one row per spot, each on its own branch.
     """
     s = np.asarray(s, dtype=complex)
     bp, bm = beta_pm(m, s)
-    column = isinstance(x, np.ndarray) and x.ndim > 0
-    if column:
-        x = x[:, None]
-    below = x < k
-    if column:
-        near, far = np.where(below, bp, bm), np.where(below, bm, bp)
-    else:
-        near, far = (bp, bm) if below else (bm, bp)
-    root = np.exp(near * (x - k)) / ((m.lam + m.r + s) * (bp - bm))
-    terms = []
-    for alpha, w, intensity, drift in _tilted(m, legs):
-        term = w * intensity * math.exp(alpha * k) * (alpha - far) * root
-        if column:
-            term = term + w * np.where(below, 0.0, exp_each(alpha * x))
-        elif not below:
-            term = term + w * math.exp(alpha * x)
-        terms.append(term / (s - drift))
-    return sum(terms[1:], terms[0])
+    xr = as_rows(x)
+    below = xr < k
+    near, far = np.where(below, bp, bm), np.where(below, bm, bp)
+    root = np.exp(near * (xr - k)) / ((m.lam + m.r + s) * (bp - bm))
+    terms = [(w * intensity * math.exp(alpha * k) * (alpha - far) * root
+              + w * np.exp(alpha * xr) * (xr >= k)) / (s - drift)
+             for alpha, w, intensity, drift in _tilted(m, legs)]
+    return sum(terms[1:], terms[0]).reshape(np.shape(x)[:1] + s.shape)
 
 
 def _legs_closed(m: MarketParams, k: float, x, t_bar: float, legs, spec: QuadSpec):
-    """Time-domain price of the sum of w L_alpha as one Bessel integral.
+    """Time-domain price of the sum of w L_alpha as one Bessel integral per
+    log-spot of the rows x (``as_rows``), in their shape.
 
     The tilt keeps (gamma + alpha)(rho - alpha) lam (1 + E_alpha) = gamma rho lam, so the legs
     share one Bessel factor, exponentially scaled to stay bounded for any lam * t_bar.  A leg's
     kernel carries the sign of w and adds log |w e^{alpha x}| to its log-discount.  The bumps,
-    and so the panels, depend on the market and t_bar only: a 1-D array of log-spots x enters
-    the kernels as a column and is priced by one batched quadrature.
+    and so the panels, depend on the market and t_bar only, so all spots share one batched
+    quadrature, which hands the integrand each spot's level and log-discounts.
     """
     (p, g), lam, r = m.exponential_rates(), m.lam, m.r
-    column = isinstance(x, np.ndarray) and x.ndim > 0
-    if column:
-        x = x[:, None]
-    forward = sum(w * exp_each(alpha * x) for alpha, w in legs)  # the legs without 1{x >= k}
-    intrinsic = np.where(x >= k, forward, 0.0)[:, 0] if column else (forward if x >= k else 0.0)
+    forward = sum(w * np.exp(alpha * x) for alpha, w in legs)  # the legs without 1{x >= k}
+    intrinsic = forward * (x >= k)
     if t_bar == 0.0:
-        return np.maximum(intrinsic, 0.0) if column else max(intrinsic, 0.0)
+        return np.maximum(intrinsic, 0.0)
     s2 = math.sqrt(2.0 * g * p * lam * t_bar)
-    kernels = [(w > 0.0, intensity * t_bar, drift * t_bar + alpha * x + math.log(abs(w)),
-                (g - p + 2.0 * alpha) / s2) for alpha, w, intensity, drift in _tilted(m, legs)]
-    level = (x - k) * s2
+    tilted = _tilted(m, legs)
+    kernels = [(w > 0.0, intensity * t_bar, (g - p + 2.0 * alpha) / s2)
+               for alpha, w, intensity, _ in tilted]
+    shifts = [drift * t_bar + alpha * x + math.log(abs(w)) for alpha, w, _, drift in tilted]
 
-    def integrand(u, rows=None):
-        at = (lambda a: a) if rows is None else (lambda a: a[rows])
+    def integrand(u, level, *shifts):
         two_u = 2.0 * u
-        lev = at(level) / two_u
+        lev = level / two_u
         total = 0.0
-        for positive, centre, shift, slope in kernels:
-            term = np.exp(at(shift) - (u - centre) ** 2 / centre) * normal_cdf(lev + slope * u)
+        for (positive, centre, slope), shift in zip(kernels, shifts):
+            term = np.exp(shift - (u - centre) ** 2 / centre) * normal_cdf(lev + slope * u)
             total = total + term if positive else total - term
         return 2.0 * bessel_i1_scaled(two_u) * total
 
-    bumps = [(centre, math.sqrt(centre / 2.0) + 1e-12) for _, centre, _, _ in kernels]
+    bumps = [(centre, math.sqrt(centre / 2.0) + 1e-12) for _, centre, _ in kernels]
     return intrinsic * math.exp(-(lam + r) * t_bar) \
-        + integrate_semi_infinite(integrand, spec, bumps=bumps)
+        + integrate_semi_infinite(integrand, spec, bumps=bumps, params=((x - k) * s2, *shifts))
 
 
 def binary_call_laplace(m: MarketParams, k: float, x, s):
@@ -260,12 +249,14 @@ def vanilla_call_laplace(m: MarketParams, K: float, x, s):
 
 def binary_call_closed(m: MarketParams, k: float, x, t_bar: float,
                        spec: QuadSpec = DEFAULT_QUAD):
-    return _legs_closed(m, k, x, t_bar, _LEGS[PayoffKind.BINARY_CALL](math.exp(k)), spec)
+    legs = _LEGS[PayoffKind.BINARY_CALL](math.exp(k))
+    return over_spots(lambda xs: _legs_closed(m, k, as_rows(xs), t_bar, legs, spec), x)
 
 
 def vanilla_call_closed(m: MarketParams, K: float, x, t_bar: float,
                         spec: QuadSpec = DEFAULT_QUAD):
-    return _legs_closed(m, math.log(K), x, t_bar, _LEGS[PayoffKind.VANILLA_CALL](K), spec)
+    legs = _LEGS[PayoffKind.VANILLA_CALL](K)
+    return over_spots(lambda xs: _legs_closed(m, math.log(K), as_rows(xs), t_bar, legs, spec), x)
 
 
 def binary_call_price(m: MarketParams, c: Contract, x: float,
@@ -286,7 +277,7 @@ def put_price_from_parity(m: MarketParams, call_price, kind: PayoffKind,
     if kind not in _PARITY:
         raise InvalidParametersError(f"no parity relation for {kind!r}")
     call, sign = _PARITY[kind]
-    forward = sum(w * exp_each(alpha * x + drift * t_bar)
+    forward = sum(w * math.exp(drift * t_bar) * np.exp(alpha * x)
                   for alpha, w, _, drift in _tilted(m, _LEGS[call](K)))
     return sign * (forward - call_price)
 
@@ -298,21 +289,29 @@ def european_price(m: MarketParams, c: Contract, x,
     x is a log-spot, priced as a float, or a 1-D array of them, priced on
     either route in one go: one batched quadrature (closed) or one
     inversion (Laplace), each spot judged by its own tolerance.  An
-    AccuracyError for an array carries one best value and bound per spot.
+    AccuracyError carries one best value and bound per spot, shaped like x.
     """
     call = _PARITY.get(c.kind, (None,))[0]
     if c.style is not OptionStyle.EUROPEAN or call is None:
         raise InvalidParametersError(f"european_price prices European calls and puts, not {c}")
-    if not isinstance(x, float):  # the pricers below take a float or a 1-D array
-        x = spots(x)[0] if np.ndim(x) else float(x)
     k, t_bar, legs = c.log_strike, c.t_bar, _LEGS[call](c.strike)
     if method is PriceMethod.LAPLACE and t_bar > 0.0:
-        price = laplace_invert(lambda s: _legs_laplace(m, k, x, s, legs), t_bar, spec)
+        def price(x):  # one value per row of x, in its shape
+            return laplace_invert(lambda s: _legs_laplace(m, k, x, s, legs),
+                                  t_bar, spec).reshape(np.shape(x))
     elif method in (PriceMethod.CLOSED, PriceMethod.LAPLACE):  # Laplace at expiry too
-        price = _legs_closed(m, k, x, t_bar, legs, spec)
+        def price(x):
+            return _legs_closed(m, k, x, t_bar, legs, spec)
     else:
         raise InvalidParametersError(f"unsupported method {method!r} for European contracts")
-    return price if call is c.kind else put_price_from_parity(m, price, c.kind, x, c.strike, t_bar)
+
+    def priced(xs):
+        x = as_rows(xs)
+        value = price(x)
+        if call is c.kind:
+            return value
+        return put_price_from_parity(m, value, c.kind, x, c.strike, t_bar)
+    return over_spots(priced, x)
 
 
 def no_trade_vanilla_call(K: float, x: float, t_bar: float, r: float) -> float:

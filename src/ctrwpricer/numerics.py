@@ -10,16 +10,18 @@ transform used by the pricing modules can be cross-checked:
 
 Both assume the transform is analytic to the right of a known abscissa and
 real-valued in the time domain.  Every integral runs on one engine of
-32-point Gauss-Legendre panels refined by slice doubling, with vectorised
-integrands.  Inversions and integrals also take a batch, one row per spot,
-so a column of spots costs one call.  An inversion judges each row by its
-own threshold; a panel integral refines each row until its own tolerance
-holds and freezes it there, as its single integral would stop, with the
-node budget counting only the rows still refining; the real-line integral
-holds the whole batch to its worst row.  Special functions are thin
-wrappers over scipy.special, which the first of them to run imports: only
-the exponential closed forms, Black-Scholes and the Gumbel law need it,
-and it takes longer to import than numpy and this package together.
+32-point Gauss-Legendre panels refined by slice doubling (one loop,
+``_refine``), with vectorised integrands.  Inversions and integrals also
+take a batch, one row per spot, so a column of spots costs one call.  An
+inversion judges each row by its own threshold; a panel integral hands
+its integrand each spot's constants as rows (``as_rows``: a single spot's
+as floats), refines each spot until its own tolerance holds and freezes
+it there, as its single integral would stop, and splits every call of the
+integrand to fit the node budget; the real-line integral holds the whole
+batch to its worst row.  Special functions are thin wrappers over
+scipy.special, which the first of them to run imports: only the
+exponential closed forms, Black-Scholes and the Gumbel law need it, and it
+takes longer to import than numpy and this package together.
 """
 
 from __future__ import annotations
@@ -46,8 +48,9 @@ __all__ = [
     "expm1_complex",
     "expm1_ratio",
     "poisson_difference_pmf",
-    "exp_each",
     "spots",
+    "as_rows",
+    "over_spots",
     "integrate_semi_infinite",
     "integrate_panels",
     "integrate_real_line",
@@ -65,7 +68,7 @@ class QuadSpec:
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-10
-    max_nodes: int = 1 << 21       # nodes x rows of one block: 16 MB of floats
+    max_nodes: int = 1 << 21       # nodes x rows of one call of an integrand: 16 MB per array
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
@@ -156,23 +159,39 @@ def poisson_difference_pmf(m_max: int, up: float, down: float) -> np.ndarray:
     return np.correlate(pmf(up), pmf(down), "full")
 
 
-def exp_each(a):
-    """e^a by math.exp: of a float, or of each entry of an array, so that a
-    column of spots carries the bits each spot's scalar formula gives."""
-    if isinstance(a, np.ndarray):
-        return np.array([math.exp(v) for v in a.ravel()]).reshape(a.shape)
-    return math.exp(a)
-
-
 def spots(x):
     """x as a 1-D array of log-prices, and a function that shapes a price
     array like x (a float for a scalar x); a 2-D x raises."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim == 0:
+        return xs.reshape(1), lambda prices: float(prices[0])
     if xs.ndim != 1:
         raise InvalidParametersError("x must be a scalar or a 1-D array of log-prices")
-    if np.ndim(x) == 0:
-        return xs, lambda prices: float(prices[0])
     return xs, lambda prices: prices
+
+
+def as_rows(x):
+    """Values, one per spot, as rows: an (n, 1) column, or for one spot its
+    float, which numpy combines with an array on its faster scalar path.
+    Every formula over spots takes either, so one spot and a column of them
+    run the same code and each spot's entry comes out the same."""
+    if isinstance(x, float):
+        return x
+    x = np.asarray(x, dtype=float)
+    return float(x.ravel()[0]) if x.size == 1 else x.reshape(-1, 1)
+
+
+def over_spots(price, x):
+    """``price`` of x's log-prices as a 1-D array (``spots``), shaped like x:
+    a float for a scalar x.  An AccuracyError that carries one best value
+    and bound per spot is shaped like x too."""
+    xs, shaped = spots(x)
+    try:
+        return shaped(np.asarray(price(xs)).reshape(xs.shape))
+    except AccuracyError as exc:
+        if exc.best is not None and np.size(exc.best) == xs.size:
+            exc.best, exc.bound = (shaped(np.reshape(a, xs.shape)) for a in (exc.best, exc.bound))
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -292,7 +311,7 @@ def laplace_invert(f, t: float, spec: QuadSpec = DEFAULT_QUAD):
     threshold = np.maximum(np.maximum(spec.rel_tol * scale * 10.0, 1e-7 * scale),
                            10.0 * spec.abs_tol)
     finite = np.isfinite(best) & np.isfinite(check)
-    if np.any(~finite | (err > threshold)):
+    if (~finite | (err > threshold)).any():
         bound = np.where(finite, err, np.inf)[()]
         raise AccuracyError(
             f"Laplace inversion did not converge at t={t}: "
@@ -311,16 +330,17 @@ def integrate_semi_infinite(
     g,
     spec: QuadSpec = DEFAULT_QUAD,
     bumps: Sequence[tuple[float, float]] | None = None,
+    params: tuple | None = None,
 ):
     """Integrate g over (0, infinity) for integrands with known mass location.
 
-    ``g`` is one integrand or a batch, one row per spot, as
+    ``g`` is one integrand or, given ``params``, one per spot, as
     ``integrate_panels`` takes them.  ``bumps`` is a list of (center, width)
-    pairs describing where every row carries mass; decay beyond
+    pairs describing where every integrand carries mass; decay beyond
     ``center + 14 * width`` must be at least Gaussian in (u - center)/width.
     The upper limit is truncated there, and ``integrate_panels`` integrates
     up to it with panel edges at 0 and at each bump's center and left edge
-    (``center - 14 * width``), one grid for all rows.
+    (``center - 14 * width``), one grid for all spots.
     """
     if bumps is None:
         bumps = [(0.0, 1.0)]
@@ -328,70 +348,56 @@ def integrate_semi_infinite(
         raise InvalidParametersError("each bump needs a positive width")
     upper = max(c + 14.0 * w for c, w in bumps)
     pts = {p for c, w in bumps for p in (max(c - 14.0 * w, 0.0), max(c, 0.0)) if 0.0 < p < upper}
-    return integrate_panels(g, [0.0, *sorted(pts), upper], spec)
+    return integrate_panels(g, [0.0, *sorted(pts), upper], spec, params)
 
 
-def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD):
+def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD,
+                     params: tuple | None = None):
     """Integrate g over [edges[0], edges[-1]], for one integrand or a batch.
 
-    ``g(u)`` returns one value per node (the result is a float) or one row
-    per spot, shape ``(n_x, N)`` (the result has shape ``(n_x,)``); a batched
-    g also answers ``g(u, rows)`` with only the spots in the index array
-    ``rows``.  Each gap between edges, best placed at g's kinks and around
-    its mass, is a panel mapped onto [0, 1].  A spot's panels are refined
-    together until each moved by at most its share of max(abs_tol,
-    rel_tol |value|), |value| from a one-slice pass, and the spot is then
-    frozen, so each row equals its single integral.  The node budget counts
-    nodes x panels x spots of one call of g; the spots still refining are
-    split over as many calls as it needs, and AccuracyError (per spot the
-    sum, and the summed last changes as its bound) is raised only where one
-    spot alone would exceed it.
+    ``g(u)`` returns one value per node, and the result is a float.  Given
+    ``params``, a tuple of floats or of arrays of one entry per spot, g is
+    one integrand per spot: ``g(u, *args)``, each arg a param's entries for
+    the spots being refined as rows (``as_rows``), returns their values as
+    rows, shape ``(spots, N)`` (``(N,)`` for one spot), and the result has
+    one entry per spot, in the shape of ``params[0]``.  Each gap between
+    edges, best placed at g's kinks and around its mass, is a panel mapped
+    onto [0, 1], one grid for all spots.  A spot's panels are refined
+    together (``_refine``) until each moved by at most its share of
+    max(abs_tol, rel_tol |value|), |value| from a one-slice pass, and the
+    spot is then frozen, so each entry equals its single integral.  No call
+    of g holds more than max_nodes nodes x panels x spots, and AccuracyError
+    (per spot the sum, and the summed last changes as its bound) is raised
+    only where one spot alone would exceed that.
     """
-    lo = np.asarray(edges[:-1], dtype=float)[:, None]
-    width = np.diff(np.asarray(edges, dtype=float))[:, None]
+    e = np.asarray(edges, dtype=float)
+    lo, width = e[:-1, None], np.diff(e)[:, None]
     n_p = len(width)
-    batched = False
+    n_x = 1 if params is None else np.size(params[0])
+    every = () if params is None else [as_rows(p) for p in params]  # the args of all spots
 
-    def panels(slices: int, rows=None) -> np.ndarray:
-        """Each panel's value per spot of ``rows`` (every spot if None), shape (spots, panels)."""
+    def panels(slices: int, rows: np.ndarray) -> np.ndarray:
+        """Each panel's value per spot of ``rows``, shape (spots, panels)."""
+        args = every if rows.size == n_x else [as_rows(p[rows]) for p in params]
+
         def block(t):
-            nonlocal batched
-            u = (lo + width * t).ravel()
-            vals = np.asarray(g(u) if rows is None else g(u, rows), dtype=float)
-            batched = vals.ndim == 2
+            vals = np.asarray(g((lo + width * t).ravel(), *args), dtype=float)
             return (width * vals.reshape(-1, n_p, t.size)).reshape(-1, t.size)
         return _panel_value(block, *_unit_slice_nodes(slices)).reshape(-1, n_p)
 
-    prev = panels(1)
-    n_x = len(prev)
-    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(prev.sum(axis=1))) / n_p
-    total, change = np.empty(n_x), np.empty(n_x)
-    rows, slices = np.arange(n_x), 1  # the spots still refining
-    while True:
-        slices *= 2
-        per_call = max(1, spec.max_nodes // (slices * 32 * n_p))  # spots per call of g
-        if rows.size == n_x <= per_call:
-            cur = panels(slices)
-        else:
-            cur = np.concatenate([panels(slices, rows[i:i + per_call])
-                                  for i in range(0, rows.size, per_call)])
-        delta = np.abs(cur - prev).max(axis=1)
-        done = delta <= tol
-        if done.all() or slices * 64 * n_p > spec.max_nodes:
-            total[rows], change[rows] = cur.sum(axis=1), delta
-            if done.all():
-                break
-            best, bound = total, n_p * change
-            if not batched:
-                best, bound = float(best[0]), float(bound[0])
-            raise AccuracyError(f"quadrature over [{edges[0]!r}, {edges[-1]!r}] did not converge "
-                                f"(a panel last moved by {float(delta.max())!r})",
-                                best=best, bound=bound)
-        if done.any():  # freeze these spots at the refinement they converged at
-            total[rows[done]], change[rows[done]] = cur[done].sum(axis=1), delta[done]
-            rows, cur, tol = rows[~done], cur[~done], tol[~done]
-        prev = cur
-    return total if batched else float(total[0])
+    def tol(first):
+        return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(first.sum(axis=1))) / n_p
+
+    parts, change, converged = _refine(panels, n_x, n_p, tol, spec.max_nodes)
+    total = parts.sum(axis=1)
+    if not converged:
+        best, bound = total, n_p * change
+        if params is None:
+            best, bound = float(best[0]), float(bound[0])
+        raise AccuracyError(f"quadrature over [{edges[0]!r}, {edges[-1]!r}] did not converge "
+                            f"(a panel last moved by {float(change.max())!r})",
+                            best=best, bound=bound)
+    return float(total[0]) if params is None else total.reshape(np.shape(params[0]))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
@@ -423,25 +429,47 @@ def _panel_value(g, half: float, nodes: np.ndarray) -> np.ndarray:
     return (vals.reshape(vals.shape[0], -1, _GL_NODES.size) @ _GL_WEIGHTS).sum(axis=1) * half
 
 
-def _integrate_panel(g, lo: float, hi: float, tol: float, max_nodes: int,
-                     start_slices: int = 1) -> np.ndarray:
-    """Double [lo, hi]'s slices until no row moves by more than tol, or
-    until the next block would hold more than max_nodes nodes x rows."""
-    slices = max(1, start_slices)
-    prev = _panel_value(g, *_slice_nodes(lo, hi, slices))
+def _refine(parts, n: int, k: int, tol, max_nodes: int, slices: int = 1) -> tuple:
+    """Slice doubling for n integrals of k parts each: the one refinement
+    loop of every integral here.
+
+    ``parts(slices, rows)`` gives the k parts of each integral in the index
+    array ``rows``, each cut into that many slices of 32 nodes, shape
+    ``(len(rows), k)``; ``tol`` maps the first pass to the array of each
+    integral's tolerance.  An integral is refined until none of its parts
+    moved by more than its tolerance, and is then frozen.  The integrals still
+    refining are split over as many calls of ``parts`` as keep each within
+    max_nodes nodes, and the loop stops unconverged once the next doubling
+    of one integral alone would exceed max_nodes.  Returns the parts
+    (n, k), each integral's last change (its parts' largest), and whether
+    every integral converged.
+    """
+    def evaluate(rows):
+        per_call = max(1, max_nodes // (slices * 32 * k))  # integrals per call of parts
+        if rows.size <= per_call:
+            return parts(slices, rows)
+        return np.concatenate([parts(slices, rows[i:i + per_call])
+                               for i in range(0, rows.size, per_call)])
+
+    rows = np.arange(n)  # the integrals still refining
+    prev = evaluate(rows)
+    tol = tol(prev)
+    out = None  # (parts, change) of every integral, once one is frozen early
     while True:
         slices *= 2
-        cur = _panel_value(g, *_slice_nodes(lo, hi, slices))
-        delta = float(np.max(np.abs(cur - prev)))
-        if delta <= tol:
-            return cur
-        if slices * 64 * cur.shape[0] > max_nodes:
-            raise AccuracyError(
-                f"panel [{lo!r}, {hi!r}] did not converge "
-                f"(last refinement changed by {delta!r})",
-                best=cur,
-                bound=delta,
-            )
+        cur = evaluate(rows)
+        delta = np.abs(cur - prev).max(axis=1)
+        done = delta <= tol
+        converged = bool(done.all())
+        if converged or slices * 64 * k > max_nodes:
+            if out is None:
+                return cur, delta, converged
+            out[0][rows], out[1][rows] = cur, delta
+            return (*out, converged)
+        if done.any():  # freeze these at the refinement they converged at
+            out = out or (np.empty((n, k)), np.empty(n))
+            out[0][rows[done]], out[1][rows[done]] = cur[done], delta[done]
+            rows, cur, tol = rows[~done], cur[~done], tol[~done]
         prev = cur
 
 
@@ -464,10 +492,11 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     truncated where the analytic tail bound  2 C Omega^(1-p) / (p - 1)
     drops below half the absolute tolerance, and the interior is
     integrated on geometrically growing panels, each refined until
-    converged.  For a batch, the tail constant, the decay probe and each
-    panel's convergence test take the worst row, so every entry carries
-    the same certificate as a single integral would; g is called one panel
-    at a time, so memory stays at one panel's nodes times n_x.
+    converged (``_refine``, with the batch as one integral of n_x parts).
+    For a batch, the tail constant, the decay probe and each panel's
+    convergence test take the worst row, so every entry carries the same
+    certificate as a single integral would; g is called one panel at a
+    time, so memory stays at one panel's nodes times n_x.
 
     ``osc_hint`` is an optional bound on the phase speed of g in radians
     per unit of w; it seeds each panel with enough slices to resolve the
@@ -476,13 +505,13 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     p = float(tail_order)
     if p <= 1.0:
         raise InvalidParametersError("tail_order must exceed 1")
-    batched = None
+    n_x = None  # the number of rows of a batched g
 
     def paired(w):
-        nonlocal batched
+        nonlocal n_x
         vals = 2.0 * np.real(g(w))
-        batched = vals.ndim == 2
-        return vals if batched else vals[None, :]
+        n_x = len(vals) if vals.ndim == 2 else None
+        return vals if n_x else vals[None, :]
 
     tail_budget = 0.5 * spec.abs_tol
 
@@ -528,5 +557,12 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
         start = 1
         if osc_hint:
             start = max(1, math.ceil((hi - lo) * osc_hint / 40.0))
-        total += _integrate_panel(paired, lo, hi, tol, spec.max_nodes, start)
-    return total.astype(complex) if batched else complex(total[0])
+        cur, delta, converged = _refine(
+            lambda slices, _: _panel_value(paired, *_slice_nodes(lo, hi, slices))[None, :],
+            1, n_x or 1, lambda _: np.full(1, tol), spec.max_nodes, start)
+        if not converged:
+            raise AccuracyError(f"panel [{lo!r}, {hi!r}] did not converge "
+                                f"(last refinement changed by {float(delta[0])!r})",
+                                best=cur[0], bound=float(delta[0]))
+        total += cur[0]
+    return total.astype(complex) if n_x else complex(total[0])

@@ -18,8 +18,9 @@ from ctrwpricer.american import (
     vanilla_exercise_trigger,
 )
 from ctrwpricer.blackscholes import wiener_exercise_boundary, wiener_perpetual_put
-from ctrwpricer.errors import InvalidParametersError
+from ctrwpricer.errors import AccuracyError, InvalidParametersError
 from ctrwpricer.montecarlo import MCConfig, price_american_binary_put_mc
+from ctrwpricer.numerics import QuadSpec
 
 R = 0.04
 
@@ -146,6 +147,25 @@ class TestBatchedSpots:
         assert list(batch) == [binary_put_price(de_model, 0.0, x, t_bar, "closed")
                                for x in self.XS]
         assert list(batch[:2]) == [1.0, 1.0]
+
+    def test_closed_column_error_carries_every_spots_outcome(self, de_model):
+        # at this budget two of the four live spots fail alone: the column
+        # raises with one best value and bound per spot of XS, the exercised
+        # spots carrying 1 and 0 and each live spot its own outcome
+        spec = QuadSpec(rel_tol=1e-13, abs_tol=1e-15, max_nodes=1 << 9)
+        with pytest.raises(AccuracyError) as exc:
+            binary_put_price(de_model, 0.0, np.array(self.XS), 1.0, "closed", spec)
+        best, bound = exc.value.best, exc.value.bound
+        assert best.shape == bound.shape == (len(self.XS),)
+        assert list(best[:2]) == [1.0, 1.0] and list(bound[:2]) == [0.0, 0.0]
+        failed = 0
+        for x, b, e in zip(self.XS[2:], best[2:], bound[2:]):
+            try:
+                assert b == binary_put_price(de_model, 0.0, x, 1.0, "closed", spec)
+            except AccuracyError as alone:
+                failed += 1
+                assert (b, e) == (alone.best, alone.bound)
+        assert failed == 2
 
     @pytest.mark.parametrize("method", ["closed", "laplace"])
     def test_2d_spots_rejected(self, de_model, method):

@@ -16,7 +16,7 @@ import pytest
 import ctrwpricer
 
 from ctrwpricer import american, cli, european, fourier
-from ctrwpricer.cli import build_figure, main, read_meta
+from ctrwpricer.cli import FIGURES, build_figure, main, read_meta
 from ctrwpricer.densities import Family, fit_from_moments
 from ctrwpricer.errors import AccuracyError, ValidationError
 from ctrwpricer.european import (
@@ -532,10 +532,13 @@ class TestFigCommand:
     @pytest.mark.parametrize("edit, named", [
         (lambda meta: meta.pop("K"), "'K'"),
         (lambda meta: meta.update(payoff="nope"), "nope"),
-    ], ids=["missing-key", "unknown-payoff"])
+        (lambda meta: meta.update(K="1"), "'K'"),
+        (lambda meta: meta.update(rho=5), "'rho'"),
+        (lambda meta: meta.update(grid=[0.8, 1.2]), "'grid'"),
+    ], ids=["missing-key", "unknown-payoff", "string-number", "number-for-list", "short-grid"])
     def test_bad_meta_line_exits_2(self, capsys, tmp_path, edit, named):
-        # a meta line is read from a file: a missing key or an unknown
-        # payoff is bad input (exit 2), not a traceback
+        # a meta line is read from a file: a missing key, a value of the
+        # wrong kind or an unknown payoff is bad input (exit 2), not a traceback
         first = tmp_path / "fig1.csv"
         run_json(capsys, "fig", "--figure", "fig1", "--out", str(first))
         meta, body = first.read_text().split("\n", 1)
@@ -554,6 +557,19 @@ class TestFigCommand:
         bare.write_text("s_over_k,price\n1.0,0.5\n")
         with pytest.raises(ValidationError):
             read_meta(str(bare))
+
+    @pytest.mark.parametrize("line", ["# {not json\n", "# [1, 2]\n", None])
+    def test_meta_line_not_a_json_object_rejected(self, tmp_path, line):
+        bad = tmp_path / "bad.csv"
+        if line is not None:  # None: no such file
+            bad.write_text(line + "s_over_k,price\n1.0,0.5\n")
+        with pytest.raises(ValidationError):
+            read_meta(str(bad))
+
+    def test_meta_line_with_unknown_family_rejected(self):
+        meta = dict(FIGURES["fig4"][1], figure="fig4", families=["exp", "nope"])
+        with pytest.raises(ValidationError, match="nope"):
+            build_figure(meta=meta)
 
     def test_unknown_figure_rejected_by_parser(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -269,40 +269,39 @@ class TestBatchedSemiInfinite:
 
     WS = np.array([0.0, 5.0, 20.0, 60.0])
 
-    def damped_rows(self, u, rows=None):
-        # row i is e^{-u} cos(w_i u): the faster rows need finer slices
-        w = (self.WS if rows is None else self.WS[rows])[:, None]
+    @staticmethod
+    def damped(u, w):
+        # e^{-u} cos(w u), a row per frequency: the faster rows need finer slices
         return np.exp(-u) * np.cos(w * u)
 
     def test_rows_equal_single_integrals(self):
         asked = []
 
-        def g(u, rows=None):
-            asked.append(rows)
-            return self.damped_rows(u, rows)
+        def g(u, w):
+            asked.append(np.size(w))
+            return self.damped(u, w)
 
         bumps = [(0.0, 1.0)]
-        batch = integrate_semi_infinite(g, bumps=bumps)
+        batch = integrate_semi_infinite(g, bumps=bumps, params=(self.WS,))
         assert batch.shape == self.WS.shape
-        singles = [integrate_semi_infinite(lambda u: self.damped_rows(u, [i])[0], bumps=bumps)
-                   for i in range(len(self.WS))]
+        singles = [integrate_semi_infinite(lambda u: self.damped(u, w), bumps=bumps)
+                   for w in self.WS]
         assert list(batch) == singles
         w, top = self.WS, 14.0  # the truncation point of the (0, 1) bump
         exact = (1.0 - np.exp(-top) * (np.cos(w * top) - w * np.sin(w * top))) / (1.0 + w * w)
         assert np.max(np.abs(batch - exact)) <= 1e-9
         # the rows converge at different refinements: once one is frozen,
         # only the rest are evaluated
-        assert any(rows is not None and len(rows) < len(self.WS) for rows in asked)
+        assert any(size < len(self.WS) for size in asked)
 
     def test_non_converging_row_raises_with_per_row_arrays(self):
         # row 1 jumps at u = 1/3, which no refinement within 4096 nodes resolves
-        def g(u, rows=None):
-            block = np.vstack([np.exp(-u), (u < 1.0 / 3.0).astype(float)])
-            return block if rows is None else block[rows]
+        def g(u, step):  # step: 0 for the smooth row, 1 for the jump
+            return np.where(step, (u < 1.0 / 3.0).astype(float), np.exp(-u))
 
         spec = QuadSpec(max_nodes=4096)
         with pytest.raises(AccuracyError) as exc:
-            integrate_semi_infinite(g, spec, bumps=[(0.0, 1.0)])
+            integrate_semi_infinite(g, spec, bumps=[(0.0, 1.0)], params=(np.array([0.0, 1.0]),))
         best, bound = exc.value.best, exc.value.bound
         assert best.shape == bound.shape == (2,)
         assert best[0] == integrate_semi_infinite(lambda u: np.exp(-u), spec, bumps=[(0.0, 1.0)])
@@ -312,6 +311,24 @@ class TestBatchedSemiInfinite:
                                     bumps=[(0.0, 1.0)])
         assert (best[1], bound[1]) == (alone.value.best, alone.value.bound)
         assert abs(best[1] - 1.0 / 3.0) <= bound[1]
+
+    def test_wide_column_stays_within_the_node_budget(self):
+        # every call of g, the first one-slice pass included, holds at most
+        # max_nodes nodes x spots, however many spots the column has
+        ws = np.linspace(0.0, 3.0, 2000)
+        spec = QuadSpec(max_nodes=1 << 12)
+        sizes = []
+
+        def g(u, w):
+            sizes.append(u.size * np.size(w))
+            return np.exp(-u) * np.cos(w * u)
+
+        batch = integrate_semi_infinite(g, spec, bumps=[(0.0, 1.0)], params=(ws,))
+        assert max(sizes) <= spec.max_nodes
+        for i in (0, 999, 1999):
+            single = integrate_semi_infinite(lambda u: np.exp(-u) * np.cos(ws[i] * u), spec,
+                                             bumps=[(0.0, 1.0)])
+            assert batch[i] == single
 
     def test_column_budget_counts_only_rows_still_refining(self):
         # fig2's rho = 2 market at tight tolerances: 2^10 nodes is the
