@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fourier
 from .densities import mean_var
-from .errors import BranchInconsistencyError, InvalidParametersError
+from .errors import AccuracyError, BranchInconsistencyError, InvalidParametersError
 from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
@@ -233,8 +233,13 @@ def _legs_closed(m: MarketParams, k: float, x, t_bar: float, legs, spec: QuadSpe
         return 2.0 * bessel_i1_scaled(two_u) * total
 
     bumps = [(centre, math.sqrt(centre / 2.0) + 1e-12) for _, centre, _ in kernels]
-    return intrinsic * math.exp(-(lam + r) * t_bar) \
-        + integrate_semi_infinite(integrand, spec, bumps=bumps, params=((x - k) * s2, *shifts))
+    stays = intrinsic * math.exp(-(lam + r) * t_bar)  # no jump before expiry
+    try:
+        return stays + integrate_semi_infinite(integrand, spec, bumps=bumps,
+                                               params=((x - k) * s2, *shifts))
+    except AccuracyError as exc:  # the estimate of the price, not of the integral alone
+        exc.best = stays + np.reshape(exc.best, np.shape(x))
+        raise
 
 
 def binary_call_laplace(m: MarketParams, k: float, x, s):
@@ -307,9 +312,15 @@ def european_price(m: MarketParams, c: Contract, x,
 
     def priced(xs):
         x = as_rows(xs)
-        value = price(x)
         if call is c.kind:
-            return value
+            return price(x)
+        try:
+            value = price(x)
+        except AccuracyError as exc:  # the put's estimate; parity moves it by the call's error
+            if exc.best is not None:
+                exc.best = put_price_from_parity(m, np.reshape(exc.best, np.shape(x)), c.kind,
+                                                 x, c.strike, t_bar)
+            raise
         return put_price_from_parity(m, value, c.kind, x, c.strike, t_bar)
     return over_spots(priced, x)
 

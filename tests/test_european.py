@@ -470,6 +470,23 @@ class TestSpotColumns:
                 assert (b, e) == (alone.best, alone.bound)
         assert best[4] == european_price(m, c, 0.0, spec=spec)
 
+    def test_put_error_carries_the_puts_estimate(self):
+        # a put that does not converge reports its own estimate, the call's
+        # moved by parity, with the call's bound: for one spot and a column
+        m = MarketParams.from_rho_sigma(2.0, R, 0.1)
+        spec = QuadSpec(rel_tol=1e-13, abs_tol=1e-15, max_nodes=1 << 9)
+        call, put = (Contract(kind, 1.0, 0.25) for kind in (PayoffKind.VANILLA_CALL,
+                                                             PayoffKind.VANILLA_PUT))
+        for x in (math.log(0.8), np.log([0.8, 1.2])):
+            with pytest.raises(AccuracyError) as c_exc:
+                european_price(m, call, x, spec=spec)
+            with pytest.raises(AccuracyError) as p_exc:
+                european_price(m, put, x, spec=spec)
+            want = put_price_from_parity(m, c_exc.value.best, PayoffKind.VANILLA_PUT, x, 1.0, 0.25)
+            np.testing.assert_array_equal(p_exc.value.best, want)
+            np.testing.assert_array_equal(p_exc.value.bound, c_exc.value.bound)
+            assert np.max(np.abs(p_exc.value.best - european_price(m, put, x))) <= 1e-9
+
     def test_two_dimensional_spots_rejected(self, de_model):
         with pytest.raises(InvalidParametersError):
             european_price(de_model, Contract(PayoffKind.BINARY_CALL, 1.0, 0.25),
