@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import AccuracyError, InvalidParametersError
+from .errors import InvalidParametersError
 from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
@@ -24,6 +24,7 @@ from .numerics import (
     integrate_semi_infinite,
     laplace_invert,
     log_normal_cdf,
+    mapped,
     normal_cdf,
     over_spots,
 )
@@ -80,15 +81,12 @@ def _continuation(k: float, t_bar: float, price):
         prices, live = exercised.astype(float), ~exercised
         if t_bar == 0.0 or not live.any():
             return prices
-        try:
-            prices[live] = np.ravel(price(as_rows(xs[live])))
-        except AccuracyError as exc:
-            if exc.best is not None:
-                best, bound = prices.copy(), np.zeros(xs.shape)
-                best[live], bound[live] = exc.best, exc.bound
-                exc.best, exc.bound = best, bound
-            raise
-        return prices
+
+        def onto(spots, live_values):  # every spot of xs, the live ones from live_values
+            spots[live] = np.ravel(live_values)
+            return spots
+        return mapped(lambda: price(as_rows(xs[live])), lambda values: onto(prices, values),
+                      lambda bound: onto(np.zeros(xs.shape), bound))
     return priced
 
 

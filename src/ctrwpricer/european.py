@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fourier
 from .densities import mean_var
-from .errors import AccuracyError, BranchInconsistencyError, InvalidParametersError
+from .errors import BranchInconsistencyError, InvalidParametersError
 from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
@@ -39,6 +39,7 @@ from .numerics import (
     bessel_i1_scaled,
     integrate_semi_infinite,
     laplace_invert,
+    mapped,
     normal_cdf,
     over_spots,
 )
@@ -234,12 +235,9 @@ def _legs_closed(m: MarketParams, k: float, x, t_bar: float, legs, spec: QuadSpe
 
     bumps = [(centre, math.sqrt(centre / 2.0) + 1e-12) for _, centre, _ in kernels]
     stays = intrinsic * math.exp(-(lam + r) * t_bar)  # no jump before expiry
-    try:
-        return stays + integrate_semi_infinite(integrand, spec, bumps=bumps,
-                                               params=((x - k) * s2, *shifts))
-    except AccuracyError as exc:  # the estimate of the price, not of the integral alone
-        exc.best = stays + np.reshape(exc.best, np.shape(x))
-        raise
+    return mapped(lambda: integrate_semi_infinite(integrand, spec, bumps=bumps,
+                                                  params=((x - k) * s2, *shifts)),
+                  lambda integral: stays + integral)
 
 
 def binary_call_laplace(m: MarketParams, k: float, x, s):
@@ -302,8 +300,8 @@ def european_price(m: MarketParams, c: Contract, x,
     k, t_bar, legs = c.log_strike, c.t_bar, _LEGS[call](c.strike)
     if method is PriceMethod.LAPLACE and t_bar > 0.0:
         def price(x):  # one value per row of x, in its shape
-            return laplace_invert(lambda s: _legs_laplace(m, k, x, s, legs),
-                                  t_bar, spec).reshape(np.shape(x))
+            return mapped(lambda: laplace_invert(lambda s: _legs_laplace(m, k, x, s, legs),
+                                                 t_bar, spec), lambda v: v.reshape(np.shape(x)))
     elif method in (PriceMethod.CLOSED, PriceMethod.LAPLACE):  # Laplace at expiry too
         def price(x):
             return _legs_closed(m, k, x, t_bar, legs, spec)
@@ -314,14 +312,9 @@ def european_price(m: MarketParams, c: Contract, x,
         x = as_rows(xs)
         if call is c.kind:
             return price(x)
-        try:
-            value = price(x)
-        except AccuracyError as exc:  # the put's estimate; parity moves it by the call's error
-            if exc.best is not None:
-                exc.best = put_price_from_parity(m, np.reshape(exc.best, np.shape(x)), c.kind,
-                                                 x, c.strike, t_bar)
-            raise
-        return put_price_from_parity(m, value, c.kind, x, c.strike, t_bar)
+        # the put and its estimate; parity moves the estimate by the call's error
+        return mapped(lambda: price(x), lambda call_price: put_price_from_parity(
+            m, call_price, c.kind, x, c.strike, t_bar))
     return over_spots(priced, x)
 
 

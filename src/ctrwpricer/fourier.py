@@ -30,16 +30,16 @@ h~ behaves at large frequency:
   claim exactly by conditioning on the net jump count and should be
   preferred.
 
-The spot enters only through the phase e^{-iwx}.  Both pricers therefore
-take x as a float or as a 1-D array of log-prices: the frequency factor
-F(w) = Phi~(w) weight(h~(-w)) / 2pi is evaluated once per quadrature node,
-at w >= 0 only, and turned into the real (n_x, nodes) block
-Re(F(w) e^{-iwx}).  Phi~ and h~ are transforms of real functions, so the
-integrand is Hermitian and its integral over the line is that of twice
-its real part over w >= 0.  The grid is refined until the worst spot has
-converged, so every price keeps the certificate a single-spot call would
-give.  The figure builders price one column (one market, all spots) per
-call.
+The spot enters only through the phase e^{-iwx}.  Both pricers take x as
+a float or a 1-D array of log-prices through ``numerics.over_spots`` and
+price the array in one go: F(w) = Phi~(w) weight(h~(-w)) / 2pi is
+evaluated once per quadrature node, at w >= 0 only, and turned into the
+real (n_x, nodes) block Re(F(w) e^{-iwx}).  Phi~ and h~ are transforms of
+real functions, so the integrand is Hermitian and its integral over the
+line is that of twice its real part over w >= 0.  The grid is refined
+until the worst spot has converged, so every price keeps the certificate
+a single-spot call would give, and an AccuracyError carries that one
+bound for every spot.  The figure builders price one column per call.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ from .numerics import (
     expm1_ratio,
     integrate_panels,
     integrate_real_line,
+    over_spots,
     poisson_difference_pmf,
-    spots,
 )
 from .riskneutral import MarketParams
 
@@ -175,27 +175,21 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
         raise InvalidParametersError("the transform route needs a payoff with a transform")
     if t_bar < 0:
         raise InvalidParametersError("remaining time must be non-negative")
-    xs, shaped = spots(x)
-    lam, r, d = params.lam, params.r, params.density
     if t_bar == 0.0:
-        return shaped(payoff.value(xs))
+        return over_spots(payoff.value, x)
 
+    lam, r, d = params.lam, params.r, params.density
     lt = lam * t_bar
     disc = math.exp(-r * t_bar)
     fam = d.family
+    split_one_jump = fam is Family.CONSTANT
 
     if fam is Family.PARETO_HALF:
-        atom = 0.0
         extra = 0.0
 
         def weight(h):
             return disc * np.exp(-lt * (1.0 - h))
     else:
-        atom = math.exp(-lt) * disc * payoff.value(xs)
-        split_one_jump = fam is Family.CONSTANT
-        if split_one_jump:
-            atom += lt * math.exp(-lt) * disc * np.array(
-                [_one_jump_average(payoff, xi, d.a, d.b, spec) for xi in xs])
         extra = 2.0 if fam in _DECAYING_FAMILIES or split_one_jump else 0.0
 
         # both forms leave out the one-jump term lt h when it is in the atom
@@ -208,14 +202,21 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
             def weight(h):
                 return disc * (np.exp(lt * (h - 1.0)) - math.exp(-lt) * (1.0 + lt_one * h))
 
-    def integrand(w):
-        w = np.asarray(w, dtype=float)
-        f = payoff.transform(w) * weight(char_fn(d, -w)) / (2.0 * math.pi)
-        return _phase_block(f, w, xs)
+    def priced(xs):
+        atom = 0.0 if fam is Family.PARETO_HALF else math.exp(-lt) * disc * payoff.value(xs)
+        if split_one_jump:
+            atom += lt * math.exp(-lt) * disc * np.array(
+                [_one_jump_average(payoff, xi, d.a, d.b, spec) for xi in xs])
 
-    hint = _osc_hint(payoff, xs, lt * abs(mean_var(d)[0]))
-    val = integrate_real_line(integrand, _TAIL_ORDER + extra, spec, osc_hint=hint)
-    return shaped(atom + val.real)
+        def integrand(w):
+            w = np.asarray(w, dtype=float)
+            f = payoff.transform(w) * weight(char_fn(d, -w)) / (2.0 * math.pi)
+            return _phase_block(f, w, xs)
+
+        hint = _osc_hint(payoff, xs, lt * abs(mean_var(d)[0]))
+        val = integrate_real_line(integrand, _TAIL_ORDER + extra, spec, osc_hint=hint)
+        return atom + val.real
+    return over_spots(priced, x)
 
 
 def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
@@ -235,18 +236,19 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
         raise InvalidParametersError("net-count conditioning applies to the two-point law")
     if t_bar < 0:
         raise InvalidParametersError("remaining time must be non-negative")
-    xs, shaped = spots(x)
     if t_bar == 0.0:
-        return shaped(payoff.value(xs))
+        return over_spots(payoff.value, x)
 
-    up = params.lam * t_bar * d.a
-    down = params.lam * t_bar * (1.0 - d.a)
-    total = up + down
-    # the net count is bounded by the total count, and Poisson(total) mass
-    # beyond total + 12 sqrt(total) + 30 - log10(tail_mass) is negligible
-    m_max = int(math.ceil(total + 12.0 * math.sqrt(total) + 30.0 - math.log10(tail_mass)))
-    m = np.arange(-m_max, m_max + 1)
-    pmf = poisson_difference_pmf(m_max, up, down)
-    values = payoff.value(xs[:, None] + d.b * m[None, :])
-    # a row-wise sum, so a spot's price does not depend on the other spots
-    return shaped(math.exp(-params.r * t_bar) * (values * pmf).sum(axis=1))
+    def priced(xs):
+        up = params.lam * t_bar * d.a
+        down = params.lam * t_bar * (1.0 - d.a)
+        total = up + down
+        # the net count is bounded by the total count, and Poisson(total) mass
+        # beyond total + 12 sqrt(total) + 30 - log10(tail_mass) is negligible
+        m_max = int(math.ceil(total + 12.0 * math.sqrt(total) + 30.0 - math.log10(tail_mass)))
+        m = np.arange(-m_max, m_max + 1)
+        pmf = poisson_difference_pmf(m_max, up, down)
+        values = payoff.value(xs[:, None] + d.b * m[None, :])
+        # a row-wise sum, so a spot's price does not depend on the other spots
+        return math.exp(-params.r * t_bar) * (values * pmf).sum(axis=1)
+    return over_spots(priced, x)

@@ -18,7 +18,9 @@ its integrand each spot's constants as rows (``as_rows``: a single spot's
 as floats), refines each spot until its own tolerance holds and freezes
 it there, as its single integral would stop, and splits every call of the
 integrand to fit the node budget; the real-line integral holds the whole
-batch to its worst row.  Special functions are thin wrappers over
+batch to its worst row.  Every pricer takes its spots through one
+adapter (``over_spots``), and every estimate in an AccuracyError is mapped
+as its price is (``mapped``).  Special functions are thin wrappers over
 scipy.special, which the first of them to run imports: only the
 exponential closed forms, Black-Scholes and the Gumbel law need it, and it
 takes longer to import than numpy and this package together.
@@ -48,8 +50,8 @@ __all__ = [
     "expm1_complex",
     "expm1_ratio",
     "poisson_difference_pmf",
-    "spots",
     "as_rows",
+    "mapped",
     "over_spots",
     "integrate_semi_infinite",
     "integrate_panels",
@@ -159,17 +161,6 @@ def poisson_difference_pmf(m_max: int, up: float, down: float) -> np.ndarray:
     return np.correlate(pmf(up), pmf(down), "full")
 
 
-def spots(x):
-    """x as a 1-D array of log-prices, and a function that shapes a price
-    array like x (a float for a scalar x); a 2-D x raises."""
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 0:
-        return xs.reshape(1), lambda prices: float(prices[0])
-    if xs.ndim != 1:
-        raise InvalidParametersError("x must be a scalar or a 1-D array of log-prices")
-    return xs, lambda prices: prices
-
-
 def as_rows(x):
     """Values, one per spot, as rows: an (n, 1) column, or for one spot its
     float, which numpy combines with an array on its faster scalar path.
@@ -181,17 +172,38 @@ def as_rows(x):
     return float(x.ravel()[0]) if x.size == 1 else x.reshape(-1, 1)
 
 
-def over_spots(price, x):
-    """``price`` of x's log-prices as a 1-D array (``spots``), shaped like x:
-    a float for a scalar x.  An AccuracyError that carries one best value
-    and bound per spot is shaped like x too."""
-    xs, shaped = spots(x)
+def mapped(value, post, post_bound=None):
+    """``post(value())``.  An AccuracyError from ``value`` that carries an
+    estimate leaves with ``post`` of its best value and, given ``post_bound``,
+    that of its bound: the estimate of the mapped price, not of ``value``."""
     try:
-        return shaped(np.asarray(price(xs)).reshape(xs.shape))
+        result = value()
     except AccuracyError as exc:
-        if exc.best is not None and np.size(exc.best) == xs.size:
-            exc.best, exc.bound = (shaped(np.reshape(a, xs.shape)) for a in (exc.best, exc.bound))
+        if exc.best is not None:
+            exc.best = post(exc.best)
+            if post_bound is not None:
+                exc.bound = post_bound(exc.bound)
         raise
+    return post(result)
+
+
+def over_spots(price, x):
+    """``price`` of x's log-prices as a 1-D array, shaped like x (a float for
+    a scalar x), and so is an AccuracyError's estimate, one entry per spot or
+    one for all.  A non-finite or 2-D x raises InvalidParametersError; an
+    empty column prices to an empty array without calling ``price``."""
+    xs = np.asarray(x, dtype=float)
+    if not (math.isfinite(xs) if xs.ndim == 0 else xs.ndim == 1 and np.isfinite(xs).all()):
+        raise InvalidParametersError("x must be a finite log-price or a 1-D array of them")
+    if xs.size == 0:
+        return np.empty(0)
+
+    def shaped(a):
+        a = np.asarray(a).reshape(-1)
+        if xs.ndim == 0:
+            return float(a[0])
+        return a if a.size == xs.size else np.full(xs.shape, a[0])
+    return mapped(lambda: price(xs.reshape(-1)), shaped, shaped)
 
 
 # ----------------------------------------------------------------------
@@ -326,12 +338,8 @@ def laplace_invert(f, t: float, spec: QuadSpec = DEFAULT_QUAD):
 # quadrature
 # ----------------------------------------------------------------------
 
-def integrate_semi_infinite(
-    g,
-    spec: QuadSpec = DEFAULT_QUAD,
-    bumps: Sequence[tuple[float, float]] | None = None,
-    params: tuple | None = None,
-):
+def integrate_semi_infinite(g, spec: QuadSpec = DEFAULT_QUAD, *,
+                            bumps: Sequence[tuple[float, float]], params: tuple | None = None):
     """Integrate g over (0, infinity) for integrands with known mass location.
 
     ``g`` is one integrand or, given ``params``, one per spot, as
@@ -342,8 +350,6 @@ def integrate_semi_infinite(
     up to it with panel edges at 0 and at each bump's center and left edge
     (``center - 14 * width``), one grid for all spots.
     """
-    if bumps is None:
-        bumps = [(0.0, 1.0)]
     if not bumps or any(w <= 0 for _, w in bumps):
         raise InvalidParametersError("each bump needs a positive width")
     upper = max(c + 14.0 * w for c, w in bumps)
@@ -367,8 +373,8 @@ def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD,
     max(abs_tol, rel_tol |value|), |value| from a one-slice pass, and the
     spot is then frozen, so each entry equals its single integral.  No call
     of g holds more than max_nodes nodes x panels x spots, and AccuracyError
-    (per spot the sum, and the summed last changes as its bound) is raised
-    only where one spot alone would exceed that.
+    (the sums, and the summed last changes as their bound, shaped as the
+    result) is raised only where one spot alone would exceed that.
     """
     e = np.asarray(edges, dtype=float)
     lo, width = e[:-1, None], np.diff(e)[:, None]
@@ -388,16 +394,16 @@ def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD,
     def tol(first):
         return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(first.sum(axis=1))) / n_p
 
+    def shaped(a):  # one entry per spot, as the result is shaped
+        return float(a[0]) if params is None else a.reshape(np.shape(params[0]))
+
     parts, change, converged = _refine(panels, n_x, n_p, tol, spec.max_nodes)
     total = parts.sum(axis=1)
     if not converged:
-        best, bound = total, n_p * change
-        if params is None:
-            best, bound = float(best[0]), float(bound[0])
         raise AccuracyError(f"quadrature over [{edges[0]!r}, {edges[-1]!r}] did not converge "
                             f"(a panel last moved by {float(change.max())!r})",
-                            best=best, bound=bound)
-    return float(total[0]) if params is None else total.reshape(np.shape(params[0]))
+                            best=shaped(total), bound=shaped(n_p * change))
+    return shaped(total)
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)

@@ -22,6 +22,7 @@ from ctrwpricer.cli import FIGURES
 from ctrwpricer.errors import AccuracyError, InvalidParametersError
 from ctrwpricer.european import (
     beta_pm,
+    binary_call_closed,
     binary_call_laplace,
     binary_call_price,
     log_return_moments,
@@ -440,6 +441,16 @@ class TestSpotColumns:
         column = european_price(de_model, c, xs, method)
         assert list(column) == [european_price(de_model, c, float(x), method) for x in xs]
         assert list(european_price(de_model, c, list(xs), method)) == list(column)
+
+    @pytest.mark.parametrize("t_bar", [0.0, 0.25])
+    def test_binary_call_closed_equals_european_price(self, de_model, t_bar):
+        c = Contract(PayoffKind.BINARY_CALL, 1.1, t_bar)
+        xs = np.log([0.5, 1.1, 2.0])
+        column = binary_call_closed(de_model, c.log_strike, xs, t_bar)
+        assert list(column) == list(european_price(de_model, c, xs, PriceMethod.CLOSED))
+        one = binary_call_closed(de_model, c.log_strike, float(xs[0]), t_bar)
+        assert type(one) is float
+        assert one == european_price(de_model, c, float(xs[0]), PriceMethod.CLOSED)
 
     def test_transform_rows_equal_scalar_transforms(self, de_model):
         xs = np.array([-0.3, 0.0, 0.2])

@@ -29,8 +29,8 @@ from ctrwpricer.numerics import (
     laplace_invert_talbot,
     log_normal_cdf,
     normal_cdf,
+    over_spots,
     poisson_difference_pmf,
-    spots,
 )
 from ctrwpricer.riskneutral import MarketParams
 
@@ -85,6 +85,11 @@ class TestLaplaceInversion:
     def test_invalid_time_rejected(self):
         with pytest.raises(InvalidParametersError):
             laplace_invert(lambda s: 1.0 / s, 0.0)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0])
+    def test_euler_invalid_time_rejected(self, t):
+        with pytest.raises(InvalidParametersError):
+            laplace_invert_euler(lambda s: 1.0 / s, t)
 
     def test_deterministic(self):
         f = lambda s: 1.0 / (s + 0.3) ** 2
@@ -232,6 +237,11 @@ class TestSemiInfiniteQuadrature:
 
         integrate_semi_infinite(g, bumps=[(0.0, 4.0)])
         assert min(sizes) >= 32
+
+    @pytest.mark.parametrize("bumps", [[(0.0, 0.0)], [(1.0, 1.0), (0.0, -1.0)], []])
+    def test_non_positive_bump_width_rejected(self, bumps):
+        with pytest.raises(InvalidParametersError):
+            integrate_semi_infinite(lambda u: np.exp(-u), bumps=bumps)
 
     def test_non_converging_panel_raises_with_finite_bound(self):
         # a jump at u = 1/3 is never resolved to 1e-10 within 4096 nodes
@@ -412,6 +422,19 @@ class TestRealLineQuadrature:
         with pytest.raises(TailBoundError):
             integrate_real_line(g, 3.0, QuadSpec(rel_tol=1e-9, abs_tol=1e-8))
 
+    def test_decay_probe_contradiction_detected(self):
+        # quartic decay up to the truncation point, then a bump near w = 1000
+        # that only the probe beyond it samples
+        g = lambda w: 1.0 / (1.0 + w * w) ** 2 + 1e-3 * np.exp(-(((w - 1000.0) / 50.0) ** 2))
+        with pytest.raises(TailBoundError, match="contradicts") as exc:
+            integrate_real_line(g, 4.0, QuadSpec(abs_tol=1e-6))
+        assert exc.value.best is None and exc.value.bound > 0.0
+
+    @pytest.mark.parametrize("tail_order", [1.0, 0.5])
+    def test_tail_order_must_exceed_one(self, tail_order):
+        with pytest.raises(InvalidParametersError):
+            integrate_real_line(lambda w: 1.0 / (1.0 + w * w), tail_order, DEFAULT_QUAD)
+
     def test_scalar_integrand_returns_complex_scalar(self):
         val = integrate_real_line(lambda w: np.exp(-0.5 * w * w), 4.0, DEFAULT_QUAD)
         assert isinstance(val, complex)
@@ -462,19 +485,23 @@ class TestRealLineQuadrature:
 
 class TestSpots:
     def test_scalar_gives_a_float(self):
-        xs, shaped = spots(0.5)
-        assert xs.shape == (1,)
-        price = shaped(2.0 * xs)
-        assert type(price) is float and price == 1.0
+        shapes = []
+
+        def price(xs):
+            shapes.append(xs.shape)
+            return 2.0 * xs
+        value = over_spots(price, 0.5)
+        assert shapes == [(1,)]
+        assert type(value) is float and value == 1.0
 
     def test_column_keeps_its_shape(self):
-        xs, shaped = spots([0.1, 0.2, 0.3])
-        assert xs.dtype == float
-        np.testing.assert_array_equal(shaped(xs), [0.1, 0.2, 0.3])
+        prices = over_spots(lambda xs: xs, [0.1, 0.2, 0.3])
+        assert prices.dtype == float
+        np.testing.assert_array_equal(prices, [0.1, 0.2, 0.3])
 
     def test_two_dimensional_rejected(self):
         with pytest.raises(InvalidParametersError):
-            spots(np.zeros((2, 2)))
+            over_spots(lambda xs: xs, np.zeros((2, 2)))
 
 
 class TestQuadSpec:
