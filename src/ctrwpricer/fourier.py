@@ -58,6 +58,7 @@ from .numerics import (
     expm1_ratio,
     integrate_panels,
     integrate_real_line,
+    mapped,
     over_spots,
     poisson_difference_pmf,
 )
@@ -140,8 +141,13 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
 def _phase_block(f, w, xs):
     """(n_x, nodes) block Re(f(w) e^{-iwx}), one row per spot: the real
     part of the integrand, which is all a Hermitian integral reads."""
-    phase = np.outer(xs, w)
-    return f.real * np.cos(phase) + f.imag * np.sin(phase)
+    phase = np.multiply.outer(xs, w)
+    block = np.cos(phase)
+    block *= f.real
+    np.sin(phase, out=phase)
+    phase *= f.imag
+    block += phase
+    return block
 
 
 def _one_jump_average(payoff: Payoff, x: float, lo: float, hi: float,
@@ -214,8 +220,9 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
             return _phase_block(f, w, xs)
 
         hint = _osc_hint(payoff, xs, lt * abs(mean_var(d)[0]))
-        val = integrate_real_line(integrand, _TAIL_ORDER + extra, spec, osc_hint=hint)
-        return atom + val.real
+        return mapped(lambda: integrate_real_line(integrand, _TAIL_ORDER + extra, spec,
+                                                  osc_hint=hint),
+                      lambda val: atom + val.real)
     return over_spots(priced, x)
 
 

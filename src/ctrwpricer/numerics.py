@@ -18,12 +18,14 @@ its integrand each spot's constants as rows (``as_rows``: a single spot's
 as floats), refines each spot until its own tolerance holds and freezes
 it there, as its single integral would stop, and splits every call of the
 integrand to fit the node budget; the real-line integral holds the whole
-batch to its worst row.  Every pricer takes its spots through one
-adapter (``over_spots``), and every estimate in an AccuracyError is mapped
-as its price is (``mapped``).  Special functions are thin wrappers over
-scipy.special, which the first of them to run imports: only the
-exponential closed forms, Black-Scholes and the Gumbel law need it, and it
-takes longer to import than numpy and this package together.
+batch to its worst row and refines all its panels together, one call of
+the integrand per round within the node budget.  Every pricer takes its
+spots through one adapter (``over_spots``), and every estimate in an
+AccuracyError is mapped as its price is (``mapped``).  Special functions
+are thin wrappers over scipy.special, which the first of them to run
+imports: only the exponential closed forms, Black-Scholes and the Gumbel
+law need it, and it takes longer to import than numpy and this package
+together.
 """
 
 from __future__ import annotations
@@ -391,7 +393,7 @@ def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD,
             return (width * vals.reshape(-1, n_p, t.size)).reshape(-1, t.size)
         return _panel_value(block, *_unit_slice_nodes(slices)).reshape(-1, n_p)
 
-    def tol(first):
+    def tol(first, _):
         return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(first.sum(axis=1))) / n_p
 
     def shaped(a):  # one entry per spot, as the result is shaped
@@ -409,12 +411,17 @@ def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD,
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
-def _slice_nodes(lo: float, hi: float, slices: int) -> tuple:
+def _slice_nodes(lo, hi, slices) -> tuple:
     """Half a slice's width and the 32-point Gauss-Legendre nodes of
-    [lo, hi] cut into equal slices."""
+    [lo, hi] cut into equal slices.  Given arrays, panel i is [lo[i], hi[i]]
+    in slices[i] slices: its half-width is the i-th, its nodes come i-th in
+    the concatenation, and each is what the panel alone would give."""
     half = 0.5 * (hi - lo) / slices
-    mid = lo + half * (2.0 * np.arange(slices) + 1.0)[:, None]
-    return half, (mid + half * _GL_NODES[None, :]).ravel()
+    panel = np.repeat(np.arange(np.size(half)), slices)  # the panel of each slice
+    j = np.arange(panel.size) - np.repeat(np.cumsum(slices) - slices, slices)
+    h = np.reshape(half, -1)[panel][:, None]
+    mid = np.reshape(lo, -1)[panel][:, None] + h * (2.0 * j + 1.0)[:, None]
+    return half, (mid + h * _GL_NODES[None, :]).ravel()
 
 
 @functools.lru_cache(maxsize=16)
@@ -431,52 +438,80 @@ def _panel_value(g, half: float, nodes: np.ndarray) -> np.ndarray:
 
     ``g`` returns an (n_x, nodes) block; the result has one entry per row.
     """
-    vals = g(nodes)
+    return _gl_sum(g(nodes), half)
+
+
+def _gl_sum(vals: np.ndarray, half: float) -> np.ndarray:
+    """The composite rule's sum over an (n_x, nodes) block of one panel's
+    values, one entry per row."""
     return (vals.reshape(vals.shape[0], -1, _GL_NODES.size) @ _GL_WEIGHTS).sum(axis=1) * half
 
 
-def _refine(parts, n: int, k: int, tol, max_nodes: int, slices: int = 1) -> tuple:
+def _refine(parts, n: int, k: int, tol, max_nodes: int, start=1) -> tuple:
     """Slice doubling for n integrals of k parts each: the one refinement
     loop of every integral here.
 
-    ``parts(slices, rows)`` gives the k parts of each integral in the index
-    array ``rows``, each cut into that many slices of 32 nodes, shape
-    ``(len(rows), k)``; ``tol`` maps the first pass to the array of each
-    integral's tolerance.  An integral is refined until none of its parts
-    moved by more than its tolerance, and is then frozen.  The integrals still
-    refining are split over as many calls of ``parts`` as keep each within
-    max_nodes nodes, and the loop stops unconverged once the next doubling
-    of one integral alone would exceed max_nodes.  Returns the parts
-    (n, k), each integral's last change (its parts' largest), and whether
-    every integral converged.
+    ``start`` is each integral's first slice count, one int for all or an
+    array of n; pass m (1, 2, 4, ...) cuts each integral into m x start
+    slices of 32 nodes.  ``parts(m, rows)`` gives pass m of the k
+    parts of each integral in the index array ``rows``, shape
+    ``(len(rows), k)``; ``tol(first, rows)`` maps their first pass to the
+    array of their tolerances.  Each pass evaluates every integral still
+    refining, in as few calls of ``parts`` as keep each within max_nodes
+    nodes x parts.  An integral is refined until none of its parts moved
+    by more than its tolerance, and is then frozen.  One whose first pass
+    alone would exceed max_nodes is never evaluated (its parts stay 0),
+    and the loop stops unconverged once the next doubling of one integral
+    alone would exceed max_nodes.  Returns the parts (n, k), each
+    integral's last change (its parts' largest; inf before a second pass),
+    and whether every integral converged.
     """
-    def evaluate(rows):
-        per_call = max(1, max_nodes // (slices * 32 * k))  # integrals per call of parts
-        if rows.size <= per_call:
-            return parts(slices, rows)
-        return np.concatenate([parts(slices, rows[i:i + per_call])
-                               for i in range(0, rows.size, per_call)])
+    unit = start * (32 * k)  # nodes x parts of each first pass: an int for all, or an array
+    shared = isinstance(unit, int)
 
-    rows = np.arange(n)  # the integrals still refining
-    prev = evaluate(rows)
-    tol = tol(prev)
-    out = None  # (parts, change) of every integral, once one is frozen early
-    while True:
-        slices *= 2
-        cur = evaluate(rows)
+    def evaluate(rows, m):
+        cost = (unit if shared else unit[rows]) * m
+        if (cost * rows.size if shared else cost.sum()) <= max_nodes:
+            return parts(m, rows)
+        cuts, used = [0], 0  # greedy: each call takes integrals while they fit
+        for i, c in enumerate(np.broadcast_to(cost, rows.shape)):
+            if used + c > max_nodes and i > cuts[-1]:
+                cuts.append(i)
+                used = 0
+            used += c
+        cuts.append(rows.size)
+        return np.concatenate([parts(m, rows[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
+
+    fits = unit <= max_nodes
+    rows = np.arange(n if fits else 0) if shared else np.flatnonzero(fits)  # the integrals refining
+    left_out = rows.size < n
+    out = None  # (parts, change) of every integral, once one is frozen early or left out
+    if left_out:
+        out = (np.zeros((n, k)), np.full(n, np.inf))
+        if rows.size == 0:
+            return (*out, False)
+    m = 1
+    cur = evaluate(rows, m)
+    delta, tol = None, tol(cur, rows)
+    converged = False
+    while (unit if shared else unit[rows].max()) * 2 * m <= max_nodes:
+        prev, m = cur, 2 * m
+        cur = evaluate(rows, m)
         delta = np.abs(cur - prev).max(axis=1)
         done = delta <= tol
         converged = bool(done.all())
-        if converged or slices * 64 * k > max_nodes:
-            if out is None:
-                return cur, delta, converged
-            out[0][rows], out[1][rows] = cur, delta
-            return (*out, converged)
+        if converged:
+            break
         if done.any():  # freeze these at the refinement they converged at
             out = out or (np.empty((n, k)), np.empty(n))
             out[0][rows[done]], out[1][rows[done]] = cur[done], delta[done]
-            rows, cur, tol = rows[~done], cur[~done], tol[~done]
-        prev = cur
+            rows, cur, delta, tol = rows[~done], cur[~done], delta[~done], tol[~done]
+    if delta is None:  # no second pass
+        delta = np.full(rows.size, np.inf)
+    if out is None:
+        return cur, delta, converged
+    out[0][rows], out[1][rows] = cur, delta
+    return (*out, converged and not left_out)
 
 
 def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
@@ -498,15 +533,22 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     truncated where the analytic tail bound  2 C Omega^(1-p) / (p - 1)
     drops below half the absolute tolerance, and the interior is
     integrated on geometrically growing panels, each refined until
-    converged (``_refine``, with the batch as one integral of n_x parts).
-    For a batch, the tail constant, the decay probe and each panel's
-    convergence test take the worst row, so every entry carries the same
-    certificate as a single integral would; g is called one panel at a
-    time, so memory stays at one panel's nodes times n_x.
+    converged and then frozen (``_refine``, each panel one integral whose
+    parts are the batch's n_x rows).  For a batch, the tail constant, the
+    decay probe and each panel's convergence test take the worst row, so
+    every entry carries the same certificate as a single integral would.
+    Each refinement round calls g once on the nodes of every panel still
+    refining, split only where nodes times n_x would exceed max_nodes;
+    every panel's value, and so the result, is what refining the panels
+    one by one gives.  AccuracyError carries the sum of every panel's
+    current value as ``best``, shaped as the result, and the summed last
+    changes plus the tail budget as ``bound``.
 
     ``osc_hint`` is an optional bound on the phase speed of g in radians
     per unit of w; it seeds each panel with enough slices to resolve the
-    oscillation instead of discovering it by repeated refinement.
+    oscillation instead of discovering it by repeated refinement.  A panel
+    whose seeded first pass alone exceeds the node budget is never handed
+    to g, and the integral raises AccuracyError.
     """
     p = float(tail_order)
     if p <= 1.0:
@@ -556,19 +598,33 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     edges = [0.0, min(1.0, omega)]
     while edges[-1] < omega:
         edges.append(min(2.0 * edges[-1], omega))
-    interior_budget = 0.5 * spec.abs_tol
+    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
+    tol = 0.5 * spec.abs_tol * np.maximum((hi - lo) / omega, 1e-3)
+    start = np.maximum(1.0, np.ceil((hi - lo) * osc_hint / 40.0)) if osc_hint else np.ones(lo.size)
+
+    def panels(m, rows):
+        """Pass m of each panel of ``rows``, from one call of g on all their
+        nodes, shape (panels, n_x)."""
+        slices = (start[rows] * m).astype(int)
+        halves, nodes = _slice_nodes(lo[rows], hi[rows], slices)
+        vals = paired(nodes)
+        ends = 32 * np.cumsum(slices)
+        return np.stack([_gl_sum(vals[:, a:b], half)
+                         for a, b, half in zip(ends - 32 * slices, ends, halves)])
+
+    parts, change, converged = _refine(panels, lo.size, n_x or 1, lambda _, rows: tol[rows],
+                                       spec.max_nodes, start)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        tol = interior_budget * max((hi - lo) / omega, 1e-3)
-        start = 1
-        if osc_hint:
-            start = max(1, math.ceil((hi - lo) * osc_hint / 40.0))
-        cur, delta, converged = _refine(
-            lambda slices, _: _panel_value(paired, *_slice_nodes(lo, hi, slices))[None, :],
-            1, n_x or 1, lambda _: np.full(1, tol), spec.max_nodes, start)
-        if not converged:
-            raise AccuracyError(f"panel [{lo!r}, {hi!r}] did not converge "
-                                f"(last refinement changed by {float(delta[0])!r})",
-                                best=cur[0], bound=float(delta[0]))
-        total += cur[0]
-    return total.astype(complex) if n_x else complex(total[0])
+    for part in parts:  # in panel order, one panel's values at a time
+        total = total + part
+
+    def shaped(a):
+        return a.astype(complex) if n_x else complex(a[0])
+
+    if not converged:
+        bad = int(np.argmax(change > tol))
+        raise AccuracyError(f"panel [{float(lo[bad])!r}, {float(hi[bad])!r}] did not converge "
+                            f"within {spec.max_nodes} nodes x rows (last refinement changed by "
+                            f"{float(change[bad])!r})",
+                            best=shaped(total), bound=float(change.sum()) + tail_budget)
+    return shaped(total)

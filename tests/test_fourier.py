@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from ctrwpricer import (
     QuadSpec,
     fit_from_moments,
 )
-from ctrwpricer.errors import InvalidParametersError
+from ctrwpricer.errors import AccuracyError, InvalidParametersError
 from ctrwpricer.european import vanilla_call_price
 from ctrwpricer.fourier import (
     Payoff,
@@ -352,7 +353,8 @@ class TestHermitianIntegrand:
         np.testing.assert_array_equal(transform(-self.W), np.conj(transform(self.W)))
 
     def test_reference_butterfly_takes_half_the_nodes(self, de_model):
-        # 37,088 nodes when each node was evaluated at +w and -w
+        # 37,088 nodes when each node was evaluated at +w and -w, and 35
+        # calls when each panel was refined in calls of its own
         seen = []
         pay = butterfly_payoff(100.0, 10.0)
 
@@ -363,7 +365,7 @@ class TestHermitianIntegrand:
         price = price_fourier(de_model, dataclasses.replace(pay, transform=counted),
                               math.log(92.0), T_BAR)
         nodes = np.concatenate(seen)
-        assert nodes.size == 18544
+        assert nodes.size == 18544 and len(seen) == 9
         assert np.min(nodes) >= 0.0
         # the value both pairings give, to a few ulps
         assert abs(price - (-0.0036757101934667153)) <= 4e-18
@@ -391,3 +393,41 @@ class TestPhaseSeed:
             want = legs(float(x))
             assert abs(got - want) <= 1e-4
             assert abs(price_fourier(mp, pay, float(x), t_bar) - want) <= 1e-4
+
+
+class TestRealLineErrors:
+    """An AccuracyError from the transform route carries the price's own
+    estimate, and a node budget no call of the integrand exceeds."""
+
+    def test_seed_past_the_node_budget_raises_before_evaluating(self):
+        # the two-point weight never decays, so Omega lies far out and the
+        # phase seed of the widest panel asks a first pass of 13.4M nodes:
+        # refused before the integrand sees it, not a MemoryError
+        pay = butterfly_payoff(100.0, 10.0)
+        biggest = []
+
+        def counted(w):
+            biggest.append(np.size(w))
+            return pay.transform(w)
+
+        mp = fitted_market(Family.DISCRETE)
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError):
+            price_fourier(mp, dataclasses.replace(pay, transform=counted), math.log(80.0), 0.05,
+                          QuadSpec(abs_tol=1e-6))
+        assert time.perf_counter() - start < 5.0
+        assert max(biggest) <= QuadSpec().max_nodes
+
+    def test_error_carries_the_price_estimate(self):
+        # the estimate is the no-jump atom plus every panel's current value,
+        # not the failing panel's own integral (-0.000885 once, against the
+        # price -0.003918), and its bound holds
+        mp = MarketParams.from_rho_sigma(2.0, R, 0.1)
+        pay = butterfly_payoff(100.0, 10.0)
+        x = math.log(95.0)
+        with pytest.raises(AccuracyError) as exc:
+            price_fourier(mp, pay, x, T_BAR, QuadSpec(rel_tol=1e-12, abs_tol=1e-16, max_nodes=256))
+        price = price_fourier(mp, pay, x, T_BAR)
+        best, bound = exc.value.best, exc.value.bound
+        assert type(best) is float and abs(best - price) <= 1e-8
+        assert abs(best - price) <= bound

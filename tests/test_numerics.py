@@ -19,6 +19,8 @@ from ctrwpricer.european import Contract, PayoffKind, european_price
 from ctrwpricer.numerics import (
     DEFAULT_QUAD,
     LaplaceFn,
+    _panel_value,
+    _slice_nodes,
     bessel_i1_scaled,
     expm1_complex,
     integrate_panels,
@@ -401,6 +403,45 @@ class TestPoissonDifferencePmf:
             assert np.all(got[m_max + 1:] == 0.0)
 
 
+def per_panel_reference(g, omega, spec, osc_hint=None):
+    """The interior of ``integrate_real_line`` refined one panel at a time:
+    each panel from its phase seed until its worst row moved by at most its
+    tolerance, the values added in panel order.  Returns the sum and each
+    panel's number of passes."""
+    edges = [0.0, min(1.0, omega)]
+    while edges[-1] < omega:
+        edges.append(min(2.0 * edges[-1], omega))
+
+    def paired(w):
+        vals = 2.0 * np.real(g(w))
+        return vals if vals.ndim == 2 else vals[None, :]
+
+    total, passes = 0.0, []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        tol = 0.5 * spec.abs_tol * max((hi - lo) / omega, 1e-3)
+        slices = max(1, math.ceil((hi - lo) * osc_hint / 40.0)) if osc_hint else 1
+        prev = _panel_value(paired, *_slice_nodes(lo, hi, slices))
+        n = 1
+        while True:
+            slices, n = 2 * slices, n + 1
+            cur = _panel_value(paired, *_slice_nodes(lo, hi, slices))
+            if np.abs(cur - prev).max() <= tol:
+                break
+            prev = cur
+        total = total + cur
+        passes.append(n)
+    return total, passes
+
+
+# row i is e^{-w^2/2} e^{-i w x_i}; x = 60 oscillates far faster than the
+# others and needs more refinement than the rest of the batch
+FIVE_XS = np.array([0.0, 0.5, 1.0, 3.0, 60.0])
+
+
+def five_rows(w):
+    return np.exp(-0.5 * w * w)[None, :] * np.exp(-1j * np.outer(FIVE_XS, w))
+
+
 class TestRealLineQuadrature:
     def test_lorentzian(self):
         val = integrate_real_line(lambda w: 1.0 / (1.0 + w * w), 2.0, DEFAULT_QUAD)
@@ -440,11 +481,8 @@ class TestRealLineQuadrature:
         assert isinstance(val, complex)
 
     def test_batched_fourier_pairs(self):
-        # row i is e^{-w^2/2} e^{-i w x_i}; x = 60 oscillates far faster than
-        # the others and forces extra panel refinement for the whole batch
-        xs = np.array([0.0, 0.5, 1.0, 3.0, 60.0])
-        g = lambda w: np.exp(-0.5 * w * w)[None, :] * np.exp(-1j * np.outer(xs, w))
-        val = integrate_real_line(g, 4.0, DEFAULT_QUAD)
+        xs = FIVE_XS
+        val = integrate_real_line(five_rows, 4.0, DEFAULT_QUAD)
         assert isinstance(val, np.ndarray) and val.shape == xs.shape
         exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * xs * xs)
         assert np.max(np.abs(val - exact)) <= 1e-9
@@ -476,6 +514,52 @@ class TestRealLineQuadrature:
         assert np.all(batch.imag == 0.0) and single.imag == 0.0
         exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * xs * xs)
         assert np.max(np.abs(batch - exact)) <= 1e-9
+
+    @pytest.mark.parametrize("batch, osc_hint", [(False, None), (True, None), (True, 5.0)],
+                             ids=["single", "five-rows", "five-rows-seeded"])
+    def test_rounds_equal_a_per_panel_loop(self, batch, osc_hint):
+        # every panel, refined with the others in one call of g per round,
+        # keeps the bits it gets refined alone; the rounds are as many as
+        # the slowest panel's passes.  A |w|^-4 tail puts Omega near 3000.
+        if batch:
+            g = lambda w: np.exp(-1j * np.outer(FIVE_XS, w)) / (1.0 + w * w) ** 2
+        else:
+            g = lambda w: np.exp(-1j * w) / (1.0 + w * w) ** 2
+        sizes, probe = [], []
+
+        def seen(w):
+            sizes.append(w.size)
+            if w.size == 16:  # the decay probe, geomspace(Omega, 8 Omega, 16)
+                probe.append(float(w[0]))
+            return g(w)
+
+        got = integrate_real_line(seen, 4.0, DEFAULT_QUAD, osc_hint)
+        want, passes = per_panel_reference(g, probe[0], DEFAULT_QUAD, osc_hint)
+        np.testing.assert_array_equal(np.real(got), want if batch else want[0])
+        assert len([n for n in sizes if n % 32 == 0]) == max(passes)
+        assert min(passes) < max(passes)  # some panels are frozen early
+
+    @pytest.mark.parametrize("osc_hint", [None, 60.0])
+    def test_no_call_exceeds_the_node_budget(self, osc_hint):
+        # nodes x rows of every call, the seeded first pass included: 2^11
+        # splits the second round over two calls and gives the same bits,
+        # and a panel whose seeded first pass alone exceeds it is never
+        # evaluated
+        sizes = []
+
+        def g(w):
+            sizes.append(w.size * FIVE_XS.size)
+            return five_rows(w)
+
+        spec = QuadSpec(max_nodes=1 << 11)
+        if osc_hint is None:
+            got = integrate_real_line(g, 4.0, spec)
+            assert list(got) == list(integrate_real_line(five_rows, 4.0, DEFAULT_QUAD))
+        else:
+            with pytest.raises(AccuracyError) as exc:
+                integrate_real_line(g, 4.0, spec, osc_hint)
+            assert exc.value.best.shape == FIVE_XS.shape and exc.value.bound == math.inf
+        assert max(sizes) <= spec.max_nodes
 
     def test_node_budget_exhaustion_raises(self):
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-10, max_nodes=1 << 10)
