@@ -33,10 +33,11 @@ h~ behaves at large frequency:
 The spot enters only through the phase e^{-iwx}.  Both pricers take x as
 a float or a 1-D array of log-prices through ``numerics.over_spots`` and
 price the array in one go: F(w) = Phi~(w) weight(h~(-w)) / 2pi is
-evaluated once per quadrature node, at w >= 0 only, and turned into the
-real (n_x, nodes) block Re(F(w) e^{-iwx}).  Phi~ and h~ are transforms of
-real functions, so the integrand is Hermitian and its integral over the
-line is that of twice its real part over w >= 0.  The grid is refined
+evaluated once per quadrature node for the whole column, at w >= 0 only,
+and ``numerics.integrate_real_line`` contracts it against each spot's
+phase e^{-iwx} (its ``spots``).  Phi~ and h~ are transforms of real
+functions, so the integrand is Hermitian and its integral over the line
+is that of twice its real part over w >= 0.  The grid is refined
 until the worst spot has converged, so every price keeps the certificate
 a single-spot call would give, and an AccuracyError carries that one
 bound for every spot.  The figure builders price one column per call.
@@ -138,18 +139,6 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
     return Payoff(value=value, breakpoints=(k1, k2, k3), transform=transform)
 
 
-def _phase_block(f, w, xs):
-    """(n_x, nodes) block Re(f(w) e^{-iwx}), one row per spot: the real
-    part of the integrand, which is all a Hermitian integral reads."""
-    phase = np.multiply.outer(xs, w)
-    block = np.cos(phase)
-    block *= f.real
-    np.sin(phase, out=phase)
-    phase *= f.imag
-    block += phase
-    return block
-
-
 def _one_jump_average(payoff: Payoff, x: float, lo: float, hi: float,
                       spec: QuadSpec) -> float:
     """E[Phi(x + J)] for J uniform on [lo, hi], with panels split at the kinks."""
@@ -214,14 +203,13 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
             atom += lt * math.exp(-lt) * disc * np.array(
                 [_one_jump_average(payoff, xi, d.a, d.b, spec) for xi in xs])
 
-        def integrand(w):
+        def integrand(w):  # F(w), spot-free: the phases are applied per spot
             w = np.asarray(w, dtype=float)
-            f = payoff.transform(w) * weight(char_fn(d, -w)) / (2.0 * math.pi)
-            return _phase_block(f, w, xs)
+            return payoff.transform(w) * weight(char_fn(d, -w)) / (2.0 * math.pi)
 
         hint = _osc_hint(payoff, xs, lt * abs(mean_var(d)[0]))
         return mapped(lambda: integrate_real_line(integrand, _TAIL_ORDER + extra, spec,
-                                                  osc_hint=hint),
+                                                  osc_hint=hint, spots=xs),
                       lambda val: atom + val.real)
     return over_spots(priced, x)
 

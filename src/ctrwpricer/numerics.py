@@ -19,13 +19,17 @@ as floats), refines each spot until its own tolerance holds and freezes
 it there, as its single integral would stop, and splits every call of the
 integrand to fit the node budget; the real-line integral holds the whole
 batch to its worst row and refines all its panels together, one call of
-the integrand per round within the node budget.  Every pricer takes its
-spots through one adapter (``over_spots``), and every estimate in an
-AccuracyError is mapped as its price is (``mapped``).  Special functions
-are thin wrappers over scipy.special, which the first of them to run
-imports: only the exponential closed forms, Black-Scholes and the Gumbel
-law need it, and it takes longer to import than numpy and this package
-together.
+the integrand per round within the node budget.  Given a column of spots,
+the real-line integrand returns one spot-free value per node and the
+integral applies each spot's phase e^{-iwx} itself, per Gauss-Legendre
+slice rather than per node, and charges the budget its nodes or its
+slices x spots (or a 32 x spots table per panel) rather than nodes x
+spots.  Every pricer takes its spots through one adapter
+(``over_spots``), and every estimate in an AccuracyError is mapped as
+its price is (``mapped``).  Special functions are thin wrappers over
+scipy.special, which the first of them to run imports: only the
+exponential closed forms, Black-Scholes and the Gumbel law need it, and
+it takes longer to import than numpy and this package together.
 """
 
 from __future__ import annotations
@@ -72,7 +76,10 @@ class QuadSpec:
 
     rel_tol: float = 1e-9
     abs_tol: float = 1e-10
-    max_nodes: int = 1 << 21       # nodes x rows of one call of an integrand: 16 MB per array
+    # the largest array of one call of an integrand: nodes x rows, or for a
+    # real-line integral given its spots, its nodes, slices x spots or 32 x
+    # panels x spots; 16 MB per array of floats
+    max_nodes: int = 1 << 21
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
@@ -411,17 +418,23 @@ def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD,
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
+def _slice_mids(lo, hi, slices) -> tuple:
+    """Half a slice's width of each panel [lo, hi] cut into equal slices,
+    and the midpoints of all their slices, panel after panel."""
+    half = 0.5 * (hi - lo) / slices
+    panel = np.repeat(np.arange(np.size(half)), slices)  # the panel of each slice
+    j = np.arange(panel.size) - np.repeat(np.cumsum(slices) - slices, slices)
+    h = np.reshape(half, -1)[panel]
+    return half, np.reshape(lo, -1)[panel] + h * (2.0 * j + 1.0), h
+
+
 def _slice_nodes(lo, hi, slices) -> tuple:
     """Half a slice's width and the 32-point Gauss-Legendre nodes of
     [lo, hi] cut into equal slices.  Given arrays, panel i is [lo[i], hi[i]]
     in slices[i] slices: its half-width is the i-th, its nodes come i-th in
     the concatenation, and each is what the panel alone would give."""
-    half = 0.5 * (hi - lo) / slices
-    panel = np.repeat(np.arange(np.size(half)), slices)  # the panel of each slice
-    j = np.arange(panel.size) - np.repeat(np.cumsum(slices) - slices, slices)
-    h = np.reshape(half, -1)[panel][:, None]
-    mid = np.reshape(lo, -1)[panel][:, None] + h * (2.0 * j + 1.0)[:, None]
-    return half, (mid + h * _GL_NODES[None, :]).ravel()
+    half, mid, h = _slice_mids(lo, hi, slices)
+    return half, (mid[:, None] + h[:, None] * _GL_NODES[None, :]).ravel()
 
 
 @functools.lru_cache(maxsize=16)
@@ -447,30 +460,79 @@ def _gl_sum(vals: np.ndarray, half: float) -> np.ndarray:
     return (vals.reshape(vals.shape[0], -1, _GL_NODES.size) @ _GL_WEIGHTS).sum(axis=1) * half
 
 
-def _refine(parts, n: int, k: int, tol, max_nodes: int, start=1) -> tuple:
+def _phase_rows(f: np.ndarray, w: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The (n_x, nodes) block Re(f(w) e^{-iwx}), one row per spot, from one
+    cosine and one sine per node and spot."""
+    phase = np.multiply.outer(xs, w)
+    block = np.cos(phase)
+    block *= f.real
+    np.sin(phase, out=phase)
+    phase *= f.imag
+    block += phase
+    return block
+
+
+def _phased_panels(g, lo, hi, slices, xs: np.ndarray) -> np.ndarray:
+    """The composite rule's sums of 2 Re(g(w) e^{-iwx}) over panels, one
+    row per panel and one entry per spot x, from one call of g on the
+    nodes of ``_slice_nodes`` (lo, hi and slices given as arrays).
+
+    A node is its slice's midpoint c plus half t, t a Gauss-Legendre node
+    of [-1, 1], so its phase e^{-iwx} is e^{-icx} e^{-i half t x}.  Per
+    panel, one (slices x 32) @ (32 x n_x) product of g with the weighted
+    offset table, and per slice one phase per spot, stand in for the
+    phases of every node and spot.  A panel's row is what it alone gives:
+    the products are per panel, and the rest is elementwise or summed
+    within a panel."""
+    half, mid, h = _slice_mids(lo, hi, slices)
+    f = np.reshape(g((mid[:, None] + h[:, None] * _GL_NODES[None, :]).ravel()), (-1, 32))
+    # the rule is symmetric, so the table's first 16 rows are the conjugates
+    # of its last 16, mirrored
+    offset = np.multiply.outer(np.multiply.outer(half, _GL_NODES[16:]), xs)
+    table = np.empty((half.size, 32, xs.size), dtype=complex)
+    table[:, 16:].real = np.cos(offset) * _GL_WEIGHTS[16:, None]
+    table[:, 16:].imag = np.sin(offset) * -_GL_WEIGHTS[16:, None]
+    table[:, :16] = table[:, :15:-1].conj()
+    first = np.cumsum(slices) - slices  # each panel's first slice
+    inner = np.empty((mid.size, xs.size), dtype=complex)
+    for panel, a, b in zip(table, first, first + slices):
+        np.matmul(f[a:b], panel, out=inner[a:b])
+    phase = np.multiply.outer(mid, xs)
+    vals = np.cos(phase)
+    vals *= inner.real
+    np.sin(phase, out=phase)
+    phase *= inner.imag
+    vals += phase
+    return np.add.reduceat(vals, first, axis=0) * (2.0 * half)[:, None]
+
+
+def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 0) -> tuple:
     """Slice doubling for n integrals of k parts each: the one refinement
     loop of every integral here.
 
-    ``start`` is each integral's first slice count, one int for all or an
-    array of n; pass m (1, 2, 4, ...) cuts each integral into m x start
-    slices of 32 nodes.  ``parts(m, rows)`` gives pass m of the k
-    parts of each integral in the index array ``rows``, shape
-    ``(len(rows), k)``; ``tol(first, rows)`` maps their first pass to the
-    array of their tolerances.  Each pass evaluates every integral still
-    refining, in as few calls of ``parts`` as keep each within max_nodes
-    nodes x parts.  An integral is refined until none of its parts moved
-    by more than its tolerance, and is then frozen.  One whose first pass
-    alone would exceed max_nodes is never evaluated (its parts stay 0),
-    and the loop stops unconverged once the next doubling of one integral
-    alone would exceed max_nodes.  Returns the parts (n, k), each
+    Pass m (1, 2, 4, ...) cuts each integral into m times its first slice
+    count of 32-node slices, and costs its largest array, max(m x ``unit``,
+    ``floor``): ``unit`` is one int for all integrals or an array of n, by
+    default 32 k (one slice's nodes x parts), and ``floor`` is the size of
+    an array every pass allocates whatever its slices.  ``parts(m, rows)``
+    gives pass m of the k parts of each integral in the index array
+    ``rows``, shape ``(len(rows), k)``; ``tol(first, rows)`` maps their
+    first pass to the array of their tolerances.  Each pass evaluates
+    every integral still refining, in as few calls of ``parts`` as keep
+    each within max_nodes.  An integral is refined until none of its parts
+    moved by more than its tolerance, and is then frozen.  One whose first
+    pass alone would exceed max_nodes is never evaluated (its parts stay
+    0), and the loop stops unconverged once the next doubling of one
+    integral alone would exceed max_nodes.  Returns the parts (n, k), each
     integral's last change (its parts' largest; inf before a second pass),
     and whether every integral converged.
     """
-    unit = start * (32 * k)  # nodes x parts of each first pass: an int for all, or an array
+    if unit is None:
+        unit = 32 * k
     shared = isinstance(unit, int)
 
     def evaluate(rows, m):
-        cost = (unit if shared else unit[rows]) * m
+        cost = max(unit * m, floor) if shared else np.maximum(unit[rows] * m, floor)
         if (cost * rows.size if shared else cost.sum()) <= max_nodes:
             return parts(m, rows)
         cuts, used = [0], 0  # greedy: each call takes integrals while they fit
@@ -482,7 +544,7 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, start=1) -> tuple:
         cuts.append(rows.size)
         return np.concatenate([parts(m, rows[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
 
-    fits = unit <= max_nodes
+    fits = (max(unit, floor) if shared else np.maximum(unit, floor)) <= max_nodes
     rows = np.arange(n if fits else 0) if shared else np.flatnonzero(fits)  # the integrals refining
     left_out = rows.size < n
     out = None  # (parts, change) of every integral, once one is frozen early or left out
@@ -494,7 +556,7 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, start=1) -> tuple:
     cur = evaluate(rows, m)
     delta, tol = None, tol(cur, rows)
     converged = False
-    while (unit if shared else unit[rows].max()) * 2 * m <= max_nodes:
+    while max((unit if shared else unit[rows].max()) * 2 * m, floor) <= max_nodes:
         prev, m = cur, 2 * m
         cur = evaluate(rows, m)
         delta = np.abs(cur - prev).max(axis=1)
@@ -515,7 +577,7 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, start=1) -> tuple:
 
 
 def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
-                        osc_hint: float | None = None):
+                        osc_hint: float | None = None, spots=None):
     """Integrate a Hermitian g over the whole real line, for one integrand
     or a batch.
 
@@ -528,6 +590,12 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     imaginary part of the result is exactly 0.  g may return only its real
     part, which has the same integral.
 
+    Given ``spots``, a 1-D array of n_x reals x_j, g returns one value per
+    node and the batch's row j is g(w) e^{-iwx_j}: the integral contracts
+    g against every spot's phase itself, so g is evaluated once per node
+    for the whole column and no (n_x, N) block is formed inside a panel
+    (``_phased_panels``).  The result is a complex array of shape (n_x,).
+
     The caller also guarantees |g(w)| <= C |w|^-tail_order for large |w|
     with tail_order > 1.  C is estimated by sampling, the domain is
     truncated where the analytic tail bound  2 C Omega^(1-p) / (p - 1)
@@ -538,7 +606,9 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     decay probe and each panel's convergence test take the worst row, so
     every entry carries the same certificate as a single integral would.
     Each refinement round calls g once on the nodes of every panel still
-    refining, split only where nodes times n_x would exceed max_nodes;
+    refining, split only where an array of the call would exceed
+    max_nodes: its nodes x n_x for a batch of rows and, given ``spots``,
+    its nodes, its slices x n_x or its 32 x n_x offset table per panel;
     every panel's value, and so the result, is what refining the panels
     one by one gives.  AccuracyError carries the sum of every panel's
     current value as ``best``, shaped as the result, and the summed last
@@ -553,10 +623,15 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     p = float(tail_order)
     if p <= 1.0:
         raise InvalidParametersError("tail_order must exceed 1")
-    n_x = None  # the number of rows of a batched g
+    if spots is not None:
+        spots = np.asarray(spots, dtype=float)
+    n_x = None if spots is None else spots.size  # the number of rows of a batch
 
     def paired(w):
+        """2 Re of every row at the nodes w, shape (rows, N)."""
         nonlocal n_x
+        if spots is not None:
+            return 2.0 * _phase_rows(g(w), w, spots)
         vals = 2.0 * np.real(g(w))
         n_x = len(vals) if vals.ndim == 2 else None
         return vals if n_x else vals[None, :]
@@ -601,19 +676,26 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     tol = 0.5 * spec.abs_tol * np.maximum((hi - lo) / omega, 1e-3)
     start = np.maximum(1.0, np.ceil((hi - lo) * osc_hint / 40.0)) if osc_hint else np.ones(lo.size)
+    k = n_x or 1
+    # a pass's largest array per first-pass slice: its nodes x rows, or
+    # given spots its nodes or its slices x spots, and never less than its
+    # 32 x spots offset table (the floor passed below)
+    unit = start * (32 * k if spots is None else max(32, k))
 
     def panels(m, rows):
         """Pass m of each panel of ``rows``, from one call of g on all their
         nodes, shape (panels, n_x)."""
         slices = (start[rows] * m).astype(int)
+        if spots is not None:
+            return _phased_panels(g, lo[rows], hi[rows], slices, spots)
         halves, nodes = _slice_nodes(lo[rows], hi[rows], slices)
         vals = paired(nodes)
         ends = 32 * np.cumsum(slices)
         return np.stack([_gl_sum(vals[:, a:b], half)
                          for a, b, half in zip(ends - 32 * slices, ends, halves)])
 
-    parts, change, converged = _refine(panels, lo.size, n_x or 1, lambda _, rows: tol[rows],
-                                       spec.max_nodes, start)
+    parts, change, converged = _refine(panels, lo.size, k, lambda _, rows: tol[rows],
+                                       spec.max_nodes, unit, 0 if spots is None else 32 * k)
     total = 0.0
     for part in parts:  # in panel order, one panel's values at a time
         total = total + part
@@ -624,7 +706,7 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     if not converged:
         bad = int(np.argmax(change > tol))
         raise AccuracyError(f"panel [{float(lo[bad])!r}, {float(hi[bad])!r}] did not converge "
-                            f"within {spec.max_nodes} nodes x rows (last refinement changed by "
+                            f"within the budget of {spec.max_nodes} (last refinement changed by "
                             f"{float(change[bad])!r})",
                             best=shaped(total), bound=float(change.sum()) + tail_budget)
     return shaped(total)

@@ -329,6 +329,18 @@ class TestBatchedSpots:
         for x, got in zip(xs, batch):
             assert got == price_two_point_exact(mp, pay, float(x), t_bar)
 
+    def test_wide_column_prices_where_its_spots_do(self):
+        # 41 spots at rho=20, sigma=0.05: the phase seed of the widest
+        # panels asked 2.76M nodes x spots of a first pass, past the 2^21
+        # budget, while each spot alone prices; charged nodes plus slices x
+        # spots, the column prices within each spot's tolerance
+        pay = butterfly_payoff(100.0, 10.0)
+        mp = MarketParams.from_rho_sigma(20.0, R, 0.05)
+        xs = np.log(np.arange(80.0, 121.0))
+        column = price_fourier(mp, pay, xs, T_BAR)
+        for x, got in zip(xs[::10], column[::10]):
+            assert abs(got - price_fourier(mp, pay, float(x), T_BAR)) <= QuadSpec().abs_tol
+
     def test_rejects_two_dimensional_spots(self):
         pay = butterfly_payoff(100.0, 10.0)
         with pytest.raises(InvalidParametersError):

@@ -20,6 +20,7 @@ from ctrwpricer.numerics import (
     DEFAULT_QUAD,
     LaplaceFn,
     _panel_value,
+    _phased_panels,
     _slice_nodes,
     bessel_i1_scaled,
     expm1_complex,
@@ -403,11 +404,12 @@ class TestPoissonDifferencePmf:
             assert np.all(got[m_max + 1:] == 0.0)
 
 
-def per_panel_reference(g, omega, spec, osc_hint=None):
+def per_panel_reference(g, omega, spec, osc_hint=None, spots=None):
     """The interior of ``integrate_real_line`` refined one panel at a time:
     each panel from its phase seed until its worst row moved by at most its
-    tolerance, the values added in panel order.  Returns the sum and each
-    panel's number of passes."""
+    tolerance, the values added in panel order.  Given ``spots``, each
+    panel is contracted against their phases alone.  Returns the sum and
+    each panel's number of passes."""
     edges = [0.0, min(1.0, omega)]
     while edges[-1] < omega:
         edges.append(min(2.0 * edges[-1], omega))
@@ -416,15 +418,20 @@ def per_panel_reference(g, omega, spec, osc_hint=None):
         vals = 2.0 * np.real(g(w))
         return vals if vals.ndim == 2 else vals[None, :]
 
+    def value(lo, hi, slices):
+        if spots is None:
+            return _panel_value(paired, *_slice_nodes(lo, hi, slices))
+        return _phased_panels(g, np.array([lo]), np.array([hi]), np.array([slices]), spots)[0]
+
     total, passes = 0.0, []
     for lo, hi in zip(edges[:-1], edges[1:]):
         tol = 0.5 * spec.abs_tol * max((hi - lo) / omega, 1e-3)
         slices = max(1, math.ceil((hi - lo) * osc_hint / 40.0)) if osc_hint else 1
-        prev = _panel_value(paired, *_slice_nodes(lo, hi, slices))
+        prev = value(lo, hi, slices)
         n = 1
         while True:
             slices, n = 2 * slices, n + 1
-            cur = _panel_value(paired, *_slice_nodes(lo, hi, slices))
+            cur = value(lo, hi, slices)
             if np.abs(cur - prev).max() <= tol:
                 break
             prev = cur
@@ -515,13 +522,17 @@ class TestRealLineQuadrature:
         exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * xs * xs)
         assert np.max(np.abs(batch - exact)) <= 1e-9
 
-    @pytest.mark.parametrize("batch, osc_hint", [(False, None), (True, None), (True, 5.0)],
-                             ids=["single", "five-rows", "five-rows-seeded"])
-    def test_rounds_equal_a_per_panel_loop(self, batch, osc_hint):
+    @pytest.mark.parametrize("batch, osc_hint, spots",
+                             [(False, None, None), (True, None, None), (True, 5.0, None),
+                              (True, 5.0, FIVE_XS)],
+                             ids=["single", "five-rows", "five-rows-seeded", "five-spots-phased"])
+    def test_rounds_equal_a_per_panel_loop(self, batch, osc_hint, spots):
         # every panel, refined with the others in one call of g per round,
         # keeps the bits it gets refined alone; the rounds are as many as
         # the slowest panel's passes.  A |w|^-4 tail puts Omega near 3000.
-        if batch:
+        if spots is not None:
+            g = lambda w: 1.0 / (1.0 + w * w) ** 2
+        elif batch:
             g = lambda w: np.exp(-1j * np.outer(FIVE_XS, w)) / (1.0 + w * w) ** 2
         else:
             g = lambda w: np.exp(-1j * w) / (1.0 + w * w) ** 2
@@ -533,11 +544,44 @@ class TestRealLineQuadrature:
                 probe.append(float(w[0]))
             return g(w)
 
-        got = integrate_real_line(seen, 4.0, DEFAULT_QUAD, osc_hint)
-        want, passes = per_panel_reference(g, probe[0], DEFAULT_QUAD, osc_hint)
+        got = integrate_real_line(seen, 4.0, DEFAULT_QUAD, osc_hint, spots)
+        want, passes = per_panel_reference(g, probe[0], DEFAULT_QUAD, osc_hint, spots)
         np.testing.assert_array_equal(np.real(got), want if batch else want[0])
         assert len([n for n in sizes if n % 32 == 0]) == max(passes)
         assert min(passes) < max(passes)  # some panels are frozen early
+
+    @pytest.mark.parametrize("f", [lambda w: np.exp(-0.5 * w * w),
+                                   lambda w: np.exp(-0.5 * w * w) * (1.0 + 1j * w)],
+                             ids=["real", "complex"])
+    def test_spot_phases_match_the_direct_phases(self, f):
+        # contracting g against each spot's phase per slice gives what the
+        # rows g(w) e^{-iwx}, one cosine and sine per node, give, up to
+        # rounding of the row's largest value (max |g| = 1 for both g)
+        phased = integrate_real_line(f, 4.0, DEFAULT_QUAD, 60.0, FIVE_XS)
+        direct = integrate_real_line(lambda w: f(w)[None, :] * np.exp(-1j * np.outer(FIVE_XS, w)),
+                                     4.0, DEFAULT_QUAD, 60.0)
+        assert phased.shape == FIVE_XS.shape and np.all(phased.imag == 0.0)
+        assert np.max(np.abs(phased - direct)) <= 1e-14
+
+    def test_repeated_spot_gets_the_nodes_of_one_spot(self):
+        # a column [x, x, x] is one spot's integral three times: the same
+        # tail samples, probe and refinement, so g sees the same nodes
+        x = math.log(95.0)
+        g = lambda w: np.exp(1j * 4.6 * w) / (1.0 + w * w) ** 2
+
+        def nodes(spots):
+            seen = []
+
+            def recorded(w):
+                seen.append(w.copy())
+                return g(w)
+            return seen, integrate_real_line(recorded, 4.0, DEFAULT_QUAD, 5.0, spots)
+        one, single = nodes(np.array([x]))
+        three, column = nodes(np.array([x, x, x]))
+        assert len(one) == len(three)
+        for a, b in zip(one, three):
+            np.testing.assert_array_equal(a, b)
+        assert np.max(np.abs(column - single[0])) <= 1e-15
 
     @pytest.mark.parametrize("osc_hint", [None, 60.0])
     def test_no_call_exceeds_the_node_budget(self, osc_hint):
@@ -560,6 +604,42 @@ class TestRealLineQuadrature:
                 integrate_real_line(g, 4.0, spec, osc_hint)
             assert exc.value.best.shape == FIVE_XS.shape and exc.value.bound == math.inf
         assert max(sizes) <= spec.max_nodes
+
+    def test_phased_calls_keep_every_array_within_the_budget(self):
+        # given spots, a call's arrays are its nodes, its slices x spots and
+        # a 32 x spots offset table per panel: 2^8 splits the rounds, keeps
+        # the bits, and no array of a call exceeds it
+        def run(spec):
+            sizes = []
+
+            def g(w):
+                sizes.append(w.size)
+                return np.exp(-0.5 * w * w)
+            got = integrate_real_line(g, 4.0, spec, 5.0, FIVE_XS)
+            return got, [n for n in sizes if n % 32 == 0]
+
+        spec = QuadSpec(max_nodes=1 << 8)
+        got, passes = run(spec)
+        want, rounds = run(DEFAULT_QUAD)
+        assert list(got) == list(want) and len(passes) > len(rounds)
+        assert max(max(n, n // 32 * FIVE_XS.size, 32 * FIVE_XS.size) for n in passes) \
+            <= spec.max_nodes
+
+    def test_column_past_the_table_budget_is_refused_before_its_tables(self):
+        # 70,000 spots: a one-slice first pass has 32 nodes and 70,000
+        # slices x spots, within 2^21, but its offset table holds 2.24M
+        # entries, so every panel is refused before any table is built (a
+        # dozen of them would take about 430 MB)
+        xs = np.linspace(0.0, 3.0, 70_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AccuracyError) as exc:
+                integrate_real_line(lambda w: np.exp(-0.5 * w * w), 4.0, DEFAULT_QUAD, None, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert exc.value.best.shape == xs.shape and exc.value.bound == math.inf
 
     def test_node_budget_exhaustion_raises(self):
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-10, max_nodes=1 << 10)
