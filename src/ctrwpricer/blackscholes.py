@@ -87,16 +87,24 @@ def implied_vol(price, spot, strike, r, T) -> float:
             f"the residual tolerance, so every sigma in [{_SIGMA_LO}, {_SIGMA_HI}] fits"
         )
 
+    # bs_vanilla_call's arithmetic with its sigma-free parts hoisted, so the
+    # price and the vega of a step share one d1
+    log_moneyness, root_t = math.log(spot / strike), math.sqrt(T)
+    discounted_strike = strike * math.exp(-r * T)
+    vega_scale = spot * math.sqrt(T / (2.0 * math.pi))
+
     def resid(sigma):
-        return bs_vanilla_call(spot, strike, r, sigma, T) - price
+        """The price's residual at sigma, and its d1."""
+        sq = sigma * root_t
+        d1 = (log_moneyness + (r + 0.5 * sigma * sigma) * T) / sq
+        return spot * normal_cdf(d1) - discounted_strike * normal_cdf(d1 - sq) - price, d1
 
     lo, hi = _SIGMA_LO, _SIGMA_HI
     sigma = 0.5 * (lo + hi)
     for _ in range(100):
-        f = resid(sigma)
+        f, d1 = resid(sigma)
         lo, hi = (lo, sigma) if f > 0.0 else (sigma, hi)
-        d1, _ = _d1_d2(spot, strike, r, sigma, T)
-        vega = spot * math.sqrt(T / (2.0 * math.pi)) * math.exp(-0.5 * d1 * d1)
+        vega = vega_scale * math.exp(-0.5 * d1 * d1)
         # sigma ends the bracket, so a step twice its length leaves it; bisect
         # then without dividing, as a subnormal vega overflows f / vega
         new = sigma - f / vega if abs(f) < 2.0 * vega * (hi - lo) else math.inf
@@ -104,9 +112,10 @@ def implied_vol(price, spot, strike, r, T) -> float:
         sigma, step = new, new - sigma
         if abs(step) <= 1e-14 + 8.9e-16 * sigma:
             break
-    if abs(resid(sigma)) > 1e-10 * strike:
+    residual, _ = resid(sigma)
+    if abs(residual) > 1e-10 * strike:
         raise OutOfBandError(
-            f"implied vol residual {resid(sigma)!r} above tolerance at sigma={sigma!r}"
+            f"implied vol residual {residual!r} above tolerance at sigma={sigma!r}"
         )
     return float(sigma)
 

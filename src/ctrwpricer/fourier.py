@@ -56,7 +56,6 @@ from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
     expm1_complex,
-    expm1_ratio,
     integrate_panels,
     integrate_real_line,
     mapped,
@@ -116,21 +115,35 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
     Its profile is continuous and supported on [ln K, ln(K+L)], so the
     transform route is free of Gibbs oscillation.  The transform has
     removable singularities at w = 0 and w = i; the implementation is a
-    rearrangement in terms of (e^w - 1)/w that is exact and
-    cancellation-free for every real w.
+    rearrangement in terms of (e^{iθ} - 1)/(iθ), θ = w d, which for real
+    w is sin θ/θ + i 2 sin²(θ/2)/θ (1 at θ = 0): real arithmetic only,
+    exact and cancellation-free for every real w.
     """
     if K <= 0 or L <= 0:
         raise InvalidParametersError("butterfly needs K > 0 and L > 0")
     k1, k2, k3 = math.log(K), math.log(K + 0.5 * L), math.log(K + L)
     d1, d3 = k1 - k2, k3 - k2
-    e1, e3 = math.exp(d1), math.exp(d3)
+    c1, c3 = math.exp(d1) * d1, math.exp(d3) * d3
     legs = butterfly_legs(K, L)
 
+    def ratio(w, d):
+        """(e^{iwd} - 1)/(iwd) as its real and imaginary parts."""
+        theta = w * d
+        zero = theta == 0.0
+        safe = np.where(zero, 1.0, theta)
+        half = np.sin(0.5 * theta)
+        return np.where(zero, 1.0, np.sin(theta) / safe), 2.0 * half * half / safe
+
     def transform(w):
-        w = np.asarray(w, dtype=complex)
-        z = 1.0 + 1j * w
-        num = e1 * d1 * expm1_ratio(1j * w * d1) + e3 * d3 * expm1_ratio(1j * w * d3)
-        return -np.exp(z * k2) * num / z
+        w = np.asarray(w, dtype=float)
+        re1, im1 = ratio(w, d1)
+        re3, im3 = ratio(w, d3)
+        num_re, num_im = c1 * re1 + c3 * re3, c1 * im1 + c3 * im3
+        # -e^{(1+iw) k2}/(1+iw) = -e^{k2} (cos + i sin)(w k2) (1 - iw)/(1 + w²)
+        cos, sin = np.cos(w * k2), np.sin(w * k2)
+        scale = -math.exp(k2) / (1.0 + w * w)
+        a_re, a_im = scale * (cos + w * sin), scale * (sin - w * cos)
+        return (a_re * num_re - a_im * num_im) + 1j * (a_re * num_im + a_im * num_re)
 
     def value(x):
         s = np.exp(x)

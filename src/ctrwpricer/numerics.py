@@ -19,12 +19,14 @@ as floats), refines each spot until its own tolerance holds and freezes
 it there, as its single integral would stop, and splits every call of the
 integrand to fit the node budget; the real-line integral holds the whole
 batch to its worst row and refines all its panels together, one call of
-the integrand per round within the node budget.  Given a column of spots,
-the real-line integrand returns one spot-free value per node and the
+the integrand per round within the node budget, after a truncation search
+that samples its first three tail windows in one call.  Given a column of
+spots, the real-line integrand returns one spot-free value per node and the
 integral applies each spot's phase e^{-iwx} itself, per Gauss-Legendre
 slice rather than per node, and charges the budget its nodes or its
 slices x spots (or a 32 x spots table per panel) rather than nodes x
-spots.  Every pricer takes its spots through one adapter
+spots; it forms the tail samples' nodes x spots in chunks of spots within
+the budget.  Every pricer takes its spots through one adapter
 (``over_spots``), and every estimate in an AccuracyError is mapped as
 its price is (``mapped``).  Special functions are thin wrappers over
 scipy.special, which the first of them to run imports: only the
@@ -506,6 +508,14 @@ def _phased_panels(g, lo, hi, slices, xs: np.ndarray) -> np.ndarray:
     return np.add.reduceat(vals, first, axis=0) * (2.0 * half)[:, None]
 
 
+# the truncation search's first windows [w, 4w], 48 nodes each, as
+# np.geomspace gives them one window at a time: an odd number of windows,
+# so their one call never holds a multiple of 32 nodes
+_TAIL_STARTS = (64.0, 256.0, 1024.0)
+_TAIL_WINDOWS = np.concatenate([np.geomspace(w, 4.0 * w, 48) for w in _TAIL_STARTS])
+_TAIL_WINDOWS.flags.writeable = False
+
+
 def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 0) -> tuple:
     """Slice doubling for n integrals of k parts each: the one refinement
     loop of every integral here.
@@ -597,9 +607,15 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     (``_phased_panels``).  The result is a complex array of shape (n_x,).
 
     The caller also guarantees |g(w)| <= C |w|^-tail_order for large |w|
-    with tail_order > 1.  C is estimated by sampling, the domain is
-    truncated where the analytic tail bound  2 C Omega^(1-p) / (p - 1)
-    drops below half the absolute tolerance, and the interior is
+    with tail_order > 1.  C is estimated by sampling windows [w, 4w] of 48
+    nodes, and the domain is truncated where the analytic tail bound
+    2 C Omega^(1-p) / (p - 1) drops below half the absolute tolerance.
+    The search starts at w = 64 and grows w fourfold while the bound is
+    far from met, so its first windows, w = 64, 256 and 1024, are sampled
+    in one call of g; a window off that grid, or past it, and the decay
+    probe beyond Omega take one call each.  Given spots, the sampled rows
+    g(w) e^{-iwx} are formed in chunks of spots of at most max_nodes
+    entries, and g is still called once.  The interior is
     integrated on geometrically growing panels, each refined until
     converged and then frozen (``_refine``, each panel one integral whose
     parts are the batch's n_x rows).  For a batch, the tail constant, the
@@ -628,22 +644,43 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     n_x = None if spots is None else spots.size  # the number of rows of a batch
 
     def paired(w):
-        """2 Re of every row at the nodes w, shape (rows, N)."""
+        """2 Re of every row at the nodes w, shape (rows, N), for a batch of
+        rows (no ``spots``)."""
         nonlocal n_x
-        if spots is not None:
-            return 2.0 * _phase_rows(g(w), w, spots)
         vals = 2.0 * np.real(g(w))
         n_x = len(vals) if vals.ndim == 2 else None
         return vals if n_x else vals[None, :]
 
+    def sampled(w, windows: int = 1) -> np.ndarray:
+        """max |2 Re row| w^p over every row, per window of equally many of
+        the nodes w, from one call of g.  Given spots, the rows are formed
+        in chunks of spots of at most max_nodes entries each."""
+        wp = w**p
+        if spots is None:
+            vals = np.abs(paired(w)) * wp
+            return vals.reshape(vals.shape[0], windows, -1).max(axis=(0, 2))
+        f, step, worst = g(w), max(1, spec.max_nodes // w.size), np.zeros(windows)
+        for a in range(0, n_x, step):
+            block = _phase_rows(f, w, spots[a:a + step])
+            block *= 2.0
+            np.abs(block, out=block)
+            block *= wp
+            worst = np.maximum(worst, block.reshape(block.shape[0], windows, -1).max(axis=(0, 2)))
+        return worst
+
     tail_budget = 0.5 * spec.abs_tol
 
-    # grow the truncation point until the tail bound is met
+    # grow the truncation point until the tail bound is met: the windows
+    # [w, 4w] at w = 64 4^j come from one call while the point stays on
+    # that grid, and any other window from a call of its own
+    on_grid = sampled(_TAIL_WINDOWS, len(_TAIL_STARTS))
     omega = 64.0
     c_est = 0.0
-    for _ in range(64):
-        samples = np.geomspace(omega, 4.0 * omega, 48)
-        c_est = float(np.max(np.abs(paired(samples)) * samples**p))
+    for j in range(64):
+        if j < len(_TAIL_STARTS) and omega == _TAIL_STARTS[j]:
+            c_est = float(on_grid[j])
+        else:
+            c_est = float(sampled(np.geomspace(omega, 4.0 * omega, 48))[0])
         if c_est == 0.0:
             break
         needed = (2.0 * c_est / ((p - 1.0) * tail_budget)) ** (1.0 / (p - 1.0))
@@ -659,8 +696,7 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
 
     # sanity-check the declared decay beyond the truncation point
     if c_est > 0.0:
-        probe = np.geomspace(omega, 8.0 * omega, 16)
-        worst = float(np.max(np.abs(paired(probe)) * probe**p))
+        worst = float(sampled(np.geomspace(omega, 8.0 * omega, 16))[0])
         if worst > 10.0 * c_est:
             raise TailBoundError(
                 f"sampled decay beyond Omega={omega!r} contradicts "

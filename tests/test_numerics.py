@@ -440,6 +440,35 @@ def per_panel_reference(g, omega, spec, osc_hint=None, spots=None):
     return total, passes
 
 
+def per_window_reference(g, tail_order, spec, spots=None):
+    """The truncation search of ``integrate_real_line`` one window per call
+    of g: windows [w, 4w], 48 nodes each, from w = 64, each giving the tail
+    constant max |2 Re row| w^p, until the tail bound meets half the
+    absolute tolerance.  Given ``spots``, the rows are g(w) e^{-iwx}, one
+    cosine and sine per node and spot.  Returns Omega and the windows'
+    first nodes."""
+    p, budget = tail_order, 0.5 * spec.abs_tol
+
+    def paired(w):
+        if spots is not None:
+            phase, f = np.multiply.outer(spots, w), g(w)
+            return 2.0 * (np.cos(phase) * f.real + np.sin(phase) * f.imag)
+        vals = 2.0 * np.real(g(w))
+        return vals if vals.ndim == 2 else vals[None, :]
+
+    omega, starts = 64.0, []
+    while True:
+        samples = np.geomspace(omega, 4.0 * omega, 48)
+        starts.append(omega)
+        c_est = float(np.max(np.abs(paired(samples)) * samples**p))
+        if c_est == 0.0:
+            return omega, starts
+        needed = (2.0 * c_est / ((p - 1.0) * budget)) ** (1.0 / (p - 1.0))
+        if needed <= omega:
+            return omega, starts
+        omega = min(needed, 4.0 * omega)
+
+
 # row i is e^{-w^2/2} e^{-i w x_i}; x = 60 oscillates far faster than the
 # others and needs more refinement than the rest of the batch
 FIVE_XS = np.array([0.0, 0.5, 1.0, 3.0, 60.0])
@@ -550,6 +579,42 @@ class TestRealLineQuadrature:
         assert len([n for n in sizes if n % 32 == 0]) == max(passes)
         assert min(passes) < max(passes)  # some panels are frozen early
 
+    @pytest.mark.parametrize("case", ["single", "five-rows", "five-spots", "past-the-batch"])
+    def test_tail_search_equals_a_per_window_loop(self, case):
+        # the windows [w, 4w] at w = 64, 256 and 1024 come from one call of
+        # 144 nodes, any other window and the probe from calls of their
+        # own; Omega, and so every panel and the result, is what sampling
+        # one window per call gives.  A |w|^-4 tail puts Omega near 3000;
+        # a |w|^-3 tail needs windows up to w = 65,536 and Omega near 2e5
+        p, spots = 4.0, None
+        if case == "single":
+            g = lambda w: np.exp(-1j * w) / (1.0 + w * w) ** 2
+        elif case == "five-rows":
+            g = lambda w: np.exp(-1j * np.outer(FIVE_XS, w)) / (1.0 + w * w) ** 2
+        elif case == "five-spots":
+            g, spots = lambda w: (1.0 + 0.5j * w) / (1.0 + w * w) ** 2.5, FIVE_XS
+        else:
+            g, p = lambda w: np.exp(-1j * w) / (1.0 + w * w) ** 1.5, 3.0
+        sizes, probe = [], []
+
+        def seen(w):
+            sizes.append(w.size)
+            if w.size == 16:
+                probe.append(float(w[0]))
+            return g(w)
+
+        got = integrate_real_line(seen, p, DEFAULT_QUAD, None, spots)
+        omega, starts = per_window_reference(g, p, DEFAULT_QUAD, spots)
+        batched = 0
+        while batched < min(3, len(starts)) and starts[batched] == 64.0 * 4.0**batched:
+            batched += 1
+        assert probe == [omega]
+        assert sizes[0] == 144 and sizes.count(48) == len(starts) - batched
+        # only the last case goes on along the grid past the batch's windows
+        assert (starts[3:4] == [4096.0]) == (case == "past-the-batch")
+        want, _ = per_panel_reference(g, omega, DEFAULT_QUAD, None, spots)
+        np.testing.assert_array_equal(np.real(got), want if case != "single" else want[0])
+
     @pytest.mark.parametrize("f", [lambda w: np.exp(-0.5 * w * w),
                                    lambda w: np.exp(-0.5 * w * w) * (1.0 + 1j * w)],
                              ids=["real", "complex"])
@@ -631,6 +696,23 @@ class TestRealLineQuadrature:
         # entries, so every panel is refused before any table is built (a
         # dozen of them would take about 430 MB)
         xs = np.linspace(0.0, 3.0, 70_000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(AccuracyError) as exc:
+                integrate_real_line(lambda w: np.exp(-0.5 * w * w), 4.0, DEFAULT_QUAD, None, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2**20
+        assert exc.value.best.shape == xs.shape and exc.value.bound == math.inf
+
+    def test_tail_samples_of_a_wide_column_fit_the_budget(self):
+        # 200,000 spots: the 144 tail-sample nodes x spots would be 28.8M
+        # entries, 230 MB a block, so the rows are formed in chunks of spots
+        # of at most 2^21 entries, and the column is refused with its peak
+        # well under 128 MB (154 MB when the 48- and 16-node samples were a
+        # block each)
+        xs = np.linspace(0.0, 3.0, 200_000)
         tracemalloc.start()
         try:
             with pytest.raises(AccuracyError) as exc:
