@@ -75,7 +75,11 @@ def _continuation(k: float, t_bar: float, price):
     """A pricer of a 1-D array of log-spots xs: exercised spots (x <= k)
     are exactly 1, the others 0 at expiry and before it ``price`` of their
     rows (``as_rows``).  An AccuracyError from ``price`` is widened to one
-    best value and bound per spot of xs, exercised spots carrying 1 and 0."""
+    best value and bound per spot of xs, exercised spots carrying 1 and 0.
+    A negative or non-finite t_bar is refused before any spot is priced."""
+    if not 0.0 <= t_bar < math.inf:
+        raise InvalidParametersError("remaining time must be non-negative and finite")
+
     def priced(xs):
         exercised = xs <= k
         prices, live = exercised.astype(float), ~exercised

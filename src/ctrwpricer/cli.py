@@ -247,14 +247,19 @@ def build_figure(fig_id: str | None = None, meta: dict | None = None) -> FigureD
 
 def _check_meta(meta: dict, defaults: dict) -> None:
     """Refuse a stored meta line, input from a file, that lacks a key of its
-    figure's defaults, holds a value of another kind than the default's, or
-    names an unknown payoff or jump family."""
+    figure's defaults, holds a value of another kind than the default's, a
+    grid whose endpoints are not positive and finite or whose count is not
+    a whole number of at least 1, or names an unknown payoff or jump family."""
     for key, default in defaults.items():
         if key not in meta:
             raise ValidationError(f"meta line lacks key {key!r}")
         if not _same_kind(meta[key], default) or (key == "grid" and len(meta[key]) != 3):
             raise ValidationError(f"meta line key {key!r} holds {meta[key]!r}, "
                                   f"not a value like {default!r}")
+    lo, hi, count = meta["grid"]
+    if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and isinstance(count, int) and count >= 1):
+        raise ValidationError(f"meta line key 'grid' holds {meta['grid']!r}, not two positive "
+                              "finite endpoints and a whole count of at least 1")
     try:
         PayoffKind(meta.get("payoff", PayoffKind.VANILLA_CALL.value))
         for family in meta.get("families", ()):

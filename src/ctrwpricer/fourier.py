@@ -119,8 +119,8 @@ def butterfly_payoff(K: float, L: float) -> Payoff:
     w is sin θ/θ + i 2 sin²(θ/2)/θ (1 at θ = 0): real arithmetic only,
     exact and cancellation-free for every real w.
     """
-    if K <= 0 or L <= 0:
-        raise InvalidParametersError("butterfly needs K > 0 and L > 0")
+    if not (0.0 < K < math.inf and 0.0 < L < math.inf):
+        raise InvalidParametersError("butterfly needs finite K > 0 and L > 0")
     k1, k2, k3 = math.log(K), math.log(K + 0.5 * L), math.log(K + L)
     d1, d3 = k1 - k2, k3 - k2
     c1, c3 = math.exp(d1) * d1, math.exp(d3) * d3
@@ -181,8 +181,8 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
     """
     if payoff.transform is None:
         raise InvalidParametersError("the transform route needs a payoff with a transform")
-    if t_bar < 0:
-        raise InvalidParametersError("remaining time must be non-negative")
+    if not 0.0 <= t_bar < math.inf:
+        raise InvalidParametersError("remaining time must be non-negative and finite")
     if t_bar == 0.0:
         return over_spots(payoff.value, x)
 
@@ -242,8 +242,8 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
     d = params.density
     if d.family is not Family.DISCRETE:
         raise InvalidParametersError("net-count conditioning applies to the two-point law")
-    if t_bar < 0:
-        raise InvalidParametersError("remaining time must be non-negative")
+    if not 0.0 <= t_bar < math.inf:
+        raise InvalidParametersError("remaining time must be non-negative and finite")
     if t_bar == 0.0:
         return over_spots(payoff.value, x)
 

@@ -11,27 +11,26 @@ transform used by the pricing modules can be cross-checked:
 Both assume the transform is analytic to the right of a known abscissa and
 real-valued in the time domain.  Every integral runs on one engine of
 32-point Gauss-Legendre panels refined by slice doubling (one loop,
-``_refine``), with vectorised integrands.  Inversions and integrals also
-take a batch, one row per spot, so a column of spots costs one call.  An
-inversion judges each row by its own threshold; a panel integral hands
-its integrand each spot's constants as rows (``as_rows``: a single spot's
-as floats), refines each spot until its own tolerance holds and freezes
-it there, as its single integral would stop, and splits every call of the
-integrand to fit the node budget; the real-line integral holds the whole
-batch to its worst row and refines all its panels together, one call of
-the integrand per round within the node budget, after a truncation search
-that samples its first three tail windows in one call.  Given a column of
-spots, the real-line integrand returns one spot-free value per node and the
-integral applies each spot's phase e^{-iwx} itself, per Gauss-Legendre
-slice rather than per node, and charges the budget its nodes or its
-slices x spots (or a 32 x spots table per panel) rather than nodes x
-spots; it forms the tail samples' nodes x spots in chunks of spots within
-the budget.  Every pricer takes its spots through one adapter
-(``over_spots``), and every estimate in an AccuracyError is mapped as
-its price is (``mapped``).  Special functions are thin wrappers over
-scipy.special, which the first of them to run imports: only the
-exponential closed forms, Black-Scholes and the Gumbel law need it, and
-it takes longer to import than numpy and this package together.
+``_refine``), with vectorised integrands, and a column of spots costs one
+call.  An inversion takes a batch, one row per spot, and judges each row
+by its own threshold; a panel integral hands its integrand each spot's
+constants as rows (``as_rows``: a single spot's as floats), refines each
+spot until its own tolerance holds and freezes it there, as its single
+integral would stop, and splits every call of the integrand to fit the
+node budget.  The real-line integral takes one form: a spot-free
+integrand, one value per node, and the spots, whose phases e^{-iwx} it
+applies itself, per Gauss-Legendre slice rather than per node.  It holds
+the column to its worst spot, samples its first three tail windows in one
+call, refines all its panels together, one call of the integrand per
+round, and charges the budget a call's nodes, slices x spots or 32 x
+spots table per panel, never nodes x spots; it forms the tail samples'
+nodes x spots in chunks of spots within the budget.  Every pricer takes
+its spots through one adapter (``over_spots``), and every estimate in an
+AccuracyError is mapped as its price is (``mapped``).  Special functions
+are thin wrappers over scipy.special, which the first of them to run
+imports: only the exponential closed forms, Black-Scholes and the Gumbel
+law need it, and it takes longer to import than numpy and this package
+together.
 """
 
 from __future__ import annotations
@@ -79,8 +78,8 @@ class QuadSpec:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-10
     # the largest array of one call of an integrand: nodes x rows, or for a
-    # real-line integral given its spots, its nodes, slices x spots or 32 x
-    # panels x spots; 16 MB per array of floats
+    # real-line integral its nodes, slices x spots or 32 x panels x spots;
+    # 16 MB per array of floats
     max_nodes: int = 1 << 21
 
     def __post_init__(self):
@@ -262,8 +261,8 @@ def _talbot(f, t: float, orders: tuple) -> list:
     amplification.
     """
     lf = _as_laplace_fn(f)
-    if t <= 0:
-        raise InvalidParametersError("inversion time must be positive")
+    if not 0.0 < t < math.inf:
+        raise InvalidParametersError("inversion time must be positive and finite")
     nodes, parts = _talbot_rule(float(t), orders)
     a = 0.0
     if lf.abscissa != 0.0:
@@ -301,8 +300,8 @@ def _euler_weights(M: int) -> np.ndarray:
 def laplace_invert_euler(f, t: float, terms: int = EULER_TERMS) -> float:
     """Invert with the Euler-accelerated Bromwich series (cross-check rule)."""
     lf = _as_laplace_fn(f)
-    if t <= 0:
-        raise InvalidParametersError("inversion time must be positive")
+    if not 0.0 < t < math.inf:
+        raise InvalidParametersError("inversion time must be positive and finite")
     M = terms
     shift = lf.abscissa
     a = M * math.log(10.0) / 3.0
@@ -453,12 +452,7 @@ def _panel_value(g, half: float, nodes: np.ndarray) -> np.ndarray:
 
     ``g`` returns an (n_x, nodes) block; the result has one entry per row.
     """
-    return _gl_sum(g(nodes), half)
-
-
-def _gl_sum(vals: np.ndarray, half: float) -> np.ndarray:
-    """The composite rule's sum over an (n_x, nodes) block of one panel's
-    values, one entry per row."""
+    vals = g(nodes)
     return (vals.reshape(vals.shape[0], -1, _GL_NODES.size) @ _GL_WEIGHTS).sum(axis=1) * half
 
 
@@ -539,6 +533,9 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
     """
     if unit is None:
         unit = 32 * k
+    # an int unit keeps the cost checks scalar: an array of n for
+    # integrate_panels too made each of its batched calls about a quarter
+    # slower, in numpy bookkeeping that an int skips
     shared = isinstance(unit, int)
 
     def evaluate(rows, m):
@@ -587,24 +584,18 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
 
 
 def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
-                        osc_hint: float | None = None, spots=None):
-    """Integrate a Hermitian g over the whole real line, for one integrand
-    or a batch.
+                        osc_hint: float = 0.0, *, spots):
+    """Integrate g(w) e^{-iwx} over the whole real line at each of the
+    spots x, a 1-D array of n_x reals; the result is a complex array of
+    shape (n_x,) whose imaginary part is exactly 0.
 
-    The caller guarantees g(-w) = conj(g(w)), as for the transform of any
-    real function; g is then evaluated once per node, at w >= 0 only, and
-    the interior is integrated as  \\int_0^Omega 2 Re g(w) dw.  ``g(w)``
-    returns either one value per node (shape ``(N,)``; the result is a
-    complex scalar) or a batch of integrands, one row each (shape
-    ``(n_x, N)``; the result is a complex array of shape ``(n_x,)``); the
-    imaginary part of the result is exactly 0.  g may return only its real
-    part, which has the same integral.
-
-    Given ``spots``, a 1-D array of n_x reals x_j, g returns one value per
-    node and the batch's row j is g(w) e^{-iwx_j}: the integral contracts
-    g against every spot's phase itself, so g is evaluated once per node
-    for the whole column and no (n_x, N) block is formed inside a panel
-    (``_phased_panels``).  The result is a complex array of shape (n_x,).
+    ``g(w)`` is spot-free: it returns one value per node.  The caller
+    guarantees g(-w) = conj(g(w)), as for the transform of any real
+    function; g is then evaluated once per node for the whole column, at
+    w >= 0 only, and the interior is integrated as
+    \\int_0^Omega 2 Re(g(w) e^{-iwx}) dw.  The integral applies each
+    spot's phase itself, per Gauss-Legendre slice rather than per node
+    (``_phased_panels``), so no nodes x n_x block is formed inside a panel.
 
     The caller also guarantees |g(w)| <= C |w|^-tail_order for large |w|
     with tail_order > 1.  C is estimated by sampling windows [w, 4w] of 48
@@ -613,52 +604,38 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     The search starts at w = 64 and grows w fourfold while the bound is
     far from met, so its first windows, w = 64, 256 and 1024, are sampled
     in one call of g; a window off that grid, or past it, and the decay
-    probe beyond Omega take one call each.  Given spots, the sampled rows
+    probe beyond Omega take one call each.  The sampled rows
     g(w) e^{-iwx} are formed in chunks of spots of at most max_nodes
-    entries, and g is still called once.  The interior is
-    integrated on geometrically growing panels, each refined until
-    converged and then frozen (``_refine``, each panel one integral whose
-    parts are the batch's n_x rows).  For a batch, the tail constant, the
-    decay probe and each panel's convergence test take the worst row, so
-    every entry carries the same certificate as a single integral would.
-    Each refinement round calls g once on the nodes of every panel still
+    entries.  The interior is integrated on geometrically growing panels,
+    each refined until converged and then frozen (``_refine``, each panel
+    one integral whose parts are the n_x spots).  The tail constant, the
+    decay probe and each panel's convergence test take the worst spot, so
+    every entry carries the certificate its single-spot call would.  Each
+    refinement round calls g once on the nodes of every panel still
     refining, split only where an array of the call would exceed
-    max_nodes: its nodes x n_x for a batch of rows and, given ``spots``,
-    its nodes, its slices x n_x or its 32 x n_x offset table per panel;
-    every panel's value, and so the result, is what refining the panels
-    one by one gives.  AccuracyError carries the sum of every panel's
-    current value as ``best``, shaped as the result, and the summed last
-    changes plus the tail budget as ``bound``.
+    max_nodes: its nodes, its slices x n_x or its 32 x n_x offset table
+    per panel; every panel's value, and so the result, is what refining
+    the panels one by one gives.  AccuracyError carries the sum of every
+    panel's current value as ``best``, shaped as the result, and the
+    summed last changes plus the tail budget as ``bound``.
 
-    ``osc_hint`` is an optional bound on the phase speed of g in radians
-    per unit of w; it seeds each panel with enough slices to resolve the
-    oscillation instead of discovering it by repeated refinement.  A panel
+    ``osc_hint`` bounds the phase speed of g in radians per unit of w; it
+    seeds each panel with enough slices to resolve the oscillation instead
+    of discovering it by repeated refinement (0 seeds one slice).  A panel
     whose seeded first pass alone exceeds the node budget is never handed
     to g, and the integral raises AccuracyError.
     """
     p = float(tail_order)
     if p <= 1.0:
         raise InvalidParametersError("tail_order must exceed 1")
-    if spots is not None:
-        spots = np.asarray(spots, dtype=float)
-    n_x = None if spots is None else spots.size  # the number of rows of a batch
-
-    def paired(w):
-        """2 Re of every row at the nodes w, shape (rows, N), for a batch of
-        rows (no ``spots``)."""
-        nonlocal n_x
-        vals = 2.0 * np.real(g(w))
-        n_x = len(vals) if vals.ndim == 2 else None
-        return vals if n_x else vals[None, :]
+    spots = np.asarray(spots, dtype=float)
+    n_x = spots.size
 
     def sampled(w, windows: int = 1) -> np.ndarray:
-        """max |2 Re row| w^p over every row, per window of equally many of
-        the nodes w, from one call of g.  Given spots, the rows are formed
-        in chunks of spots of at most max_nodes entries each."""
+        """max |2 Re(g(w) e^{-iwx})| w^p over every spot, per window of
+        equally many of the nodes w, from one call of g; the rows are
+        formed in chunks of spots of at most max_nodes entries each."""
         wp = w**p
-        if spots is None:
-            vals = np.abs(paired(w)) * wp
-            return vals.reshape(vals.shape[0], windows, -1).max(axis=(0, 2))
         f, step, worst = g(w), max(1, spec.max_nodes // w.size), np.zeros(windows)
         for a in range(0, n_x, step):
             block = _phase_rows(f, w, spots[a:a + step])
@@ -711,38 +688,24 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
         edges.append(min(2.0 * edges[-1], omega))
     lo, hi = np.array(edges[:-1]), np.array(edges[1:])
     tol = 0.5 * spec.abs_tol * np.maximum((hi - lo) / omega, 1e-3)
-    start = np.maximum(1.0, np.ceil((hi - lo) * osc_hint / 40.0)) if osc_hint else np.ones(lo.size)
-    k = n_x or 1
-    # a pass's largest array per first-pass slice: its nodes x rows, or
-    # given spots its nodes or its slices x spots, and never less than its
-    # 32 x spots offset table (the floor passed below)
-    unit = start * (32 * k if spots is None else max(32, k))
+    start = np.maximum(1.0, np.ceil((hi - lo) * osc_hint / 40.0))
 
     def panels(m, rows):
         """Pass m of each panel of ``rows``, from one call of g on all their
         nodes, shape (panels, n_x)."""
-        slices = (start[rows] * m).astype(int)
-        if spots is not None:
-            return _phased_panels(g, lo[rows], hi[rows], slices, spots)
-        halves, nodes = _slice_nodes(lo[rows], hi[rows], slices)
-        vals = paired(nodes)
-        ends = 32 * np.cumsum(slices)
-        return np.stack([_gl_sum(vals[:, a:b], half)
-                         for a, b, half in zip(ends - 32 * slices, ends, halves)])
+        return _phased_panels(g, lo[rows], hi[rows], (start[rows] * m).astype(int), spots)
 
-    parts, change, converged = _refine(panels, lo.size, k, lambda _, rows: tol[rows],
-                                       spec.max_nodes, unit, 0 if spots is None else 32 * k)
-    total = 0.0
+    # a pass's largest array per first-pass slice is its nodes or its
+    # slices x spots, and never less than its 32 x spots offset table
+    parts, change, converged = _refine(panels, lo.size, n_x, lambda _, rows: tol[rows],
+                                       spec.max_nodes, start * max(32, n_x), 32 * n_x)
+    total = np.zeros(n_x, dtype=complex)
     for part in parts:  # in panel order, one panel's values at a time
-        total = total + part
-
-    def shaped(a):
-        return a.astype(complex) if n_x else complex(a[0])
-
+        total += part
     if not converged:
         bad = int(np.argmax(change > tol))
         raise AccuracyError(f"panel [{float(lo[bad])!r}, {float(hi[bad])!r}] did not converge "
                             f"within the budget of {spec.max_nodes} (last refinement changed by "
                             f"{float(change[bad])!r})",
-                            best=shaped(total), bound=float(change.sum()) + tail_budget)
-    return shaped(total)
+                            best=total, bound=float(change.sum()) + tail_budget)
+    return total

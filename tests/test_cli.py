@@ -29,6 +29,18 @@ from ctrwpricer.numerics import QuadSpec
 from ctrwpricer.riskneutral import MarketParams
 
 
+# a figure's default grid [lo, hi, count] made bad in one entry
+BAD_GRIDS = {
+    "negative-endpoint": lambda g: [-g[0], g[1], g[2]],
+    "zero-endpoint": lambda g: [0, g[1], g[2]],
+    "infinite-endpoint": lambda g: [g[0], math.inf, g[2]],
+    "nan-endpoint": lambda g: [math.nan, g[1], g[2]],
+    "fractional-count": lambda g: [g[0], g[1], 2.5],
+    "zero-count": lambda g: [g[0], g[1], 0],
+    "negative-count": lambda g: [g[0], g[1], -3],
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -550,6 +562,32 @@ class TestFigCommand:
         assert code == 2
         assert stdout == ""
         assert err.startswith("validation error:") and named in err
+        assert not again.exists()
+
+    @pytest.mark.parametrize("fig_id, key, value", [
+        *[(fig_id, "grid", edit) for fig_id in FIGURES for edit in BAD_GRIDS],
+        ("fig3", "K", math.nan), ("fig3", "L", math.nan), ("fig3", "K", math.inf),
+        ("fig3", "L", math.inf), ("fig3", "T", math.nan), ("fig4", "T", math.nan),
+        ("fig4", "T", math.inf),
+        pytest.param("fig5", "t_bars", [math.nan], id="fig5-t_bars-nan"),
+        pytest.param("fig5", "t_bars", [1.0, math.inf], id="fig5-t_bars-inf"),
+    ])
+    def test_bad_meta_value_exits_2(self, capsys, tmp_path, fig_id, key, value):
+        # a grid whose endpoint is not positive and finite or whose count is
+        # not a whole number of at least 1, and a non-finite strike, wing
+        # or horizon, are bad input (exit 2), not a traceback, a
+        # RuntimeWarning, an accuracy failure or a table of the wrong size
+        meta = dict(FIGURES[fig_id][1], figure=fig_id)
+        meta[key] = BAD_GRIDS[value](meta["grid"]) if key == "grid" else value
+        first = tmp_path / "meta.csv"
+        first.write_text("# " + json.dumps(meta) + "\n")
+        again = tmp_path / "again.csv"
+        code, stdout, err = run(capsys, "fig", "--from-meta", str(first), "--out", str(again))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("validation error:")
+        if key == "grid":
+            assert "'grid'" in err
         assert not again.exists()
 
     def test_file_without_meta_line_rejected(self, tmp_path):

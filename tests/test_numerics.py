@@ -404,29 +404,30 @@ class TestPoissonDifferencePmf:
             assert np.all(got[m_max + 1:] == 0.0)
 
 
-def per_panel_reference(g, omega, spec, osc_hint=None, spots=None):
+def per_panel_reference(g, omega, spec, spots, osc_hint=0.0, direct=False):
     """The interior of ``integrate_real_line`` refined one panel at a time:
-    each panel from its phase seed until its worst row moved by at most its
-    tolerance, the values added in panel order.  Given ``spots``, each
-    panel is contracted against their phases alone.  Returns the sum and
-    each panel's number of passes."""
+    each panel from its phase seed until its worst spot moved by at most
+    its tolerance, the values added in panel order.  Each panel is
+    contracted against the spots' phases alone or, if ``direct``, summed
+    over the rows 2 Re(g(w) e^{-iwx}), one cosine and sine per node and
+    spot.  Returns the sum and each panel's number of passes."""
     edges = [0.0, min(1.0, omega)]
     while edges[-1] < omega:
         edges.append(min(2.0 * edges[-1], omega))
 
-    def paired(w):
-        vals = 2.0 * np.real(g(w))
-        return vals if vals.ndim == 2 else vals[None, :]
+    def rows(w):
+        phase, f = np.multiply.outer(spots, w), g(w)
+        return 2.0 * (np.cos(phase) * f.real + np.sin(phase) * f.imag)
 
     def value(lo, hi, slices):
-        if spots is None:
-            return _panel_value(paired, *_slice_nodes(lo, hi, slices))
+        if direct:
+            return _panel_value(rows, *_slice_nodes(lo, hi, slices))
         return _phased_panels(g, np.array([lo]), np.array([hi]), np.array([slices]), spots)[0]
 
     total, passes = 0.0, []
     for lo, hi in zip(edges[:-1], edges[1:]):
         tol = 0.5 * spec.abs_tol * max((hi - lo) / omega, 1e-3)
-        slices = max(1, math.ceil((hi - lo) * osc_hint / 40.0)) if osc_hint else 1
+        slices = max(1, math.ceil((hi - lo) * osc_hint / 40.0))
         prev = value(lo, hi, slices)
         n = 1
         while True:
@@ -440,27 +441,23 @@ def per_panel_reference(g, omega, spec, osc_hint=None, spots=None):
     return total, passes
 
 
-def per_window_reference(g, tail_order, spec, spots=None):
+def per_window_reference(g, tail_order, spec, spots):
     """The truncation search of ``integrate_real_line`` one window per call
     of g: windows [w, 4w], 48 nodes each, from w = 64, each giving the tail
-    constant max |2 Re row| w^p, until the tail bound meets half the
-    absolute tolerance.  Given ``spots``, the rows are g(w) e^{-iwx}, one
-    cosine and sine per node and spot.  Returns Omega and the windows'
-    first nodes."""
+    constant max |2 Re(g(w) e^{-iwx})| w^p over the spots, one cosine and
+    sine per node and spot, until the tail bound meets half the absolute
+    tolerance.  Returns Omega and the windows' first nodes."""
     p, budget = tail_order, 0.5 * spec.abs_tol
 
-    def paired(w):
-        if spots is not None:
-            phase, f = np.multiply.outer(spots, w), g(w)
-            return 2.0 * (np.cos(phase) * f.real + np.sin(phase) * f.imag)
-        vals = 2.0 * np.real(g(w))
-        return vals if vals.ndim == 2 else vals[None, :]
+    def rows(w):
+        phase, f = np.multiply.outer(spots, w), g(w)
+        return 2.0 * (np.cos(phase) * f.real + np.sin(phase) * f.imag)
 
     omega, starts = 64.0, []
     while True:
         samples = np.geomspace(omega, 4.0 * omega, 48)
         starts.append(omega)
-        c_est = float(np.max(np.abs(paired(samples)) * samples**p))
+        c_est = float(np.max(np.abs(rows(samples)) * samples**p))
         if c_est == 0.0:
             return omega, starts
         needed = (2.0 * c_est / ((p - 1.0) * budget)) ** (1.0 / (p - 1.0))
@@ -469,141 +466,124 @@ def per_window_reference(g, tail_order, spec, spots=None):
         omega = min(needed, 4.0 * omega)
 
 
-# row i is e^{-w^2/2} e^{-i w x_i}; x = 60 oscillates far faster than the
-# others and needs more refinement than the rest of the batch
+def probed(g):
+    """g, recording the size of every call and the first node of the decay
+    probe, geomspace(Omega, 8 Omega, 16)."""
+    sizes, probe = [], []
+
+    def seen(w):
+        sizes.append(w.size)
+        if w.size == 16:
+            probe.append(float(w[0]))
+        return g(w)
+    return seen, sizes, probe
+
+
+# spot x_i phases e^{-w^2/2} by e^{-i w x_i}; x = 60 oscillates far faster
+# than the others and needs more refinement than the rest of the column
 FIVE_XS = np.array([0.0, 0.5, 1.0, 3.0, 60.0])
 
 
-def five_rows(w):
-    return np.exp(-0.5 * w * w)[None, :] * np.exp(-1j * np.outer(FIVE_XS, w))
+def gaussian(w):
+    return np.exp(-0.5 * w * w)
 
 
 class TestRealLineQuadrature:
     def test_lorentzian(self):
-        val = integrate_real_line(lambda w: 1.0 / (1.0 + w * w), 2.0, DEFAULT_QUAD)
-        assert abs(val - math.pi) <= 1e-9
+        val = integrate_real_line(lambda w: 1.0 / (1.0 + w * w), 2.0, DEFAULT_QUAD, spots=[0.0])
+        assert abs(val[0] - math.pi) <= 1e-9
 
     def test_gaussian(self):
-        val = integrate_real_line(lambda w: np.exp(-0.5 * w * w), 4.0, DEFAULT_QUAD)
-        assert abs(val - math.sqrt(2.0 * math.pi)) <= 1e-9
+        val = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=[0.0])
+        assert abs(val[0] - math.sqrt(2.0 * math.pi)) <= 1e-9
 
     def test_complex_integrand_real_result(self):
         # e^{-w^2/2 - iw} integrates to sqrt(2 pi) e^{-1/2}
-        g = lambda w: np.exp(-0.5 * w * w - 1j * w)
-        val = integrate_real_line(g, 4.0, DEFAULT_QUAD)
-        assert abs(val - math.sqrt(2.0 * math.pi) * math.exp(-0.5)) <= 1e-9
+        val = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=[1.0])
+        assert abs(val[0] - math.sqrt(2.0 * math.pi) * math.exp(-0.5)) <= 1e-9
 
     def test_tail_bound_violation_detected(self):
         # claims cubic decay but only decays like 1/w^1.2: the probe must object
         g = lambda w: 1.0 / (1.0 + abs(w)) ** 1.2
         with pytest.raises(TailBoundError):
-            integrate_real_line(g, 3.0, QuadSpec(rel_tol=1e-9, abs_tol=1e-8))
+            integrate_real_line(g, 3.0, QuadSpec(rel_tol=1e-9, abs_tol=1e-8), spots=[0.0])
 
     def test_decay_probe_contradiction_detected(self):
         # quartic decay up to the truncation point, then a bump near w = 1000
         # that only the probe beyond it samples
         g = lambda w: 1.0 / (1.0 + w * w) ** 2 + 1e-3 * np.exp(-(((w - 1000.0) / 50.0) ** 2))
         with pytest.raises(TailBoundError, match="contradicts") as exc:
-            integrate_real_line(g, 4.0, QuadSpec(abs_tol=1e-6))
+            integrate_real_line(g, 4.0, QuadSpec(abs_tol=1e-6), spots=[0.0])
         assert exc.value.best is None and exc.value.bound > 0.0
 
     @pytest.mark.parametrize("tail_order", [1.0, 0.5])
     def test_tail_order_must_exceed_one(self, tail_order):
         with pytest.raises(InvalidParametersError):
-            integrate_real_line(lambda w: 1.0 / (1.0 + w * w), tail_order, DEFAULT_QUAD)
+            integrate_real_line(lambda w: 1.0 / (1.0 + w * w), tail_order, DEFAULT_QUAD,
+                                spots=[0.0])
 
-    def test_scalar_integrand_returns_complex_scalar(self):
-        val = integrate_real_line(lambda w: np.exp(-0.5 * w * w), 4.0, DEFAULT_QUAD)
-        assert isinstance(val, complex)
+    @pytest.mark.parametrize("spots", [[0.0], FIVE_XS], ids=["one", "five"])
+    def test_result_is_complex_one_entry_per_spot(self, spots):
+        val = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=spots)
+        assert isinstance(val, np.ndarray) and val.dtype == complex
+        assert val.shape == (len(spots),)
 
-    def test_batched_fourier_pairs(self):
-        xs = FIVE_XS
-        val = integrate_real_line(five_rows, 4.0, DEFAULT_QUAD)
-        assert isinstance(val, np.ndarray) and val.shape == xs.shape
-        exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * xs * xs)
+    def test_fourier_pairs_of_a_column(self):
+        val = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=FIVE_XS)
+        exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * FIVE_XS * FIVE_XS)
         assert np.max(np.abs(val - exact)) <= 1e-9
-        for x, v in zip(xs, val):
-            single = integrate_real_line(
-                lambda w: np.exp(-0.5 * w * w - 1j * w * x), 4.0, DEFAULT_QUAD)
-            assert abs(v - single) <= 1e-9
-
-    def test_batch_tail_bound_violation_detected(self):
-        # one row decays like 1/w^1.2 against a declared cubic tail: the
-        # whole batch is refused
-        g = lambda w: np.vstack([np.exp(-0.5 * w * w), 1.0 / (1.0 + np.abs(w)) ** 1.2])
-        with pytest.raises(TailBoundError):
-            integrate_real_line(g, 3.0, QuadSpec(rel_tol=1e-9, abs_tol=1e-8))
+        for x, v in zip(FIVE_XS, val):
+            single = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=[x])
+            assert abs(v - single[0]) <= 1e-9
 
     def test_evaluates_non_negative_nodes_only(self):
         # g(-w) = conj g(w) is taken on trust, never evaluated; the result's
-        # imaginary part is exactly 0, for a single integrand and a batch
+        # imaginary part is exactly 0, for one spot and a column
         xs = np.array([0.0, 1.0, 3.0])
         seen = []
 
         def g(w):
             seen.append(np.array(w))
-            return np.exp(-0.5 * w * w)[None, :] * np.exp(-1j * np.outer(xs, w))
+            return gaussian(w)
 
-        batch = integrate_real_line(g, 4.0, DEFAULT_QUAD)
-        single = integrate_real_line(lambda w: g(w)[1], 4.0, DEFAULT_QUAD)
+        column = integrate_real_line(g, 4.0, DEFAULT_QUAD, spots=xs)
+        single = integrate_real_line(g, 4.0, DEFAULT_QUAD, spots=xs[1:2])
         assert min(float(np.min(w)) for w in seen) >= 0.0
-        assert np.all(batch.imag == 0.0) and single.imag == 0.0
+        assert np.all(column.imag == 0.0) and np.all(single.imag == 0.0)
         exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * xs * xs)
-        assert np.max(np.abs(batch - exact)) <= 1e-9
+        assert np.max(np.abs(column - exact)) <= 1e-9
 
-    @pytest.mark.parametrize("batch, osc_hint, spots",
-                             [(False, None, None), (True, None, None), (True, 5.0, None),
-                              (True, 5.0, FIVE_XS)],
-                             ids=["single", "five-rows", "five-rows-seeded", "five-spots-phased"])
-    def test_rounds_equal_a_per_panel_loop(self, batch, osc_hint, spots):
+    @pytest.mark.parametrize("osc_hint, spots",
+                             [(0.0, np.array([1.0])), (0.0, FIVE_XS), (5.0, FIVE_XS)],
+                             ids=["single", "five-spots", "five-spots-seeded"])
+    def test_rounds_equal_a_per_panel_loop(self, osc_hint, spots):
         # every panel, refined with the others in one call of g per round,
         # keeps the bits it gets refined alone; the rounds are as many as
         # the slowest panel's passes.  A |w|^-4 tail puts Omega near 3000.
-        if spots is not None:
-            g = lambda w: 1.0 / (1.0 + w * w) ** 2
-        elif batch:
-            g = lambda w: np.exp(-1j * np.outer(FIVE_XS, w)) / (1.0 + w * w) ** 2
-        else:
-            g = lambda w: np.exp(-1j * w) / (1.0 + w * w) ** 2
-        sizes, probe = [], []
-
-        def seen(w):
-            sizes.append(w.size)
-            if w.size == 16:  # the decay probe, geomspace(Omega, 8 Omega, 16)
-                probe.append(float(w[0]))
-            return g(w)
-
-        got = integrate_real_line(seen, 4.0, DEFAULT_QUAD, osc_hint, spots)
-        want, passes = per_panel_reference(g, probe[0], DEFAULT_QUAD, osc_hint, spots)
-        np.testing.assert_array_equal(np.real(got), want if batch else want[0])
+        g = lambda w: 1.0 / (1.0 + w * w) ** 2
+        seen, sizes, probe = probed(g)
+        got = integrate_real_line(seen, 4.0, DEFAULT_QUAD, osc_hint, spots=spots)
+        want, passes = per_panel_reference(g, probe[0], DEFAULT_QUAD, spots, osc_hint)
+        np.testing.assert_array_equal(np.real(got), want)
         assert len([n for n in sizes if n % 32 == 0]) == max(passes)
         assert min(passes) < max(passes)  # some panels are frozen early
 
-    @pytest.mark.parametrize("case", ["single", "five-rows", "five-spots", "past-the-batch"])
+    @pytest.mark.parametrize("case", ["single", "five-spots-real", "five-spots", "past-the-batch"])
     def test_tail_search_equals_a_per_window_loop(self, case):
         # the windows [w, 4w] at w = 64, 256 and 1024 come from one call of
         # 144 nodes, any other window and the probe from calls of their
         # own; Omega, and so every panel and the result, is what sampling
         # one window per call gives.  A |w|^-4 tail puts Omega near 3000;
         # a |w|^-3 tail needs windows up to w = 65,536 and Omega near 2e5
-        p, spots = 4.0, None
+        p, spots, g = 4.0, FIVE_XS, lambda w: 1.0 / (1.0 + w * w) ** 2
         if case == "single":
-            g = lambda w: np.exp(-1j * w) / (1.0 + w * w) ** 2
-        elif case == "five-rows":
-            g = lambda w: np.exp(-1j * np.outer(FIVE_XS, w)) / (1.0 + w * w) ** 2
+            spots = np.array([1.0])
         elif case == "five-spots":
-            g, spots = lambda w: (1.0 + 0.5j * w) / (1.0 + w * w) ** 2.5, FIVE_XS
-        else:
-            g, p = lambda w: np.exp(-1j * w) / (1.0 + w * w) ** 1.5, 3.0
-        sizes, probe = [], []
-
-        def seen(w):
-            sizes.append(w.size)
-            if w.size == 16:
-                probe.append(float(w[0]))
-            return g(w)
-
-        got = integrate_real_line(seen, p, DEFAULT_QUAD, None, spots)
+            g = lambda w: (1.0 + 0.5j * w) / (1.0 + w * w) ** 2.5
+        elif case == "past-the-batch":
+            g, p, spots = lambda w: 1.0 / (1.0 + w * w) ** 1.5, 3.0, np.array([1.0])
+        seen, sizes, probe = probed(g)
+        got = integrate_real_line(seen, p, DEFAULT_QUAD, spots=spots)
         omega, starts = per_window_reference(g, p, DEFAULT_QUAD, spots)
         batched = 0
         while batched < min(3, len(starts)) and starts[batched] == 64.0 * 4.0**batched:
@@ -612,19 +592,21 @@ class TestRealLineQuadrature:
         assert sizes[0] == 144 and sizes.count(48) == len(starts) - batched
         # only the last case goes on along the grid past the batch's windows
         assert (starts[3:4] == [4096.0]) == (case == "past-the-batch")
-        want, _ = per_panel_reference(g, omega, DEFAULT_QUAD, None, spots)
-        np.testing.assert_array_equal(np.real(got), want if case != "single" else want[0])
+        want, _ = per_panel_reference(g, omega, DEFAULT_QUAD, spots)
+        np.testing.assert_array_equal(np.real(got), want)
 
-    @pytest.mark.parametrize("f", [lambda w: np.exp(-0.5 * w * w),
-                                   lambda w: np.exp(-0.5 * w * w) * (1.0 + 1j * w)],
+    @pytest.mark.parametrize("f", [gaussian, lambda w: gaussian(w) * (1.0 + 1j * w)],
                              ids=["real", "complex"])
     def test_spot_phases_match_the_direct_phases(self, f):
         # contracting g against each spot's phase per slice gives what the
-        # rows g(w) e^{-iwx}, one cosine and sine per node, give, up to
-        # rounding of the row's largest value (max |g| = 1 for both g)
-        phased = integrate_real_line(f, 4.0, DEFAULT_QUAD, 60.0, FIVE_XS)
-        direct = integrate_real_line(lambda w: f(w)[None, :] * np.exp(-1j * np.outer(FIVE_XS, w)),
-                                     4.0, DEFAULT_QUAD, 60.0)
+        # rows g(w) e^{-iwx}, one cosine and sine per node, give on the same
+        # panels, up to rounding of the row's largest value (max |g| = 1
+        # for both g).  Both g vanish at w = 64, so Omega is 64 and no
+        # probe runs
+        phased = integrate_real_line(f, 4.0, DEFAULT_QUAD, 60.0, spots=FIVE_XS)
+        omega, _ = per_window_reference(f, 4.0, DEFAULT_QUAD, FIVE_XS)
+        assert omega == 64.0
+        direct, _ = per_panel_reference(f, omega, DEFAULT_QUAD, FIVE_XS, 60.0, direct=True)
         assert phased.shape == FIVE_XS.shape and np.all(phased.imag == 0.0)
         assert np.max(np.abs(phased - direct)) <= 1e-14
 
@@ -640,7 +622,7 @@ class TestRealLineQuadrature:
             def recorded(w):
                 seen.append(w.copy())
                 return g(w)
-            return seen, integrate_real_line(recorded, 4.0, DEFAULT_QUAD, 5.0, spots)
+            return seen, integrate_real_line(recorded, 4.0, DEFAULT_QUAD, 5.0, spots=spots)
         one, single = nodes(np.array([x]))
         three, column = nodes(np.array([x, x, x]))
         assert len(one) == len(three)
@@ -648,27 +630,33 @@ class TestRealLineQuadrature:
             np.testing.assert_array_equal(a, b)
         assert np.max(np.abs(column - single[0])) <= 1e-15
 
-    @pytest.mark.parametrize("osc_hint", [None, 60.0])
+    @pytest.mark.parametrize("osc_hint", [0.0, 60.0])
     def test_no_call_exceeds_the_node_budget(self, osc_hint):
-        # nodes x rows of every call, the seeded first pass included: 2^11
-        # splits the second round over two calls and gives the same bits,
-        # and a panel whose seeded first pass alone exceeds it is never
-        # evaluated
-        sizes = []
+        # a call's largest array, the seeded first pass included: its
+        # nodes, its slices x spots or its 32 x spots offset table per
+        # panel.  2^10 splits the first two rounds over two calls each and
+        # gives the same bits, and a panel whose seeded first pass alone
+        # exceeds it is never evaluated
+        def run(spec):
+            sizes = []
 
-        def g(w):
-            sizes.append(w.size * FIVE_XS.size)
-            return five_rows(w)
+            def g(w):
+                sizes.append(w.size)
+                return gaussian(w)
+            return lambda: integrate_real_line(g, 4.0, spec, osc_hint, spots=FIVE_XS), sizes
 
-        spec = QuadSpec(max_nodes=1 << 11)
-        if osc_hint is None:
-            got = integrate_real_line(g, 4.0, spec)
-            assert list(got) == list(integrate_real_line(five_rows, 4.0, DEFAULT_QUAD))
+        spec = QuadSpec(max_nodes=1 << 10)
+        price, sizes = run(spec)
+        if osc_hint == 0.0:
+            whole, rounds = run(DEFAULT_QUAD)
+            assert list(price()) == list(whole())
+            assert len([n for n in sizes if n % 32 == 0]) > len([n for n in rounds if n % 32 == 0])
         else:
             with pytest.raises(AccuracyError) as exc:
-                integrate_real_line(g, 4.0, spec, osc_hint)
+                price()
             assert exc.value.best.shape == FIVE_XS.shape and exc.value.bound == math.inf
-        assert max(sizes) <= spec.max_nodes
+        assert max(max(n, n // 32 * FIVE_XS.size, 32 * FIVE_XS.size)
+                   for n in sizes if n % 32 == 0) <= spec.max_nodes
 
     def test_phased_calls_keep_every_array_within_the_budget(self):
         # given spots, a call's arrays are its nodes, its slices x spots and
@@ -679,8 +667,8 @@ class TestRealLineQuadrature:
 
             def g(w):
                 sizes.append(w.size)
-                return np.exp(-0.5 * w * w)
-            got = integrate_real_line(g, 4.0, spec, 5.0, FIVE_XS)
+                return gaussian(w)
+            got = integrate_real_line(g, 4.0, spec, 5.0, spots=FIVE_XS)
             return got, [n for n in sizes if n % 32 == 0]
 
         spec = QuadSpec(max_nodes=1 << 8)
@@ -699,7 +687,7 @@ class TestRealLineQuadrature:
         tracemalloc.start()
         try:
             with pytest.raises(AccuracyError) as exc:
-                integrate_real_line(lambda w: np.exp(-0.5 * w * w), 4.0, DEFAULT_QUAD, None, xs)
+                integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=xs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -716,7 +704,7 @@ class TestRealLineQuadrature:
         tracemalloc.start()
         try:
             with pytest.raises(AccuracyError) as exc:
-                integrate_real_line(lambda w: np.exp(-0.5 * w * w), 4.0, DEFAULT_QUAD, None, xs)
+                integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=xs)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -726,7 +714,7 @@ class TestRealLineQuadrature:
     def test_node_budget_exhaustion_raises(self):
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-10, max_nodes=1 << 10)
         with pytest.raises(AccuracyError):
-            integrate_real_line(lambda w: np.cos(500.0 * w) / (1.0 + w * w), 2.0, spec)
+            integrate_real_line(lambda w: np.cos(500.0 * w) / (1.0 + w * w), 2.0, spec, spots=[0.0])
 
 
 class TestSpots:

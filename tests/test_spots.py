@@ -87,6 +87,33 @@ def test_non_finite_spot_refused_before_any_kernel(no_kernel, name, bad, column)
         PRICERS[name](x, QuadSpec())
 
 
+# name: pricer of (x, t_bar), for every pricer that takes its own horizon
+HORIZON = {
+    "european-closed": lambda x, t: european_price(_exp(2.0, 0.1), Contract(
+        PayoffKind.VANILLA_CALL, 1.0, t), x, PriceMethod.CLOSED),
+    "american-closed": lambda x, t: binary_put_price(MarketParams.exponential(2.0, 9.0, R),
+                                                     0.0, x, t, PriceMethod.CLOSED),
+    "american-laplace": lambda x, t: binary_put_price(_exp(20.0, 0.05), 0.0, x, t,
+                                                      PriceMethod.LAPLACE),
+    "fourier": lambda x, t: price_fourier(_exp(2.0, 0.1), BUTTERFLY, x, t),
+    "two-point": lambda x, t: price_two_point_exact(TWO_POINT, BUTTERFLY, x, t),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HORIZON))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_horizon_refused_before_any_kernel(no_kernel, name, bad):
+    with pytest.raises(InvalidParametersError):
+        HORIZON[name](SPOT[name], bad)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("wing", [False, True])
+def test_non_finite_butterfly_refused_before_any_kernel(no_kernel, bad, wing):
+    with pytest.raises(InvalidParametersError):
+        butterfly_payoff(100.0, bad) if wing else butterfly_payoff(bad, 10.0)
+
+
 @pytest.mark.parametrize("name", sorted(PRICERS))
 def test_empty_column_prices_to_an_empty_array(no_kernel, name):
     prices = PRICERS[name](np.array([]), QuadSpec())
