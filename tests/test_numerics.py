@@ -404,24 +404,27 @@ class TestPoissonDifferencePmf:
             assert np.all(got[m_max + 1:] == 0.0)
 
 
+def direct_rows(g, spots, w):
+    """The rows 2 Re(g(w) e^{-iwx}), one per spot x, from one cosine and
+    sine per node and spot."""
+    phase, f = np.multiply.outer(spots, w), g(w)
+    return 2.0 * (np.cos(phase) * f.real + np.sin(phase) * f.imag)
+
+
 def per_panel_reference(g, omega, spec, spots, osc_hint=0.0, direct=False):
     """The interior of ``integrate_real_line`` refined one panel at a time:
     each panel from its phase seed until its worst spot moved by at most
     its tolerance, the values added in panel order.  Each panel is
     contracted against the spots' phases alone or, if ``direct``, summed
-    over the rows 2 Re(g(w) e^{-iwx}), one cosine and sine per node and
-    spot.  Returns the sum and each panel's number of passes."""
+    over their ``direct_rows``.  Returns the sum and each panel's number of
+    passes."""
     edges = [0.0, min(1.0, omega)]
     while edges[-1] < omega:
         edges.append(min(2.0 * edges[-1], omega))
 
-    def rows(w):
-        phase, f = np.multiply.outer(spots, w), g(w)
-        return 2.0 * (np.cos(phase) * f.real + np.sin(phase) * f.imag)
-
     def value(lo, hi, slices):
         if direct:
-            return _panel_value(rows, *_slice_nodes(lo, hi, slices))
+            return _panel_value(lambda w: direct_rows(g, spots, w), *_slice_nodes(lo, hi, slices))
         return _phased_panels(g, np.array([lo]), np.array([hi]), np.array([slices]), spots)[0]
 
     total, passes = 0.0, []
@@ -444,20 +447,15 @@ def per_panel_reference(g, omega, spec, spots, osc_hint=0.0, direct=False):
 def per_window_reference(g, tail_order, spec, spots):
     """The truncation search of ``integrate_real_line`` one window per call
     of g: windows [w, 4w], 48 nodes each, from w = 64, each giving the tail
-    constant max |2 Re(g(w) e^{-iwx})| w^p over the spots, one cosine and
-    sine per node and spot, until the tail bound meets half the absolute
-    tolerance.  Returns Omega and the windows' first nodes."""
+    constant max |2 Re(g(w) e^{-iwx})| w^p over the spots (``direct_rows``),
+    until the tail bound meets half the absolute tolerance.  Returns Omega
+    and the windows' first nodes."""
     p, budget = tail_order, 0.5 * spec.abs_tol
-
-    def rows(w):
-        phase, f = np.multiply.outer(spots, w), g(w)
-        return 2.0 * (np.cos(phase) * f.real + np.sin(phase) * f.imag)
-
     omega, starts = 64.0, []
     while True:
         samples = np.geomspace(omega, 4.0 * omega, 48)
         starts.append(omega)
-        c_est = float(np.max(np.abs(rows(samples)) * samples**p))
+        c_est = float(np.max(np.abs(direct_rows(g, spots, samples)) * samples**p))
         if c_est == 0.0:
             return omega, starts
         needed = (2.0 * c_est / ((p - 1.0) * budget)) ** (1.0 / (p - 1.0))
