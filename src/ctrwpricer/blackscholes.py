@@ -67,8 +67,10 @@ def implied_vol(price, spot, strike, r, T) -> float:
 
     Newton steps on the closed-form vega inside a bracket that shrinks
     around the root; a step that would leave the bracket, as it does where
-    the vega is tiny, is replaced by bisection.  The residual at the
-    returned sigma is at most 1e-10 * strike.  Prices outside the
+    the vega is tiny, is replaced by bisection.  A price below the rounding
+    floor of one of the spot's size takes its steps on log prices instead,
+    and a price at the band's floor is its sigma, 1e-4.  The residual at
+    the returned sigma is at most 1e-10 * strike.  Prices outside the
     attainable band raise OutOfBandError, and so does a band narrower than
     that residual, where every sigma would fit.
     """
@@ -86,33 +88,49 @@ def implied_vol(price, spot, strike, r, T) -> float:
             f"price is flat in sigma: band [{lo_price!r}, {hi_price!r}] is within "
             f"the residual tolerance, so every sigma in [{_SIGMA_LO}, {_SIGMA_HI}] fits"
         )
+    if price == lo_price:  # 1e-4 prices it exactly; a zero price has no log to step on
+        return _SIGMA_LO
 
     # bs_vanilla_call's arithmetic with its sigma-free parts hoisted, so the
     # price and the vega of a step share one d1
     log_moneyness, root_t = math.log(spot / strike), math.sqrt(T)
     discounted_strike = strike * math.exp(-r * T)
     vega_scale = spot * math.sqrt(T / (2.0 * math.pi))
+    # deep out of the money the price falls like e^{-c/sigma^2}, so a step
+    # f / vega cuts its log by about 1: a price far below the spot's
+    # rounding, 2^-52 spot, takes dozens of such steps, more than the 100
+    # allowed below about 1e-45.  Newton on ln C - ln price takes a few
+    in_logs = 0.0 < price < 2.0**-52 * spot
 
-    def resid(sigma):
-        """The price's residual at sigma, and its d1."""
+    def value(sigma):
+        """The call's price at sigma, and its d1."""
         sq = sigma * root_t
         d1 = (log_moneyness + (r + 0.5 * sigma * sigma) * T) / sq
-        return spot * normal_cdf(d1) - discounted_strike * normal_cdf(d1 - sq) - price, d1
+        return spot * normal_cdf(d1) - discounted_strike * normal_cdf(d1 - sq), d1
 
     lo, hi = _SIGMA_LO, _SIGMA_HI
     sigma = 0.5 * (lo + hi)
     for _ in range(100):
-        f, d1 = resid(sigma)
+        c, d1 = value(sigma)
+        f = c - price
         lo, hi = (lo, sigma) if f > 0.0 else (sigma, hi)
         vega = vega_scale * math.exp(-0.5 * d1 * d1)
+        # the step f / vega, or on log prices (ln C - ln price) C / vega
+        if in_logs:
+            f = (math.log(c) - math.log(price)) * c if c > 0.0 else -math.inf
         # sigma ends the bracket, so a step twice its length leaves it; bisect
         # then without dividing, as a subnormal vega overflows f / vega
         new = sigma - f / vega if abs(f) < 2.0 * vega * (hi - lo) else math.inf
         new = new if lo <= new <= hi else 0.5 * (lo + hi)
+        # a step back onto an end of the bracket, a sigma already evaluated,
+        # means the residual sits at the price's rounding floor: there a tiny
+        # vega turns its last ulps into steps between the two ends
+        floored = new == lo or new == hi
         sigma, step = new, new - sigma
-        if abs(step) <= 1e-14 + 8.9e-16 * sigma:
+        if floored or abs(step) <= 1e-14 + 8.9e-16 * sigma:
             break
-    residual, _ = resid(sigma)
+    c, _ = value(sigma)
+    residual = c - price
     if abs(residual) > 1e-10 * strike:
         raise OutOfBandError(
             f"implied vol residual {residual!r} above tolerance at sigma={sigma!r}"

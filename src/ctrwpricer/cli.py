@@ -249,7 +249,9 @@ def _check_meta(meta: dict, defaults: dict) -> None:
     """Refuse a stored meta line, input from a file, that lacks a key of its
     figure's defaults, holds a value of another kind than the default's, a
     grid whose endpoints are not positive and finite or whose count is not
-    a whole number of at least 1, or names an unknown payoff or jump family."""
+    a whole number of at least 1, a strike K that is not positive and
+    finite or a horizon T that is not non-negative and finite (fig5 stores
+    one it does not price), or names an unknown payoff or jump family."""
     for key, default in defaults.items():
         if key not in meta:
             raise ValidationError(f"meta line lacks key {key!r}")
@@ -260,6 +262,12 @@ def _check_meta(meta: dict, defaults: dict) -> None:
     if not (0.0 < lo < math.inf and 0.0 < hi < math.inf and isinstance(count, int) and count >= 1):
         raise ValidationError(f"meta line key 'grid' holds {meta['grid']!r}, not two positive "
                               "finite endpoints and a whole count of at least 1")
+    if not 0.0 < meta["K"] < math.inf:
+        raise ValidationError(f"meta line key 'K' holds {meta['K']!r}, not a positive "
+                              "finite strike")
+    if not 0.0 <= meta["T"] < math.inf:
+        raise ValidationError(f"meta line key 'T' holds {meta['T']!r}, not a non-negative "
+                              "finite horizon")
     try:
         PayoffKind(meta.get("payoff", PayoffKind.VANILLA_CALL.value))
         for family in meta.get("families", ()):

@@ -159,16 +159,24 @@ def _one_jump_average(payoff: Payoff, x: float, lo: float, hi: float,
     return integrate_panels(lambda j: payoff.value(x + j), edges, spec) / (hi - lo)
 
 
-def _osc_hint(payoff: Payoff, xs: np.ndarray, drift: float) -> float:
-    """Bound on the integrand's phase speed in radians per unit frequency.
+def _osc_hint(payoff: Payoff, xs: np.ndarray, d, lt: float) -> float:
+    """Bound on the phase speed of F(w) e^{-iwx} in radians per unit of
+    frequency, which sets how finely the quadrature starts.
 
-    Over the payoff's support the phase is w (k - x), so the bound is
-    max |k - x| over breakpoints and spots, plus the jump law's drift
-    lam t_bar |E[J]|, which the weight's phase adds; floored at 1.
+    Over the payoff's support the phase of Phi~(w) e^{-iwx} turns at
+    |k - x| at most, so the payoff's part is max |k - x| over breakpoints
+    and spots.  The jump weight adds the phase of a function of h~(-w) =
+    E[e^{-iwJ}], which turns at |d/dw h~| <= E|J| <= sqrt(E[J^2]) per unit
+    of its modulus: at most lam t_bar sqrt(E[J^2]) through
+    exp(lam t_bar (h~ - 1)), and about sqrt(E[J^2]) through the split
+    forms when lam t_bar is small, hence max(1, lam t_bar) sqrt(E[J^2]).
+    The bound only seeds the first pass: the second pass still certifies
+    every panel, so a low seed costs refinement, never accuracy.
     """
     ks = np.asarray(payoff.breakpoints or (0.0,), dtype=float)
     reach = float(np.max(np.abs(ks[:, None] - xs[None, :])))
-    return max(1.0, reach + drift)
+    mean, var = mean_var(d)
+    return reach + max(1.0, lt) * math.sqrt(var + mean * mean)
 
 
 def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
@@ -220,7 +228,7 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
             w = np.asarray(w, dtype=float)
             return payoff.transform(w) * weight(char_fn(d, -w)) / (2.0 * math.pi)
 
-        hint = _osc_hint(payoff, xs, lt * abs(mean_var(d)[0]))
+        hint = _osc_hint(payoff, xs, d, lt)
         return mapped(lambda: integrate_real_line(integrand, _TAIL_ORDER + extra, spec,
                                                   osc_hint=hint, spots=xs),
                       lambda val: atom + val.real)

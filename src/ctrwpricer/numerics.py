@@ -12,8 +12,10 @@ Both assume the transform is analytic to the right of a known abscissa and
 real-valued in the time domain.  Every integral runs on one engine of
 32-point Gauss-Legendre panels refined by slice doubling (one loop,
 ``_refine``), with vectorised integrands, and a column of spots costs one
-call.  An inversion takes a batch, one row per spot, and judges each row
-by its own threshold; a panel integral hands its integrand each spot's
+call.  Every integral needs two passes to be judged, so the first two
+come from one call of the integrand wherever both fit the node budget.
+An inversion takes a batch, one row per spot, and judges each row by its
+own threshold; a panel integral hands its integrand each spot's
 constants as rows (``as_rows``: a single spot's as floats), refines each
 spot until its own tolerance holds and freezes it there, as its single
 integral would stop, and splits every call of the integrand to fit the
@@ -381,9 +383,11 @@ def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD,
     onto [0, 1], one grid for all spots.  A spot's panels are refined
     together (``_refine``) until each moved by at most its share of
     max(abs_tol, rel_tol |value|), |value| from a one-slice pass, and the
-    spot is then frozen, so each entry equals its single integral.  No call
-    of g holds more than max_nodes nodes x panels x spots, and AccuracyError
-    (the sums, and the summed last changes as their bound, shaped as the
+    spot is then frozen, so each entry equals its single integral.  The
+    one- and two-slice passes come from one call of g, on 96 nodes per
+    panel, wherever they fit the budget together.  No call of g holds
+    more than max_nodes nodes x panels x spots, and AccuracyError (the
+    sums, and the summed last changes as their bound, shaped as the
     result) is raised only where one spot alone would exceed that.
     """
     e = np.asarray(edges, dtype=float)
@@ -392,14 +396,19 @@ def integrate_panels(g, edges: Sequence[float], spec: QuadSpec = DEFAULT_QUAD,
     n_x = 1 if params is None else np.size(params[0])
     every = () if params is None else [as_rows(p) for p in params]  # the args of all spots
 
-    def panels(slices: int, rows: np.ndarray) -> np.ndarray:
-        """Each panel's value per spot of ``rows``, shape (spots, panels)."""
+    def panels(passes: tuple, rows: np.ndarray) -> list:
+        """Each pass's panel values per spot of ``rows``, shape (spots,
+        panels), from one call of g on the nodes of all the passes."""
         args = every if rows.size == n_x else [as_rows(p[rows]) for p in params]
-
-        def block(t):
-            vals = np.asarray(g((lo + width * t).ravel(), *args), dtype=float)
-            return (width * vals.reshape(-1, n_p, t.size)).reshape(-1, t.size)
-        return _panel_value(block, *_unit_slice_nodes(slices)).reshape(-1, n_p)
+        halves, t = _unit_pass_nodes(passes)
+        vals = np.asarray(g((lo + width * t).ravel(), *args), dtype=float)
+        vals = vals.reshape(-1, n_p, t.size)
+        out, a = [], 0
+        for m, half in zip(passes, halves):
+            b = a + 32 * m
+            out.append(_gl_sums((width * vals[..., a:b]).reshape(-1, b - a), half).reshape(-1, n_p))
+            a = b
+        return out
 
     def tol(first, _):
         return np.maximum(spec.abs_tol, spec.rel_tol * np.abs(first.sum(axis=1))) / n_p
@@ -439,20 +448,19 @@ def _slice_nodes(lo, hi, slices) -> tuple:
 
 
 @functools.lru_cache(maxsize=16)
-def _unit_slice_nodes(slices: int) -> tuple:
+def _unit_pass_nodes(passes: tuple) -> tuple:
     """``_slice_nodes`` of [0, 1], onto which ``integrate_panels`` maps
-    every panel; cached, so the nodes are read-only."""
-    half, nodes = _slice_nodes(0.0, 1.0, slices)
+    every panel, in each pass's slice count: their half-widths, and all
+    their nodes, pass after pass; cached, so the nodes are read-only."""
+    rules = [_slice_nodes(0.0, 1.0, m) for m in passes]
+    nodes = np.concatenate([each for _, each in rules])
     nodes.flags.writeable = False
-    return half, nodes
+    return tuple(half for half, _ in rules), nodes
 
 
-def _panel_value(g, half: float, nodes: np.ndarray) -> np.ndarray:
-    """Composite 32-point Gauss-Legendre on the nodes of ``_slice_nodes``.
-
-    ``g`` returns an (n_x, nodes) block; the result has one entry per row.
-    """
-    vals = g(nodes)
+def _gl_sums(vals: np.ndarray, half: float) -> np.ndarray:
+    """Composite 32-point Gauss-Legendre of an (n_x, nodes) block of
+    values on the nodes of ``_slice_nodes``, one entry per row."""
     return (vals.reshape(vals.shape[0], -1, _GL_NODES.size) @ _GL_WEIGHTS).sum(axis=1) * half
 
 
@@ -518,18 +526,24 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
     count of 32-node slices, and costs its largest array, max(m x ``unit``,
     ``floor``): ``unit`` is one int for all integrals or an array of n, by
     default 32 k (one slice's nodes x parts), and ``floor`` is the size of
-    an array every pass allocates whatever its slices.  ``parts(m, rows)``
-    gives pass m of the k parts of each integral in the index array
-    ``rows``, shape ``(len(rows), k)``; ``tol(first, rows)`` maps their
-    first pass to the array of their tolerances.  Each pass evaluates
-    every integral still refining, in as few calls of ``parts`` as keep
-    each within max_nodes.  An integral is refined until none of its parts
-    moved by more than its tolerance, and is then frozen.  One whose first
-    pass alone would exceed max_nodes is never evaluated (its parts stay
-    0), and the loop stops unconverged once the next doubling of one
-    integral alone would exceed max_nodes.  Returns the parts (n, k), each
-    integral's last change (its parts' largest; inf before a second pass),
-    and whether every integral converged.
+    an array every pass allocates whatever its slices.  ``parts(passes,
+    rows)`` gives each pass m of the tuple ``passes`` of the k parts of
+    each integral in the index array ``rows``, a list of one
+    ``(len(rows), k)`` array per pass, from one call of the integrand;
+    ``tol(first, rows)`` maps their first pass to the array of their
+    tolerances.  Every integral needs a second pass to be judged, so the
+    first two are evaluated together, at the sum of their costs, wherever
+    the costliest integral's two fit max_nodes, and one after the other
+    where only its second fits.  Each later pass evaluates every integral
+    still refining.  An evaluation takes as few calls of ``parts`` as keep
+    each within max_nodes; a part's value is the same whichever call
+    gives it.  An integral is refined until none of its parts moved by
+    more than its tolerance, and is then frozen.  One whose first pass
+    alone would exceed max_nodes is never evaluated (its parts stay 0),
+    and the loop stops unconverged once the next doubling of one integral
+    alone would exceed max_nodes.  Returns the parts (n, k), each
+    integral's last change (its parts' largest; inf before a second
+    pass), and whether every integral converged.
     """
     if unit is None:
         unit = 32 * k
@@ -538,20 +552,32 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
     # slower, in numpy bookkeeping that an int skips
     shared = isinstance(unit, int)
 
-    def evaluate(rows, m):
-        cost = max(unit * m, floor) if shared else np.maximum(unit[rows] * m, floor)
-        if (cost * rows.size if shared else cost.sum()) <= max_nodes:
-            return parts(m, rows)
+    def cost(rows, passes):
+        """The cost of ``passes`` of each integral of ``rows``: one int
+        for all of them or an array of one per integral."""
+        if shared:
+            return sum(max(unit * m, floor) for m in passes)
+        return sum(np.maximum(unit[rows] * m, floor) for m in passes)
+
+    def widest(rows, passes) -> bool:
+        """Whether ``passes`` of the costliest integral of ``rows`` fit."""
+        return (cost(rows, passes) if shared else cost(rows, passes).max()) <= max_nodes
+
+    def evaluate(rows, passes):
+        c = cost(rows, passes)
+        if (c * rows.size if shared else c.sum()) <= max_nodes:
+            return parts(passes, rows)
         cuts, used = [0], 0  # greedy: each call takes integrals while they fit
-        for i, c in enumerate(np.broadcast_to(cost, rows.shape)):
-            if used + c > max_nodes and i > cuts[-1]:
+        for i, ci in enumerate(np.broadcast_to(c, rows.shape)):
+            if used + ci > max_nodes and i > cuts[-1]:
                 cuts.append(i)
                 used = 0
-            used += c
+            used += ci
         cuts.append(rows.size)
-        return np.concatenate([parts(m, rows[a:b]) for a, b in zip(cuts[:-1], cuts[1:])])
+        calls = [parts(passes, rows[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
+        return [np.concatenate(each) for each in zip(*calls)]
 
-    fits = (max(unit, floor) if shared else np.maximum(unit, floor)) <= max_nodes
+    fits = cost(slice(None), (1,)) <= max_nodes
     rows = np.arange(n if fits else 0) if shared else np.flatnonzero(fits)  # the integrals refining
     left_out = rows.size < n
     out = None  # (parts, change) of every integral, once one is frozen early or left out
@@ -559,13 +585,12 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
         out = (np.zeros((n, k)), np.full(n, np.inf))
         if rows.size == 0:
             return (*out, False)
-    m = 1
-    cur = evaluate(rows, m)
-    delta, tol = None, tol(cur, rows)
+    cur, *ahead = evaluate(rows, (1, 2) if widest(rows, (1, 2)) else (1,))
+    m, delta, tol = 1, None, tol(cur, rows)
     converged = False
-    while max((unit if shared else unit[rows].max()) * 2 * m, floor) <= max_nodes:
+    while ahead or widest(rows, (2 * m,)):
         prev, m = cur, 2 * m
-        cur = evaluate(rows, m)
+        cur = ahead.pop() if ahead else evaluate(rows, (m,))[0]
         delta = np.abs(cur - prev).max(axis=1)
         done = delta <= tol
         converged = bool(done.all())
@@ -614,16 +639,19 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     refinement round calls g once on the nodes of every panel still
     refining, split only where an array of the call would exceed
     max_nodes: its nodes, its slices x n_x or its 32 x n_x offset table
-    per panel; every panel's value, and so the result, is what refining
-    the panels one by one gives.  AccuracyError carries the sum of every
-    panel's current value as ``best``, shaped as the result, and the
-    summed last changes plus the tail budget as ``bound``.
+    per panel; the first round takes every panel's first two passes
+    where they fit together.  Every panel's value, and so the result, is
+    what refining the panels one by one gives.  AccuracyError carries the
+    sum of every panel's current value as ``best``, shaped as the result,
+    and the summed last changes plus the tail budget as ``bound``.
 
-    ``osc_hint`` bounds the phase speed of g in radians per unit of w; it
-    seeds each panel with enough slices to resolve the oscillation instead
-    of discovering it by repeated refinement (0 seeds one slice).  A panel
-    whose seeded first pass alone exceeds the node budget is never handed
-    to g, and the integral raises AccuracyError.
+    ``osc_hint`` bounds the phase speed of g(w) e^{-iwx} in radians per
+    unit of w; it seeds each panel with a slice per 40 radians, enough to
+    resolve the oscillation instead of discovering it by repeated
+    refinement (0 seeds one slice).  It sets only the cost: every panel
+    is still judged by its second pass.  A panel whose seeded first pass
+    alone exceeds the node budget is never handed to g, and the integral
+    raises AccuracyError.
     """
     p = float(tail_order)
     if p <= 1.0:
@@ -690,10 +718,12 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     tol = 0.5 * spec.abs_tol * np.maximum((hi - lo) / omega, 1e-3)
     start = np.maximum(1.0, np.ceil((hi - lo) * osc_hint / 40.0))
 
-    def panels(m, rows):
-        """Pass m of each panel of ``rows``, from one call of g on all their
-        nodes, shape (panels, n_x)."""
-        return _phased_panels(g, lo[rows], hi[rows], (start[rows] * m).astype(int), spots)
+    def panels(passes, rows):
+        """Each pass of each panel of ``rows``, shape (panels, n_x), from
+        one call of g on all their nodes."""
+        every = np.tile(rows, len(passes))
+        slices = np.concatenate([start[rows] * m for m in passes]).astype(int)
+        return np.split(_phased_panels(g, lo[every], hi[every], slices, spots), len(passes))
 
     # a pass's largest array per first-pass slice is its nodes or its
     # slices x spots, and never less than its 32 x spots offset table

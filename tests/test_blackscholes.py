@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ctrwpricer import (
     OutOfBandError,
+    blackscholes,
     bs_binary_call,
     bs_binary_put,
     bs_vanilla_call,
@@ -89,6 +90,42 @@ class TestImpliedVol:
             warnings.simplefilter("error")
             sigma = implied_vol(2.156638760748209, 2.9753694783052795, 1.0, 0.04, 5.0)
         assert sigma == 0.11758041603806982
+
+    @staticmethod
+    def counted_cdf(monkeypatch):
+        calls = []
+        inner = blackscholes.normal_cdf
+
+        def counted(z):
+            calls.append(z)
+            return inner(z)
+        monkeypatch.setattr(blackscholes, "normal_cdf", counted)
+        return calls
+
+    def test_newton_stops_at_the_residual_floor(self, monkeypatch):
+        # the residual reaches the price's rounding floor, 1.1e-16, where
+        # the vega of 2.5e-4 turns it into steps of 4.5e-13 between two
+        # sigmas: the solve ran all 100 iterations, 206 cdf calls
+        price = bs_vanilla_call(1.19, 1.0, 0.04, 0.1, 0.25)
+        calls = self.counted_cdf(monkeypatch)
+        sigma = implied_vol(price, 1.19, 1.0, 0.04, 0.25)
+        assert len(calls) <= 30
+        assert abs(sigma - 0.1) <= 1e-12
+        assert abs(bs_vanilla_call(1.19, 1.0, 0.04, sigma, 0.25) - price) <= 2e-16
+
+    def test_deep_out_of_the_money_price_steps_in_logs(self, monkeypatch):
+        # a price of 2.9e-55: a Newton step on the price cuts its log by
+        # about 1, so the solve hit the 100-iteration cap 0.03 above sigma
+        price = bs_vanilla_call(0.467, 1.0, 0.04, 0.5, 0.01)
+        calls = self.counted_cdf(monkeypatch)
+        sigma = implied_vol(price, 0.467, 1.0, 0.04, 0.01)
+        assert len(calls) <= 30
+        assert abs(sigma - 0.5) <= 1e-12
+
+    def test_zero_price_is_the_band_floor(self, monkeypatch):
+        calls = self.counted_cdf(monkeypatch)
+        assert implied_vol(0.0, 0.35, 1.0, 0.04, 0.01) == 1e-4
+        assert len(calls) == 4  # the band's two ends
 
     def test_band_edges_rejected(self):
         intrinsic = 1.05 - math.exp(-0.01)

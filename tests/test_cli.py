@@ -569,14 +569,19 @@ class TestFigCommand:
         ("fig3", "K", math.nan), ("fig3", "L", math.nan), ("fig3", "K", math.inf),
         ("fig3", "L", math.inf), ("fig3", "T", math.nan), ("fig4", "T", math.nan),
         ("fig4", "T", math.inf),
+        *[(fig_id, "K", k) for fig_id in ("iv1", "iv2", "fig5") for k in (0.0, -1.0)],
+        *[(fig_id, "T", t) for fig_id in ("iv1", "iv2") for t in (-1.0, math.nan, math.inf)],
+        *[("fig5", "T", t) for t in (-1.0, math.nan, math.inf)],
         pytest.param("fig5", "t_bars", [math.nan], id="fig5-t_bars-nan"),
         pytest.param("fig5", "t_bars", [1.0, math.inf], id="fig5-t_bars-inf"),
     ])
     def test_bad_meta_value_exits_2(self, capsys, tmp_path, fig_id, key, value):
         # a grid whose endpoint is not positive and finite or whose count is
-        # not a whole number of at least 1, and a non-finite strike, wing
-        # or horizon, are bad input (exit 2), not a traceback, a
-        # RuntimeWarning, an accuracy failure or a table of the wrong size
+        # not a whole number of at least 1, a non-finite strike, wing or
+        # horizon, a strike of 0 or below and a negative horizon are bad
+        # input (exit 2), not a traceback, a RuntimeWarning, an accuracy
+        # failure, or a table of the wrong size.  fig5 prices at its t_bars,
+        # yet a horizon it stores must still be one
         meta = dict(FIGURES[fig_id][1], figure=fig_id)
         meta[key] = BAD_GRIDS[value](meta["grid"]) if key == "grid" else value
         first = tmp_path / "meta.csv"
@@ -586,8 +591,8 @@ class TestFigCommand:
         assert code == 2
         assert stdout == ""
         assert err.startswith("validation error:")
-        if key == "grid":
-            assert "'grid'" in err
+        if key in ("grid", "K", "T"):
+            assert f"'{key}'" in err
         assert not again.exists()
 
     def test_file_without_meta_line_rejected(self, tmp_path):

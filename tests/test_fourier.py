@@ -389,8 +389,10 @@ class TestHermitianIntegrand:
 
     def test_reference_butterfly_takes_half_the_nodes(self, de_model):
         # 37,088 nodes when each node was evaluated at +w and -w, 35 calls
-        # when each panel was refined in calls of its own, and 9 when each
-        # tail window was sampled in a call of its own
+        # when each panel was refined in calls of its own, 9 when each tail
+        # window was sampled in a call of its own, and 7 calls on 18,544
+        # nodes when each panel's first two passes took a call each and the
+        # seed was floored at 1 rad per unit of w
         seen = []
         pay = butterfly_payoff(100.0, 10.0)
 
@@ -401,16 +403,19 @@ class TestHermitianIntegrand:
         price = price_fourier(de_model, dataclasses.replace(pay, transform=counted),
                               math.log(92.0), T_BAR)
         nodes = np.concatenate(seen)
-        assert nodes.size == 18544 and len(seen) == 7
+        assert nodes.size == 15568 and len(seen) == 6
         assert np.min(nodes) >= 0.0
         # the value both pairings give, to a few ulps
         assert abs(price - (-0.0036757101934667153)) <= 4e-18
 
-    @pytest.mark.parametrize("fig_id, calls, nodes", [("fig3", 16, 13440), ("fig4", 30, 17760)])
+    @pytest.mark.parametrize("fig_id, calls, nodes", [("fig3", 13, 7680), ("fig4", 24, 10464)])
     def test_figure_build_counts(self, monkeypatch, fig_id, calls, nodes):
         # integrand calls and nodes of one transform-figure build, the same
         # on every machine: 20 and 38 calls, on 13,344 and 17,568 nodes,
-        # when each tail window was sampled in a call of its own
+        # when each tail window was sampled in a call of its own; 16 and 30
+        # calls, on 13,440 and 17,760 nodes, when panels were seeded at
+        # 1 rad per unit of w at least and each first two passes took a
+        # call each
         seen = []
         inner = fourier.integrate_real_line
 
@@ -427,8 +432,28 @@ class TestHermitianIntegrand:
 
 class TestPhaseSeed:
     """The quadrature is seeded with the phase speed max |k - x| plus the
-    jump drift; spots far from the strike must still converge to the
-    closed-form replication (criterion 9), one by one and as a batch."""
+    jump term max(1, lam T) sqrt(E[J^2]); spots far from the strike must
+    still converge to the closed-form replication (criterion 9), one by one
+    and as a batch, and a seed only sets the cost, never the certificate."""
+
+    @staticmethod
+    def floor_seed(payoff, xs, d, lt):
+        """The seed floored at 1 rad per unit of w, with the jump drift
+        lam T |E[J]| for the jump term."""
+        ks = np.asarray(payoff.breakpoints, dtype=float)
+        reach = float(np.max(np.abs(ks[:, None] - xs[None, :])))
+        return max(1.0, reach + lt * abs(fourier.mean_var(d)[0]))
+
+    @pytest.mark.parametrize("fig_id", ["fig3", "fig4"])
+    def test_columns_match_the_floor_seed(self, monkeypatch, fig_id):
+        # every column, every family of fig4 included, is the same integral
+        # on another first grid, each refined until its own certificate held
+        new = cli.build_figure(fig_id)
+        monkeypatch.setattr(fourier, "_osc_hint", self.floor_seed)
+        old = cli.build_figure(fig_id)
+        assert new.columns == old.columns and len(new.rows) == len(old.rows)
+        gaps = [abs(a - b) for got, want in zip(new.rows, old.rows) for a, b in zip(got, want)]
+        assert max(gaps) <= 1e-13
 
     @pytest.mark.parametrize("t_bar", [0.25, 5.0])
     @pytest.mark.parametrize("market", ["reference", "fitted"])

@@ -19,7 +19,7 @@ from ctrwpricer.european import Contract, PayoffKind, european_price
 from ctrwpricer.numerics import (
     DEFAULT_QUAD,
     LaplaceFn,
-    _panel_value,
+    _gl_sums,
     _phased_panels,
     _slice_nodes,
     bessel_i1_scaled,
@@ -361,6 +361,78 @@ class TestBatchedSemiInfinite:
                 european_price(m, c, float(x), spec=tight)
 
 
+def per_pass_reference(g, edges, spec, w=None):
+    """``integrate_panels`` of one integrand, or of row w of a batch, as the
+    loop of one call of g per pass: pass m (1, 2, 4, ...) of every panel
+    until none moved by more than its share of the tolerance.  Returns the
+    value and the number of calls."""
+    e = np.asarray(edges, dtype=float)
+    lo, width = e[:-1, None], np.diff(e)[:, None]
+    args = () if w is None else (w,)
+
+    def value(m):
+        half, t = _slice_nodes(0.0, 1.0, m)
+        vals = np.asarray(g((lo + width * t).ravel(), *args)).reshape(len(e) - 1, -1)
+        return _gl_sums(width * vals, half)
+    prev, m, calls = value(1), 1, 1
+    tol = max(spec.abs_tol, spec.rel_tol * abs(prev.sum())) / (len(e) - 1)
+    while True:
+        m, calls = 2 * m, calls + 1
+        cur = value(m)
+        if np.abs(cur - prev).max() <= tol:
+            return cur.sum(), calls
+        prev = cur
+
+
+class TestFirstTwoPasses:
+    """Every integral needs a second pass, so the first two come from one
+    call of the integrand wherever they fit the node budget together; each
+    node's value and each panel's sum are what two calls give."""
+
+    EDGES = [0.0, 1.0, 3.0, 14.0]
+    WS = np.array([0.0, 5.0, 20.0, 60.0])
+
+    @staticmethod
+    def counted(g):
+        sizes = []
+
+        def seen(u, *args):
+            sizes.append(np.size(u))
+            return g(u, *args)
+        return seen, sizes
+
+    def test_batch_gives_the_bits_of_a_two_call_loop_with_one_call_fewer(self):
+        g, sizes = self.counted(TestBatchedSemiInfinite.damped)
+        batch = integrate_panels(g, self.EDGES, DEFAULT_QUAD, (self.WS,))
+        loops = [per_pass_reference(TestBatchedSemiInfinite.damped, self.EDGES, DEFAULT_QUAD, w)
+                 for w in self.WS]
+        assert list(batch) == [value for value, _ in loops]
+        # the rows refine together, as many calls as the slowest row's
+        # loop, less the one the first two passes share
+        assert len(sizes) == max(calls for _, calls in loops) - 1
+        assert sizes[0] == 3 * 32 * 3  # passes 1 and 2 of the three panels
+        for w, (value, calls) in zip(self.WS, loops):
+            single, seen = self.counted(lambda u: TestBatchedSemiInfinite.damped(u, w))
+            assert integrate_panels(single, self.EDGES) == value
+            assert len(seen) == calls - 1
+
+    def test_budget_for_the_second_pass_alone_keeps_the_bits(self):
+        # 2 x 32 nodes x 3 panels: each of the first two passes fits alone,
+        # not both, so they take a call each; e^{-u} converges at pass 2
+        g, sizes = self.counted(lambda u: np.exp(-u))
+        tight = integrate_panels(g, self.EDGES, QuadSpec(max_nodes=2 * 32 * 3))
+        assert sizes == [32 * 3, 64 * 3]
+        g, fused = self.counted(lambda u: np.exp(-u))
+        assert integrate_panels(g, self.EDGES) == tight
+        assert fused == [96 * 3]
+        # a batch of two rows at that budget takes the first pass of both
+        # in one call and the second in a call per row, with the same bits
+        g, sizes = self.counted(TestBatchedSemiInfinite.damped)
+        batch = integrate_panels(g, self.EDGES, QuadSpec(max_nodes=2 * 32 * 3), (np.zeros(2),))
+        assert sizes == [32 * 3, 64 * 3, 64 * 3]
+        assert list(batch) == [tight, tight]
+
+
 class TestPoissonDifferencePmf:
     @pytest.mark.parametrize("lam_t", [0.25, 38.0, 2000.0])
     @pytest.mark.parametrize("up_share", [0.5, 0.55, 0.9, 1.0])
@@ -424,7 +496,8 @@ def per_panel_reference(g, omega, spec, spots, osc_hint=0.0, direct=False):
 
     def value(lo, hi, slices):
         if direct:
-            return _panel_value(lambda w: direct_rows(g, spots, w), *_slice_nodes(lo, hi, slices))
+            half, w = _slice_nodes(lo, hi, slices)
+            return _gl_sums(direct_rows(g, spots, w), half)
         return _phased_panels(g, np.array([lo]), np.array([hi]), np.array([slices]), spots)[0]
 
     total, passes = 0.0, []
@@ -557,13 +630,15 @@ class TestRealLineQuadrature:
     def test_rounds_equal_a_per_panel_loop(self, osc_hint, spots):
         # every panel, refined with the others in one call of g per round,
         # keeps the bits it gets refined alone; the rounds are as many as
-        # the slowest panel's passes.  A |w|^-4 tail puts Omega near 3000.
+        # the slowest panel's passes, less one: the first round takes the
+        # first two passes.  A |w|^-4 tail puts Omega near 3000.
         g = lambda w: 1.0 / (1.0 + w * w) ** 2
         seen, sizes, probe = probed(g)
         got = integrate_real_line(seen, 4.0, DEFAULT_QUAD, osc_hint, spots=spots)
         want, passes = per_panel_reference(g, probe[0], DEFAULT_QUAD, spots, osc_hint)
         np.testing.assert_array_equal(np.real(got), want)
-        assert len([n for n in sizes if n % 32 == 0]) == max(passes)
+        # the first two passes of every panel share one call
+        assert len([n for n in sizes if n % 32 == 0]) == max(passes) - 1
         assert min(passes) < max(passes)  # some panels are frozen early
 
     @pytest.mark.parametrize("case", ["single", "five-spots-real", "five-spots", "past-the-batch"])
@@ -632,9 +707,9 @@ class TestRealLineQuadrature:
     def test_no_call_exceeds_the_node_budget(self, osc_hint):
         # a call's largest array, the seeded first pass included: its
         # nodes, its slices x spots or its 32 x spots offset table per
-        # panel.  2^10 splits the first two rounds over two calls each and
-        # gives the same bits, and a panel whose seeded first pass alone
-        # exceeds it is never evaluated
+        # panel.  2^10 splits the round of the first two passes over three
+        # calls and the next over two, and gives the same bits; a panel
+        # whose seeded first pass alone exceeds it is never evaluated
         def run(spec):
             sizes = []
 
@@ -659,7 +734,9 @@ class TestRealLineQuadrature:
     def test_phased_calls_keep_every_array_within_the_budget(self):
         # given spots, a call's arrays are its nodes, its slices x spots and
         # a 32 x spots offset table per panel: 2^8 splits the rounds, keeps
-        # the bits, and no array of a call exceeds it
+        # the bits, and no array of a call exceeds it.  A panel's first two
+        # passes charge 160 each for their tables, so at 2^8 only one fits
+        # a call, and each takes a round of its own
         def run(spec):
             sizes = []
 
