@@ -38,13 +38,18 @@ def _spec(tol: float | None, default: float) -> QuadSpec:
     return QuadSpec(abs_tol=default if tol is None else tol)
 
 
-def _transform_price(market, payoff, x, t_bar: float, tol: float | None):
-    # x is a log-spot or a 1-D array of them (one figure column per call);
-    # the two-point law prices exactly by jump-count conditioning; the
-    # transform integral would converge only through the payoff tail
-    if market.density.family is Family.DISCRETE:
-        return fourier.price_two_point_exact(market, payoff, x, t_bar)
-    return fourier.price_fourier(market, payoff, x, t_bar, _spec(tol, FOURIER_TOL))
+def _transform_columns(markets: list, payoff, x, t_bar: float, tol: float | None) -> list:
+    """Each market's prices at x (a log-spot or a 1-D array of them), in
+    order: every law's but the two-point law's from one stacked transform
+    integral; the two-point law prices exactly by jump-count conditioning,
+    as the transform integral would converge only through the payoff
+    tail."""
+    exact = [m.density.family is Family.DISCRETE for m in markets]
+    stack = [m for m, e in zip(markets, exact) if not e]
+    stacked = iter(fourier.price_fourier(stack, payoff, x, t_bar, _spec(tol, FOURIER_TOL))
+                   if stack else ())
+    return [fourier.price_two_point_exact(m, payoff, x, t_bar) if e else next(stacked)
+            for m, e in zip(markets, exact)]
 
 
 # ----------------------------------------------------------------------
@@ -172,8 +177,9 @@ def _fig_butterfly_rho(meta) -> FigureData:
     payoff = fourier.butterfly_payoff(K, L)
     grid = _grid(meta["grid"])
     xs = np.log(grid)
-    columns = {name: _transform_price(m, payoff, xs, T, meta["tol"])
-               for name, m in _exp_models(meta).items()}
+    models = _exp_models(meta)
+    columns = dict(zip(models, _transform_columns(list(models.values()), payoff, xs, T,
+                                                  meta["tol"])))
     columns["bs"] = [_bs_butterfly(spot, K, L, r, sigma, T) for spot in grid]
     return _table(meta, "spot", grid, columns)
 
@@ -183,11 +189,10 @@ def _fig_butterfly_families(meta) -> FigureData:
     payoff = fourier.butterfly_payoff(meta["K"], meta["L"])
     grid = _grid(meta["grid"])
     xs = np.log(grid)
-    columns = {
-        f: _transform_price(MarketParams.risk_neutral(r, fit_from_moments(Family(f), mu1, mu2)),
-                            payoff, xs, meta["T"], meta["tol"])
-        for f in meta["families"]
-    }
+    markets = [MarketParams.risk_neutral(r, fit_from_moments(Family(f), mu1, mu2))
+               for f in meta["families"]]
+    columns = dict(zip(meta["families"],
+                       _transform_columns(markets, payoff, xs, meta["T"], meta["tol"])))
     return _table(meta, "spot", grid, columns)
 
 
@@ -423,7 +428,7 @@ def _cmd_price(args) -> int:
             raise ValidationError("the transform route prices butterfly portfolios")
         if style is not OptionStyle.EUROPEAN:
             raise ValidationError("the transform route prices European claims")
-        out["price"] = _transform_price(market, payoff, x, contract.t_bar, args.tol)
+        out["price"] = _transform_columns([market], payoff, x, contract.t_bar, args.tol)[0]
     elif style is OptionStyle.EUROPEAN:
         out["price"] = european.european_price(market, contract, x, method, spec)
     elif style is OptionStyle.AMERICAN:

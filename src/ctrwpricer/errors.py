@@ -64,13 +64,16 @@ class AccuracyError(PricingError):
     """A numerical routine could not reach its requested tolerance.
 
     Carries the best available estimate and an error bound so callers can
-    decide whether the partial result is still usable.
+    decide whether the partial result is still usable.  ``index`` is, in a
+    stack of integrals computed together, the position of the one the
+    error is about.
     """
 
-    def __init__(self, message, best=None, bound=None):
+    def __init__(self, message, best=None, bound=None, index=None):
         super().__init__(message)
         self.best = best
         self.bound = bound
+        self.index = index
 
 
 class TailBoundError(AccuracyError):

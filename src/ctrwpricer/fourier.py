@@ -40,7 +40,16 @@ functions, so the integrand is Hermitian and its integral over the line
 is that of twice its real part over w >= 0.  The grid is refined
 until the worst spot has converged, so every price keeps the certificate
 a single-spot call would give, and an AccuracyError carries that one
-bound for every spot.  The figure builders price one column per call.
+bound for every spot.
+
+``price_fourier`` also takes a sequence of markets on one payoff and one
+column of spots, and a single market is a stack of one.  Each market's
+integrand is its own factor weight(h~(-w))/2pi applied to the shared
+Phi~(w), so one stacked integral evaluates Phi~, the offset tables and the
+slice phases once per panel geometry for all of them, while every market
+keeps the nodes, panels and bits of its own call.  The stack raises the
+error its first failing market would raise alone.  The fig3 and fig4
+builders price their transform columns in one call per figure.
 """
 
 from __future__ import annotations
@@ -51,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 from .densities import Family, char_fn, mean_var
-from .errors import InvalidParametersError
+from .errors import AccuracyError, InvalidParametersError
 from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
@@ -179,21 +188,10 @@ def _osc_hint(payoff: Payoff, xs: np.ndarray, d, lt: float) -> float:
     return reach + max(1.0, lt) * math.sqrt(var + mean * mean)
 
 
-def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
-                  spec: QuadSpec = DEFAULT_QUAD):
-    """Price a European claim with payoff profile ``payoff`` at log-price x.
-
-    ``x`` is a float (the price is a float) or a 1-D array of log-prices
-    (the prices are an ndarray); all spots share one frequency grid.  The
-    payoff must carry a transform.
-    """
-    if payoff.transform is None:
-        raise InvalidParametersError("the transform route needs a payoff with a transform")
-    if not 0.0 <= t_bar < math.inf:
-        raise InvalidParametersError("remaining time must be non-negative and finite")
-    if t_bar == 0.0:
-        return over_spots(payoff.value, x)
-
+def _jump_terms(params: MarketParams, t_bar: float) -> tuple:
+    """One market's part of the transform route at t_bar > 0: its jump law,
+    lam t_bar, discount, integrand factor F(w) of (w, Phi~(w)) and tail
+    order."""
     lam, r, d = params.lam, params.r, params.density
     lt = lam * t_bar
     disc = math.exp(-r * t_bar)
@@ -218,21 +216,86 @@ def price_fourier(params: MarketParams, payoff: Payoff, x, t_bar: float,
             def weight(h):
                 return disc * (np.exp(lt * (h - 1.0)) - math.exp(-lt) * (1.0 + lt_one * h))
 
-    def priced(xs):
-        atom = 0.0 if fam is Family.PARETO_HALF else math.exp(-lt) * disc * payoff.value(xs)
-        if split_one_jump:
-            atom += lt * math.exp(-lt) * disc * np.array(
-                [_one_jump_average(payoff, xi, d.a, d.b, spec) for xi in xs])
+    def factor(w, phi):  # F(w) from Phi~(w), spot-free: the phases are applied per spot
+        # Phi~ first: for a large temporary weight, ``phi * weight`` lets
+        # numpy compute weight * phi in place, and a complex product's
+        # rounding depends on its operands' order
+        return np.multiply(phi, weight(char_fn(d, -w))) / (2.0 * math.pi)
 
-        def integrand(w):  # F(w), spot-free: the phases are applied per spot
-            w = np.asarray(w, dtype=float)
-            return payoff.transform(w) * weight(char_fn(d, -w)) / (2.0 * math.pi)
+    return d, lt, disc, factor, _TAIL_ORDER + extra
 
-        hint = _osc_hint(payoff, xs, d, lt)
-        return mapped(lambda: integrate_real_line(integrand, _TAIL_ORDER + extra, spec,
-                                                  osc_hint=hint, spots=xs),
-                      lambda val: atom + val.real)
-    return over_spots(priced, x)
+
+def _atom(payoff: Payoff, xs: np.ndarray, d, lt: float, disc: float, spec: QuadSpec):
+    """The split-off part of the price: the no-jump atom, and for uniform
+    jumps the one-jump term too."""
+    if d.family is Family.PARETO_HALF:
+        return 0.0
+    atom = math.exp(-lt) * disc * payoff.value(xs)
+    if d.family is Family.CONSTANT:
+        atom += lt * math.exp(-lt) * disc * np.array(
+            [_one_jump_average(payoff, xi, d.a, d.b, spec) for xi in xs])
+    return atom
+
+
+def _stack_prices(terms: list, payoff: Payoff, xs: np.ndarray, spec: QuadSpec) -> list:
+    """Each market's prices at the spots xs, from one stacked real-line
+    integral, or the error the first market that fails raises alone."""
+    atoms, orders, hints, factors, atom_error = [], [], [], [], None
+    for d, lt, disc, factor, order in terms:
+        try:
+            atoms.append(_atom(payoff, xs, d, lt, disc, spec))
+        except AccuracyError as exc:  # no later market's outcome is needed
+            atom_error = exc
+            break
+        orders.append(order)
+        hints.append(_osc_hint(payoff, xs, d, lt))
+        factors.append(factor)
+    try:
+        vals = integrate_real_line(payoff.transform, orders, spec, hints, spots=xs,
+                                   factors=factors)
+    except AccuracyError as exc:  # a market before any failed atom
+        atom = atoms[exc.index]
+
+        def failed():
+            raise exc
+        mapped(failed, lambda val: atom + val.real)
+    if atom_error is not None:
+        raise atom_error
+    return [atom + val.real for atom, val in zip(atoms, vals)]
+
+
+def price_fourier(params, payoff: Payoff, x, t_bar: float, spec: QuadSpec = DEFAULT_QUAD):
+    """Price a European claim with payoff profile ``payoff`` at log-price x.
+
+    ``x`` is a float (the price is a float) or a 1-D array of log-prices
+    (the prices are an ndarray); all spots share one frequency grid.  The
+    payoff must carry a transform.  ``params`` is one market, or a
+    sequence of markets priced on the same payoff and spots, which gives
+    a list of one such price per market from one stacked integral
+    (``integrate_real_line``'s ``factors``): each market's prices are
+    those of its own call, bit for bit, and the stack raises what the
+    first market that fails would raise alone.
+    """
+    if payoff.transform is None:
+        raise InvalidParametersError("the transform route needs a payoff with a transform")
+    if not 0.0 <= t_bar < math.inf:
+        raise InvalidParametersError("remaining time must be non-negative and finite")
+    one = isinstance(params, MarketParams)
+    markets = [params] if one else list(params)
+    if t_bar == 0.0:
+        prices = [over_spots(payoff.value, x) for _ in markets]
+    else:
+        terms = [_jump_terms(m, t_bar) for m in markets]
+        stack = []
+
+        def column(i):
+            def priced(xs):  # the first column prices the whole stack
+                if not stack:
+                    stack.extend(_stack_prices(terms, payoff, xs, spec))
+                return stack[i]
+            return priced
+        prices = [over_spots(column(i), x) for i in range(len(markets))]
+    return prices[0] if one else prices
 
 
 def price_two_point_exact(params: MarketParams, payoff: Payoff, x,

@@ -21,12 +21,16 @@ spot until its own tolerance holds and freezes it there, as its single
 integral would stop, and splits every call of the integrand to fit the
 node budget.  The real-line integral takes one form: a spot-free
 integrand, one value per node, and the spots, whose phases e^{-iwx} it
-applies itself, per Gauss-Legendre slice rather than per node.  It holds
-the column to its worst spot, samples its first three tail windows in one
-call, refines all its panels together, one call of the integrand per
-round, and charges the budget a call's nodes, slices x spots or 32 x
-spots table per panel, never nodes x spots; it forms the tail samples'
-nodes x spots in chunks of spots within the budget.  Every pricer takes
+applies itself, per Gauss-Legendre slice rather than per node; or a stack
+of such integrands, one per model, each a factor of its own applied to
+one factor they share.  It holds the column to its worst spot, samples
+every model's first three tail windows in one call, refines all panels
+of all models together, one call of the shared factor per round on each
+distinct panel geometry, and charges the budget a call's nodes, slices x
+spots or 32 x spots table per panel, never nodes x spots; it forms the
+tail samples' nodes x spots in chunks of spots within the budget.  Every
+model keeps the nodes and values of its own integral, and a stack raises
+what its first failing model would raise alone.  Every pricer takes
 its spots through one adapter (``over_spots``), and every estimate in an
 AccuracyError is mapped as its price is (``mapped``).  Special functions
 are thin wrappers over scipy.special, which the first of them to run
@@ -464,61 +468,95 @@ def _gl_sums(vals: np.ndarray, half: float) -> np.ndarray:
     return (vals.reshape(vals.shape[0], -1, _GL_NODES.size) @ _GL_WEIGHTS).sum(axis=1) * half
 
 
-def _phase_rows(f: np.ndarray, w: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """The (n_x, nodes) block Re(f(w) e^{-iwx}), one row per spot, from one
-    cosine and one sine per node and spot."""
-    phase = np.multiply.outer(xs, w)
-    block = np.cos(phase)
-    block *= f.real
-    np.sin(phase, out=phase)
-    phase *= f.imag
-    block += phase
-    return block
-
-
-def _phased_panels(g, lo, hi, slices, xs: np.ndarray) -> np.ndarray:
-    """The composite rule's sums of 2 Re(g(w) e^{-iwx}) over panels, one
+def _phased_panels(g, lo, hi, slices, xs: np.ndarray, factors=(None,), model=None) -> np.ndarray:
+    """The composite rule's sums of 2 Re(F(w) e^{-iwx}) over panels, one
     row per panel and one entry per spot x, from one call of g on the
-    nodes of ``_slice_nodes`` (lo, hi and slices given as arrays).
+    nodes of ``_slice_nodes`` (lo, hi and slices given as arrays).  F is
+    g or, given ``model`` (one index into ``factors`` per panel), panel
+    i's F(w) is factors[model[i]](w, g(w)), each factor called once on the
+    nodes of all its panels (a factor None is g itself).
 
     A node is its slice's midpoint c plus half t, t a Gauss-Legendre node
     of [-1, 1], so its phase e^{-iwx} is e^{-icx} e^{-i half t x}.  Per
-    panel, one (slices x 32) @ (32 x n_x) product of g with the weighted
+    panel, one (slices x 32) @ (32 x n_x) product of F with the weighted
     offset table, and per slice one phase per spot, stand in for the
-    phases of every node and spot.  A panel's row is what it alone gives:
-    the products are per panel, and the rest is elementwise or summed
-    within a panel."""
-    half, mid, h = _slice_mids(lo, hi, slices)
-    f = np.reshape(g((mid[:, None] + h[:, None] * _GL_NODES[None, :]).ravel()), (-1, 32))
+    phases of every node and spot.  Panels of one geometry (lo, hi,
+    slices), whichever factors they take, share one evaluation of g on
+    their nodes, one offset table and one set of slice phases.  A panel's
+    row is what it alone gives: the products are per panel, and the rest
+    is elementwise or summed within a panel."""
+    if model is None:  # one integrand: no two panels share a geometry
+        lo_u, hi_u, sl_u, which = lo, hi, slices, None
+    else:
+        ids, firsts, which = {}, [], np.empty(np.size(lo), dtype=int)
+        for i, key in enumerate(zip(lo.tolist(), hi.tolist(), slices.tolist())):
+            which[i] = ids.setdefault(key, len(firsts))
+            if which[i] == len(firsts):
+                firsts.append(i)
+        lo_u, hi_u, sl_u = lo[firsts], hi[firsts], slices[firsts]
+    half, mid, h = _slice_mids(lo_u, hi_u, sl_u)
+    w = mid[:, None] + h[:, None] * _GL_NODES[None, :]
+    gw = np.reshape(g(w.ravel()), (-1, 32))
     # the rule is symmetric, so the table's first 16 rows are the conjugates
     # of its last 16, mirrored
     offset = np.multiply.outer(np.multiply.outer(half, _GL_NODES[16:]), xs)
     table = np.empty((half.size, 32, xs.size), dtype=complex)
-    table[:, 16:].real = np.cos(offset) * _GL_WEIGHTS[16:, None]
-    table[:, 16:].imag = np.sin(offset) * -_GL_WEIGHTS[16:, None]
-    table[:, :16] = table[:, :15:-1].conj()
-    first = np.cumsum(slices) - slices  # each panel's first slice
-    inner = np.empty((mid.size, xs.size), dtype=complex)
-    for panel, a, b in zip(table, first, first + slices):
-        np.matmul(f[a:b], panel, out=inner[a:b])
+    np.multiply(np.cos(offset), _GL_WEIGHTS[16:, None], out=table[:, 16:].real)
+    np.multiply(np.sin(offset, out=offset), -_GL_WEIGHTS[16:, None], out=table[:, 16:].imag)
+    np.conjugate(table[:, :15:-1], out=table[:, :16])
     phase = np.multiply.outer(mid, xs)
-    vals = np.cos(phase)
-    vals *= inner.real
-    np.sin(phase, out=phase)
-    phase *= inner.imag
-    vals += phase
-    return np.add.reduceat(vals, first, axis=0) * (2.0 * half)[:, None]
+    cos = np.cos(phase)
+    sin = np.sin(phase, out=phase)
+
+    def sums(factor, u, sl, owned: bool):
+        """The rows of the panels of geometries ``u`` (None: all), whose
+        slices are ``sl``; ``owned``: the slice phases are theirs alone."""
+        f = gw[sl] if factor is None else np.reshape(factor(w[sl].ravel(), gw[sl].ravel()),
+                                                     (-1, 32))
+        n_sl = sl_u if u is None else sl_u[u]
+        first = np.cumsum(n_sl) - n_sl  # each panel's first slice
+        inner = np.empty((f.shape[0], xs.size), dtype=complex)
+        # one stacked product per run of panels of equal slice counts: numpy
+        # takes each panel's (slices x 32) @ (32 x n_x) product as the
+        # panel's own call would
+        runs = [0, *(np.flatnonzero(np.diff(n_sl)) + 1).tolist(), n_sl.size]
+        counts, starts = n_sl.tolist(), first.tolist()
+        for i, j in zip(runs[:-1], runs[1:]):
+            count, a = counts[i], starts[i]
+            b = a + (j - i) * count
+            np.matmul(f[a:b].reshape(j - i, count, 32), table[i:j] if u is None else table[u[i:j]],
+                      out=inner[a:b].reshape(j - i, count, xs.size))
+        c, s = (cos, sin) if owned else (cos[sl], sin[sl])
+        c *= inner.real
+        s *= inner.imag
+        c += s
+        return np.add.reduceat(c, first, axis=0) * (2.0 * (half if u is None else half[u]))[:, None]
+
+    if which is None:
+        return sums(factors[0], None, slice(None), True)
+    out = np.empty((np.size(lo), xs.size))
+    start_u = np.cumsum(sl_u) - sl_u
+    for m, factor in enumerate(factors):
+        rows = np.flatnonzero(model == m)
+        if rows.size:
+            u = which[rows]
+            n_sl = sl_u[u]
+            # the slices of the geometries u, in their order
+            sl = np.arange(n_sl.sum()) + np.repeat(start_u[u] - (np.cumsum(n_sl) - n_sl), n_sl)
+            out[rows] = sums(factor, u, sl, False)
+    return out
 
 
 # the truncation search's first windows [w, 4w], 48 nodes each, as
 # np.geomspace gives them one window at a time: an odd number of windows,
 # so their one call never holds a multiple of 32 nodes
 _TAIL_STARTS = (64.0, 256.0, 1024.0)
-_TAIL_WINDOWS = np.concatenate([np.geomspace(w, 4.0 * w, 48) for w in _TAIL_STARTS])
+_TAIL_WINDOWS = np.concatenate([np.geomspace(w, 4.0 * w, 48) for w in _TAIL_STARTS])[None]
 _TAIL_WINDOWS.flags.writeable = False
 
 
-def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 0) -> tuple:
+def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 0,
+            group=None) -> tuple:
     """Slice doubling for n integrals of k parts each: the one refinement
     loop of every integral here.
 
@@ -541,8 +579,11 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
     more than its tolerance, and is then frozen.  One whose first pass
     alone would exceed max_nodes is never evaluated (its parts stay 0),
     and the loop stops unconverged once the next doubling of one integral
-    alone would exceed max_nodes.  Returns the parts (n, k), each
-    integral's last change (its parts' largest; inf before a second
+    alone would exceed max_nodes.  Given ``group``, an array of n labels
+    0, 1, ... (ascending), that stop is per group: a group whose costliest
+    refining integral cannot double stops there, and the others go on, so
+    each group ends as it would refined alone.  Returns the parts (n, k),
+    each integral's last change (its parts' largest; inf before a second
     pass), and whether every integral converged.
     """
     if unit is None:
@@ -557,11 +598,17 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
         for all of them or an array of one per integral."""
         if shared:
             return sum(max(unit * m, floor) for m in passes)
-        return sum(np.maximum(unit[rows] * m, floor) for m in passes)
+        u = unit[rows]
+        c = np.maximum(u * passes[0], floor)
+        for m in passes[1:]:
+            c += np.maximum(u * m, floor)
+        return c
 
     def widest(rows, passes) -> bool:
-        """Whether ``passes`` of the costliest integral of ``rows`` fit."""
-        return (cost(rows, passes) if shared else cost(rows, passes).max()) <= max_nodes
+        """Whether ``passes`` of the costliest integral of ``rows`` fit: a
+        pass's cost grows with the unit, so that is the largest unit's."""
+        u = unit if shared else float(unit[rows].max())
+        return sum(max(u * m, floor) for m in passes) <= max_nodes
 
     def evaluate(rows, passes):
         c = cost(rows, passes)
@@ -577,6 +624,13 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
         calls = [parts(passes, rows[a:b]) for a, b in zip(cuts[:-1], cuts[1:])]
         return [np.concatenate(each) for each in zip(*calls)]
 
+    def doubling(rows, m) -> np.ndarray:
+        """Whether each integral of ``rows`` goes on to pass m: whether the
+        costliest of its group fits."""
+        costliest = np.zeros(group[-1] + 1)
+        np.maximum.at(costliest, group[rows], unit[rows])
+        return np.maximum(costliest * m, floor)[group[rows]] <= max_nodes
+
     fits = cost(slice(None), (1,)) <= max_nodes
     rows = np.arange(n if fits else 0) if shared else np.flatnonzero(fits)  # the integrals refining
     left_out = rows.size < n
@@ -587,8 +641,19 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
             return (*out, False)
     cur, *ahead = evaluate(rows, (1, 2) if widest(rows, (1, 2)) else (1,))
     m, delta, tol = 1, None, tol(cur, rows)
-    converged = False
-    while ahead or widest(rows, (2 * m,)):
+    converged = stopped = False
+    while ahead or group is not None or widest(rows, (2 * m,)):
+        if not ahead and group is not None:
+            go = doubling(rows, 2 * m)
+            if not go.any():
+                break
+            if not go.all():  # these groups stop here, unconverged
+                stopped = True
+                out = out or (np.empty((n, k)), np.empty(n))
+                out[0][rows[~go]] = cur[~go]
+                out[1][rows[~go]] = np.inf if delta is None else delta[~go]
+                rows, cur, tol = rows[go], cur[go], tol[go]
+                delta = None if delta is None else delta[go]
         prev, m = cur, 2 * m
         cur = ahead.pop() if ahead else evaluate(rows, (m,))[0]
         delta = np.abs(cur - prev).max(axis=1)
@@ -605,11 +670,11 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
     if out is None:
         return cur, delta, converged
     out[0][rows], out[1][rows] = cur, delta
-    return (*out, converged and not left_out)
+    return (*out, converged and not (left_out or stopped))
 
 
-def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
-                        osc_hint: float = 0.0, *, spots):
+def integrate_real_line(g, tail_order, spec: QuadSpec = DEFAULT_QUAD, osc_hint=0.0, *,
+                        spots, factors=None):
     """Integrate g(w) e^{-iwx} over the whole real line at each of the
     spots x, a 1-D array of n_x reals; the result is a complex array of
     shape (n_x,) whose imaginary part is exactly 0.
@@ -622,30 +687,48 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     spot's phase itself, per Gauss-Legendre slice rather than per node
     (``_phased_panels``), so no nodes x n_x block is formed inside a panel.
 
-    The caller also guarantees |g(w)| <= C |w|^-tail_order for large |w|
+    Given ``factors``, a sequence of callables f(w, g(w)), one per model,
+    it integrates the stack of integrands F_m(w) = f_m(w, g(w)) on the
+    same spots in one refinement, and ``tail_order`` and ``osc_hint`` are
+    sequences of one entry per factor; the result is a list of one such
+    array per factor (an empty stack gives an empty list).  g is the
+    factor the models share, each f_m must be Hermitian like g, and each
+    model keeps its own truncation point, tail order, phase seed,
+    tolerances and panels, so its nodes and every value below are those of
+    its own integral of F_m.  Each call of g serves all models: the tail
+    windows on the shared grid and, in each round, every panel geometry
+    (lo, hi, slices) that any model is refining, once, with its offset
+    table and slice phases; each model's factor is called once on its own
+    nodes.  A stack raises what the first of its models that fails would
+    raise alone, with that model's message, ``best`` and ``bound``; an
+    AccuracyError also carries the model's position as ``index``.
+
+    The caller also guarantees |F(w)| <= C |w|^-tail_order for large |w|
     with tail_order > 1.  C is estimated by sampling windows [w, 4w] of 48
     nodes, and the domain is truncated where the analytic tail bound
     2 C Omega^(1-p) / (p - 1) drops below half the absolute tolerance.
     The search starts at w = 64 and grows w fourfold while the bound is
     far from met, so its first windows, w = 64, 256 and 1024, are sampled
-    in one call of g; a window off that grid, or past it, and the decay
-    probe beyond Omega take one call each.  The sampled rows
-    g(w) e^{-iwx} are formed in chunks of spots of at most max_nodes
-    entries.  The interior is integrated on geometrically growing panels,
-    each refined until converged and then frozen (``_refine``, each panel
-    one integral whose parts are the n_x spots).  The tail constant, the
-    decay probe and each panel's convergence test take the worst spot, so
-    every entry carries the certificate its single-spot call would.  Each
-    refinement round calls g once on the nodes of every panel still
-    refining, split only where an array of the call would exceed
-    max_nodes: its nodes, its slices x n_x or its 32 x n_x offset table
-    per panel; the first round takes every panel's first two passes
-    where they fit together.  Every panel's value, and so the result, is
-    what refining the panels one by one gives.  AccuracyError carries the
-    sum of every panel's current value as ``best``, shaped as the result,
-    and the summed last changes plus the tail budget as ``bound``.
+    in one call of g, for every model; each round of windows off that
+    grid, or past it, takes one call, and so do the decay probes beyond
+    every Omega.  The sampled rows F(w) e^{-iwx} are formed in chunks of
+    spots of at most max_nodes entries.  The interior is integrated on
+    geometrically growing panels, each refined until converged and then
+    frozen (``_refine``, each panel one integral whose parts are the n_x
+    spots).  The tail constant, the decay probe and each panel's
+    convergence test take the worst spot, so every entry carries the
+    certificate its single-spot call would.  Each refinement round calls
+    g once on the nodes of every panel still refining, split only where
+    an array of the call would exceed max_nodes: a call is charged, over
+    all models, the sum per panel of its nodes, its slices x n_x or its
+    32 x n_x offset table, whichever is largest; the first round takes
+    every panel's first two passes where they fit together.  Every
+    panel's value, and so the result, is what refining the panels one by
+    one gives.  AccuracyError carries the sum of every panel's current
+    value as ``best``, shaped as the result, and the summed last changes
+    plus the tail budget as ``bound``.
 
-    ``osc_hint`` bounds the phase speed of g(w) e^{-iwx} in radians per
+    ``osc_hint`` bounds the phase speed of F(w) e^{-iwx} in radians per
     unit of w; it seeds each panel with a slice per 40 radians, enough to
     resolve the oscillation instead of discovering it by repeated
     refinement (0 seeds one slice).  It sets only the cost: every panel
@@ -653,89 +736,160 @@ def integrate_real_line(g, tail_order: float, spec: QuadSpec = DEFAULT_QUAD,
     alone exceeds the node budget is never handed to g, and the integral
     raises AccuracyError.
     """
-    p = float(tail_order)
-    if p <= 1.0:
-        raise InvalidParametersError("tail_order must exceed 1")
+    stack = factors is not None
+    if not stack:
+        factors, tail_order, osc_hint = (None,), (tail_order,), (osc_hint,)
+    if not len(tail_order) == len(osc_hint) == len(factors):
+        raise InvalidParametersError("a stack takes one tail order and one phase seed per factor")
+    p = [float(order) for order in tail_order]
     spots = np.asarray(spots, dtype=float)
     n_x = spots.size
+    tail_budget = 0.5 * spec.abs_tol
+    # the error each model's own integral raises, once it is known
+    failed = [None if q > 1.0 else InvalidParametersError("tail_order must exceed 1") for q in p]
 
-    def sampled(w, windows: int = 1) -> np.ndarray:
-        """max |2 Re(g(w) e^{-iwx})| w^p over every spot, per window of
-        equally many of the nodes w, from one call of g; the rows are
-        formed in chunks of spots of at most max_nodes entries each."""
-        wp = w**p
-        f, step, worst = g(w), max(1, spec.max_nodes // w.size), np.zeros(windows)
+    def sampled(w: np.ndarray, models: list, windows: int = 1) -> list:
+        """Per model, max |2 Re(F(w) e^{-iwx})| w^p over every spot, per
+        window of equally many of its nodes: w holds one row of nodes for
+        all the models or one row each, and g is called once on all rows.
+        The rows are formed in chunks of spots of at most max_nodes
+        entries, each spot's phases once per row of w."""
+        shared = w.shape[0] == 1
+        gw = g(w[0]) if shared else np.reshape(g(w.ravel()), w.shape)
+        rows, worst = [], []  # per model its nodes, F and w^p
+        for j, i in enumerate(models):
+            wj, gj = (w[0], gw) if shared else (w[j], gw[j])
+            rows.append((wj, gj if factors[i] is None else factors[i](wj, gj), wj**p[i]))
+            worst.append(0.0)
+        step = max(1, spec.max_nodes // w.shape[1])
         for a in range(0, n_x, step):
-            block = _phase_rows(f, w, spots[a:a + step])
-            block *= 2.0
-            np.abs(block, out=block)
-            block *= wp
-            worst = np.maximum(worst, block.reshape(block.shape[0], windows, -1).max(axis=(0, 2)))
+            for j, (wj, f, wp) in enumerate(rows):
+                if j == 0 or not shared:
+                    cos = np.multiply.outer(spots[a:a + step], wj)
+                    sin = np.sin(cos)
+                    np.cos(cos, out=cos)
+                last = not shared or j == len(rows) - 1  # the phases are not needed again
+                block = cos if last else cos.copy()
+                block *= f.real
+                s = sin if last else sin.copy()
+                s *= f.imag
+                block += s
+                block *= 2.0
+                np.abs(block, out=block)
+                block *= wp
+                worst[j] = np.maximum(worst[j], block.reshape(-1, windows, wj.size // windows)
+                                      .max(axis=(0, 2)))
         return worst
 
-    tail_budget = 0.5 * spec.abs_tol
+    def beyond(models: list, ratio: float, num: int) -> np.ndarray:
+        """Each model's row np.geomspace(Omega, ratio Omega, num)."""
+        if len(models) == 1:  # the scalar form is the cheaper and gives the same bits
+            return np.geomspace(omega[models[0]], ratio * omega[models[0]], num)[None]
+        om = np.array([omega[i] for i in models])
+        return np.geomspace(om, ratio * om, num, axis=-1)
 
-    # grow the truncation point until the tail bound is met: the windows
-    # [w, 4w] at w = 64 4^j come from one call while the point stays on
-    # that grid, and any other window from a call of its own
-    on_grid = sampled(_TAIL_WINDOWS, len(_TAIL_STARTS))
-    omega = 64.0
-    c_est = 0.0
-    for j in range(64):
-        if j < len(_TAIL_STARTS) and omega == _TAIL_STARTS[j]:
-            c_est = float(on_grid[j])
-        else:
-            c_est = float(sampled(np.geomspace(omega, 4.0 * omega, 48))[0])
-        if c_est == 0.0:
+    # grow each truncation point until its tail bound is met, window by
+    # window [w, 4w]: those at w = 64 4^j come from one call while a point
+    # stays on that grid, and each round of calls samples every model's
+    # next window off it
+    omega, c_est, windows = [64.0] * len(factors), [0.0] * len(factors), [0] * len(factors)
+
+    def searches_on(i, c: float) -> bool:
+        """Whether model i's search goes on past a window of estimate c."""
+        c_est[i] = c
+        windows[i] += 1
+        if c == 0.0:
+            return False
+        needed = (2.0 * c / ((p[i] - 1.0) * tail_budget)) ** (1.0 / (p[i] - 1.0))
+        if needed <= omega[i]:
+            return False
+        omega[i] = min(needed, 4.0 * omega[i])
+        if windows[i] < 64:
+            return True
+        failed[i] = TailBoundError("could not find a truncation point satisfying the tail bound",
+                                   best=None, bound=c)
+        return False
+
+    searching = [i for i, err in enumerate(failed) if err is None]
+    if searching:
+        on_grid = dict(zip(searching, sampled(_TAIL_WINDOWS, searching, len(_TAIL_STARTS))))
+    while searching:
+        off = []
+        for i in searching:
+            while windows[i] < len(_TAIL_STARTS) and omega[i] == _TAIL_STARTS[windows[i]]:
+                if not searches_on(i, float(on_grid[i][windows[i]])):
+                    break
+            else:
+                off.append(i)
+        if not off:
             break
-        needed = (2.0 * c_est / ((p - 1.0) * tail_budget)) ** (1.0 / (p - 1.0))
-        if needed <= omega:
-            break
-        omega = min(needed, 4.0 * omega)
-    else:
-        raise TailBoundError(
-            "could not find a truncation point satisfying the tail bound",
-            best=None,
-            bound=c_est,
-        )
+        searching = [i for i, c in zip(off, sampled(beyond(off, 4.0, 48), off))
+                     if searches_on(i, float(c[0]))]
 
-    # sanity-check the declared decay beyond the truncation point
-    if c_est > 0.0:
-        worst = float(sampled(np.geomspace(omega, 8.0 * omega, 16))[0])
-        if worst > 10.0 * c_est:
-            raise TailBoundError(
-                f"sampled decay beyond Omega={omega!r} contradicts "
-                f"tail_order={p!r} (coefficient {worst!r} vs {c_est!r})",
-                best=None,
-                bound=worst,
-            )
+    # sanity-check the declared decay beyond each truncation point
+    probed = [i for i, err in enumerate(failed) if err is None and c_est[i] > 0.0]
+    if probed:
+        for i, worst in zip(probed, sampled(beyond(probed, 8.0, 16), probed)):
+            worst = float(worst[0])
+            if worst > 10.0 * c_est[i]:
+                failed[i] = TailBoundError(
+                    f"sampled decay beyond Omega={omega[i]!r} contradicts "
+                    f"tail_order={p[i]!r} (coefficient {worst!r} vs {c_est[i]!r})",
+                    best=None,
+                    bound=worst,
+                )
 
-    # geometric panels: [0, h], [h, 2h], [2h, 4h], ...
-    edges = [0.0, min(1.0, omega)]
-    while edges[-1] < omega:
-        edges.append(min(2.0 * edges[-1], omega))
-    lo, hi = np.array(edges[:-1]), np.array(edges[1:])
-    tol = 0.5 * spec.abs_tol * np.maximum((hi - lo) / omega, 1e-3)
-    start = np.maximum(1.0, np.ceil((hi - lo) * osc_hint / 40.0))
+    # geometric panels per model: [0, h], [h, 2h], [2h, 4h], ...
+    models = [i for i, err in enumerate(failed) if err is None]
+    lo, hi, tol, start, own = [], [], [], [], []
+    for i in models:
+        edges = [0.0, min(1.0, omega[i])]
+        while edges[-1] < omega[i]:
+            edges.append(min(2.0 * edges[-1], omega[i]))
+        lo.append(np.array(edges[:-1]))
+        hi.append(np.array(edges[1:]))
+        tol.append(0.5 * spec.abs_tol * np.maximum((hi[-1] - lo[-1]) / omega[i], 1e-3))
+        start.append(np.maximum(1.0, np.ceil((hi[-1] - lo[-1]) * osc_hint[i] / 40.0)))
+        at = own[-1].stop if own else 0
+        own.append(slice(at, at + lo[-1].size))  # the model's panels in the stack
+    group = None  # each panel's model, in a stack of more than one
+    if len(models) > 1:
+        group = np.repeat(np.arange(len(models)), [each.size for each in lo])
+        lo, hi, tol, start = (np.concatenate(each) for each in (lo, hi, tol, start))
+    elif models:
+        lo, hi, tol, start = lo[0], hi[0], tol[0], start[0]
+    live = [factors[i] for i in models]
 
     def panels(passes, rows):
         """Each pass of each panel of ``rows``, shape (panels, n_x), from
-        one call of g on all their nodes."""
-        every = np.tile(rows, len(passes))
+        one call of g on all their distinct geometries."""
+        every = np.concatenate([rows] * len(passes))
         slices = np.concatenate([start[rows] * m for m in passes]).astype(int)
-        return np.split(_phased_panels(g, lo[every], hi[every], slices, spots), len(passes))
+        sums = _phased_panels(g, lo[every], hi[every], slices, spots, live,
+                              None if group is None else group[every])
+        return [sums[k * rows.size:(k + 1) * rows.size] for k in range(len(passes))]
 
     # a pass's largest array per first-pass slice is its nodes or its
     # slices x spots, and never less than its 32 x spots offset table
-    parts, change, converged = _refine(panels, lo.size, n_x, lambda _, rows: tol[rows],
-                                       spec.max_nodes, start * max(32, n_x), 32 * n_x)
-    total = np.zeros(n_x, dtype=complex)
-    for part in parts:  # in panel order, one panel's values at a time
-        total += part
-    if not converged:
-        bad = int(np.argmax(change > tol))
-        raise AccuracyError(f"panel [{float(lo[bad])!r}, {float(hi[bad])!r}] did not converge "
-                            f"within the budget of {spec.max_nodes} (last refinement changed by "
-                            f"{float(change[bad])!r})",
-                            best=total, bound=float(change.sum()) + tail_budget)
-    return total
+    results = [None] * len(factors)
+    if models:
+        parts, change, converged = _refine(panels, lo.size, n_x, lambda _, rows: tol[rows],
+                                           spec.max_nodes, start * max(32, n_x), 32 * n_x, group)
+        for i, at in zip(models, own):
+            total = np.zeros(n_x, dtype=complex)
+            for part in parts[at]:  # in panel order, one panel's values at a time
+                total += part
+            results[i] = total
+            if not (converged or np.all(change[at] <= tol[at])):
+                bad = at.start + int(np.argmax(change[at] > tol[at]))
+                failed[i] = AccuracyError(
+                    f"panel [{float(lo[bad])!r}, {float(hi[bad])!r}] did not converge "
+                    f"within the budget of {spec.max_nodes} (last refinement changed by "
+                    f"{float(change[bad])!r})",
+                    best=total, bound=float(change[at].sum()) + tail_budget)
+    for i, err in enumerate(failed):
+        if err is not None:
+            if isinstance(err, AccuracyError):
+                err.index = i
+            raise err
+    return results if stack else results[0]

@@ -20,8 +20,9 @@ from ctrwpricer import (
     cli,
     fit_from_moments,
     fourier,
+    numerics,
 )
-from ctrwpricer.errors import AccuracyError, InvalidParametersError
+from ctrwpricer.errors import AccuracyError, InvalidParametersError, TailBoundError
 from ctrwpricer.european import vanilla_call_price
 from ctrwpricer.fourier import (
     Payoff,
@@ -408,26 +409,37 @@ class TestHermitianIntegrand:
         # the value both pairings give, to a few ulps
         assert abs(price - (-0.0036757101934667153)) <= 4e-18
 
-    @pytest.mark.parametrize("fig_id, calls, nodes", [("fig3", 13, 7680), ("fig4", 24, 10464)])
-    def test_figure_build_counts(self, monkeypatch, fig_id, calls, nodes):
-        # integrand calls and nodes of one transform-figure build, the same
-        # on every machine: 20 and 38 calls, on 13,344 and 17,568 nodes,
-        # when each tail window was sampled in a call of its own; 16 and 30
-        # calls, on 13,440 and 17,760 nodes, when panels were seeded at
-        # 1 rad per unit of w at least and each first two passes took a
-        # call each
-        seen = []
+    @pytest.mark.parametrize("fig_id, calls, nodes, model_nodes",
+                             [("fig3", 5, 5568, 7680), ("fig4", 6, 3600, 10464)])
+    def test_figure_build_counts(self, monkeypatch, fig_id, calls, nodes, model_nodes):
+        # the calls and nodes of the shared factor (the payoff transform) of
+        # one transform-figure build, and the nodes each model's own factor
+        # is evaluated on, the same on every machine.  Each model keeps its
+        # node set, so the factors see what the integrand of a call per
+        # column saw: 13 and 24 calls on 7,680 and 10,464 nodes; 20 and 38
+        # calls, on 13,344 and 17,568 nodes, when each tail window was
+        # sampled in a call of its own; 16 and 30 calls, on 13,440 and
+        # 17,760 nodes, when panels were seeded at 1 rad per unit of w at
+        # least and each first two passes took a call each
+        shared, own = [], []
         inner = fourier.integrate_real_line
 
-        def counted(g, *args, **kwargs):
+        def counted(g, *args, factors, **kwargs):
             def recorded(w):
-                seen.append(np.size(w))
+                shared.append(np.size(w))
                 return g(w)
-            return inner(recorded, *args, **kwargs)
+
+            def model(factor):
+                def recorded_factor(w, gw):
+                    own.append(np.size(w))
+                    return factor(w, gw)
+                return recorded_factor
+            return inner(recorded, *args, factors=[model(f) for f in factors], **kwargs)
 
         monkeypatch.setattr(fourier, "integrate_real_line", counted)
         cli.build_figure(fig_id)
-        assert (len(seen), sum(seen)) == (calls, nodes)
+        assert len(shared) <= calls and sum(shared) <= nodes
+        assert sum(own) == model_nodes
 
 
 class TestPhaseSeed:
@@ -510,3 +522,159 @@ class TestRealLineErrors:
         best, bound = exc.value.best, exc.value.bound
         assert type(best) is float and abs(best - price) <= 1e-8
         assert abs(best - price) <= bound
+
+
+def figure_stack(fig_id: str) -> tuple:
+    """The transform-route markets of a fig3 or fig4 build, in column order,
+    with its payoff, log-spots, horizon and quadrature spec."""
+    meta = cli.FIGURES[fig_id][1]
+    if fig_id == "fig3":
+        markets = list(cli._exp_models(meta).values())
+    else:
+        markets = [MarketParams.risk_neutral(meta["r"], fit_from_moments(Family(f), meta["mu1"],
+                                                                         meta["mu2"]))
+                   for f in meta["families"] if f != Family.DISCRETE.value]
+    return (markets, butterfly_payoff(meta["K"], meta["L"]), np.log(cli._grid(meta["grid"])),
+            meta["T"], cli._spec(meta["tol"], cli.FOURIER_TOL))
+
+
+def outcome(price):
+    """A pricing call's prices as bytes, or its error's class, message,
+    estimate and bound."""
+    try:
+        got = price()
+    except AccuracyError as exc:
+        best, bound = np.asarray(exc.best).tobytes(), np.asarray(exc.bound).tobytes()
+        return type(exc), str(exc), best, bound
+    return [np.asarray(col).tobytes() for col in (got if isinstance(got, list) else [got])]
+
+
+class TestStackedMarkets:
+    """A sequence of markets prices in one stacked integral: each column is
+    its own call's, bit for bit, and the stack fails as its first failing
+    market would alone."""
+
+    @pytest.mark.parametrize("fig_id", ["fig3", "fig4"])
+    def test_columns_equal_single_calls_bit_for_bit(self, fig_id):
+        # fig4's stack holds the uniform law (its one-jump term split off)
+        # and the tempered power tail (no split)
+        markets, pay, xs, t_bar, spec = figure_stack(fig_id)
+        families = {m.density.family for m in markets}
+        assert fig_id == "fig3" or {Family.CONSTANT, Family.PARETO_HALF} <= families
+        stacked = price_fourier(markets, pay, xs, t_bar, spec)
+        assert isinstance(stacked, list) and len(stacked) == len(markets)
+        for m, column in zip(markets, stacked):
+            assert column.tobytes() == price_fourier(m, pay, xs, t_bar, spec).tobytes()
+
+    def test_a_float_spot_gives_floats(self):
+        markets, pay, _, t_bar, spec = figure_stack("fig4")
+        stacked = price_fourier(markets, pay, math.log(92.0), t_bar, spec)
+        assert [type(v) for v in stacked] == [float] * len(markets)
+        assert stacked == [price_fourier(m, pay, math.log(92.0), t_bar, spec) for m in markets]
+
+    def test_middle_market_failure_is_its_own(self):
+        # at this budget the Gaussian fit prices, and the uniform and
+        # exponential fits do not: the stack raises the uniform law's error
+        pay = butterfly_payoff(100.0, 10.0)
+        xs = np.log(cli._grid([86, 122, 13]))
+        spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-10, max_nodes=1 << 12)
+        markets = [fitted_market(f) for f in (Family.GAUSSIAN, Family.CONSTANT,
+                                               Family.EXPONENTIAL, Family.LOGISTIC)]
+        price_fourier(markets[0], pay, xs, T_BAR, spec)
+        want = outcome(lambda: price_fourier(markets[1], pay, xs, T_BAR, spec))
+        assert want[0] is AccuracyError
+        assert outcome(lambda: price_fourier(markets, pay, xs, T_BAR, spec)) == want
+        assert outcome(lambda: price_fourier(markets[::-1], pay, xs, T_BAR, spec)) \
+            == outcome(lambda: price_fourier(markets[2], pay, xs, T_BAR, spec))
+
+    def test_middle_market_tail_failure_is_its_own(self):
+        # a bump in the payoff transform near w = 5000 lies in the decay
+        # probe of rho = 5 only; rho = 20 integrates across it, and rho = 2
+        # never samples it
+        pay = butterfly_payoff(100.0, 10.0)
+        bumpy = dataclasses.replace(
+            pay, transform=lambda w: pay.transform(w) + 1e3 * np.exp(-(((w - 5000.0) / 50.0) ** 2)))
+        markets = [MarketParams.from_rho_sigma(rho, R, 0.1) for rho in (2.0, 5.0, 20.0)]
+        xs = np.log(cli._grid([80, 125, 19]))
+        spec = QuadSpec(abs_tol=1e-6)
+        for m in markets[::2]:
+            price_fourier(m, bumpy, xs, T_BAR, spec)
+        with pytest.raises(TailBoundError) as single:
+            price_fourier(markets[1], bumpy, xs, T_BAR, spec)
+        with pytest.raises(TailBoundError) as stacked:
+            price_fourier(markets, bumpy, xs, T_BAR, spec)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.best is None and stacked.value.bound == single.value.bound
+
+    @pytest.mark.parametrize("max_nodes", [1 << 10, 1 << 8])
+    @pytest.mark.parametrize("fig_id", ["fig3", "fig4"])
+    def test_small_budgets_keep_every_array_and_bit(self, monkeypatch, fig_id, max_nodes):
+        # every array of a refinement call fits the budget: the nodes, the
+        # slices x spots and the offset tables of the distinct panels, and
+        # each model's nodes and slices x spots; so does every node array
+        # handed to the shared and the model factors.  Each stack fails or
+        # prices as its markets do alone, and a price keeps its
+        # default-budget bits (a figure column's 32 x spots table exceeds
+        # 2^8, so there a single spot prices)
+        markets, pay, xs, t_bar, spec = figure_stack(fig_id)
+        small = dataclasses.replace(spec, max_nodes=max_nodes)
+        arrays = []
+        inner, panels = fourier.integrate_real_line, numerics._phased_panels
+
+        def counted(g, *args, factors, **kwargs):
+            def recorded(w):
+                arrays.append(np.size(w))
+                return g(w)
+
+            def model(factor):
+                return lambda w, gw: (arrays.append(np.size(w)), factor(w, gw))[1]
+            return inner(recorded, *args, factors=[model(f) for f in factors], **kwargs)
+
+        def phased(g, lo, hi, slices, xs, factors=(None,), model=None):
+            which = np.zeros(lo.size, dtype=int) if model is None else model
+            geometries = set(zip(lo.tolist(), hi.tolist(), slices.tolist()))
+            shared = sum(n for _, _, n in geometries)
+            arrays.extend([32 * shared, shared * xs.size, 32 * len(geometries) * xs.size])
+            arrays.extend(n * max(32, xs.size) for n in np.bincount(which, slices))
+            return panels(g, lo, hi, slices, xs, factors, model)
+
+        columns = (xs, xs[[6]])
+        default = [outcome(lambda: price_fourier(markets, pay, x, t_bar, spec)) for x in columns]
+        monkeypatch.setattr(fourier, "integrate_real_line", counted)
+        monkeypatch.setattr(numerics, "_phased_panels", phased)
+        for x, want in zip(columns, default):
+            got = outcome(lambda: price_fourier(markets, pay, x, t_bar, small))
+            singles = [outcome(lambda: price_fourier(m, pay, x, t_bar, small)) for m in markets]
+            failed = [s for s in singles if not isinstance(s, list)]
+            assert got == (failed[0] if failed else sum(singles, []))
+            assert failed or got == want
+        assert max(arrays) <= max_nodes
+
+    def test_empty_stack_and_empty_column(self):
+        markets, pay, xs, t_bar, spec = figure_stack("fig3")
+        assert price_fourier([], pay, xs, t_bar, spec) == []
+        empty = price_fourier(markets, pay, np.empty(0), t_bar, spec)
+        assert [col.shape for col in empty] == [(0,)] * len(markets)
+        assert price_fourier(markets[0], pay, np.empty(0), t_bar, spec).shape == (0,)
+
+    @pytest.mark.parametrize("families", [[], ["discrete"], ["gaussian", "exp", "gaussian"],
+                                          ["pareto", "discrete", "pareto"]], ids=str)
+    def test_fig4_family_lists(self, tmp_path, families):
+        # the CSV a call per column gives, and exit 0 from the meta line
+        meta = dict(cli.FIGURES["fig4"][1], figure="fig4", families=families)
+        pay = butterfly_payoff(meta["K"], meta["L"])
+        grid = cli._grid(meta["grid"])
+        spec = cli._spec(meta["tol"], cli.FOURIER_TOL)
+        columns = {}
+        for f in families:
+            m = MarketParams.risk_neutral(meta["r"], fit_from_moments(Family(f), meta["mu1"],
+                                                                      meta["mu2"]))
+            price = price_two_point_exact if f == "discrete" else (
+                lambda *args: price_fourier(*args, spec))
+            columns[f] = price(m, pay, np.log(grid), meta["T"])
+        want = cli._csv_body(cli._table(meta, "spot", grid, columns))
+        assert cli._csv_body(cli.build_figure(meta=meta)) == want
+        source, out = tmp_path / "meta.csv", tmp_path / "out.csv"
+        cli.write_csv(cli.build_figure(meta=meta), str(source))
+        assert cli.main(["fig", "--from-meta", str(source), "--out", str(out)]) == 0
+        assert out.read_text() == source.read_text()

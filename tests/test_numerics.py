@@ -792,6 +792,167 @@ class TestRealLineQuadrature:
             integrate_real_line(lambda w: np.cos(500.0 * w) / (1.0 + w * w), 2.0, spec, spots=[0.0])
 
 
+def quartic(w):
+    return 1.0 / (1.0 + w * w) ** 2
+
+
+# a stack's model factors f(w, g(w)), each Hermitian with g, their tail
+# orders and phase seeds: g itself, a faster complex tail, and g damped
+STACK = [(lambda w, gw: gw, 4.0, 0.0),
+         (lambda w, gw: gw * (1.0 + 0.5j * w) / (1.0 + w * w), 5.0, 5.0),
+         (lambda w, gw: gw * np.exp(-w * w / 8.0), 4.0, 60.0)]
+
+
+def stacked(g, stack, spec=DEFAULT_QUAD, spots=FIVE_XS):
+    """``integrate_real_line`` of the stack, each factor recording the
+    nodes it is called on."""
+    seen = [[] for _ in stack]
+
+    def recorded(k, f):
+        def factor(w, gw):
+            seen[k].append(w.copy())
+            return f(w, gw)
+        return factor
+    factors = [recorded(k, f) for k, (f, *_) in enumerate(stack)]
+    got = integrate_real_line(g, [p for _, p, _ in stack], spec, [h for *_, h in stack],
+                              spots=spots, factors=factors)
+    return got, seen
+
+
+def alone(g, f, p, hint, spec=DEFAULT_QUAD, spots=FIVE_XS):
+    """The single integral of f(w, g(w)), and the nodes its integrand sees."""
+    seen = []
+
+    def integrand(w):
+        seen.append(w.copy())
+        return f(w, g(w))
+    return integrate_real_line(integrand, p, spec, hint, spots=spots), seen
+
+
+def raised(call):
+    """The class, message, estimate and bound of the error ``call`` raises."""
+    with pytest.raises(AccuracyError) as exc:
+        call()
+    e = exc.value
+    return type(e), str(e), np.asarray(e.best).tobytes(), np.asarray(e.bound).tobytes()
+
+
+class TestRealLineStack:
+    """Integrands f_m(w, g(w)) sharing g and the spots integrate in one
+    refinement; each keeps its own truncation point, tail order, seed,
+    panels and bits, and g is called once per distinct panel geometry."""
+
+    def test_each_model_keeps_its_integral_and_nodes(self):
+        got, seen = stacked(quartic, STACK)
+        assert isinstance(got, list) and len(got) == len(STACK)
+        for (f, p, hint), value, nodes in zip(STACK, got, seen):
+            want, own = alone(quartic, f, p, hint)
+            assert value.tobytes() == want.tobytes()
+            assert len(nodes) == len(own)
+            for a, b in zip(nodes, own):
+                np.testing.assert_array_equal(a, b)
+
+    def test_stack_of_one_is_the_single_form(self):
+        def run(stack):
+            seen = []
+
+            def g(w):
+                seen.append(w.copy())
+                return quartic(w)
+            if stack:
+                return integrate_real_line(g, [4.0], DEFAULT_QUAD, [5.0], spots=FIVE_XS,
+                                           factors=[None])[0], seen
+            return integrate_real_line(g, 4.0, DEFAULT_QUAD, 5.0, spots=FIVE_XS), seen
+        (one, nodes), (single, own) = run(True), run(False)
+        assert one.tobytes() == single.tobytes() and len(nodes) == len(own)
+        for a, b in zip(nodes, own):
+            np.testing.assert_array_equal(a, b)
+
+    def test_equal_models_share_every_refinement_call_of_g(self):
+        # two models of one geometry: each refinement round hands g what
+        # one model's integral does, and each factor all of its own nodes
+        calls = []
+
+        def g(w):
+            calls.append(w.copy())
+            return quartic(w)
+        (a, b), seen = stacked(g, [STACK[1], STACK[1]])
+        single, own = alone(quartic, *STACK[1])
+        assert a.tobytes() == b.tobytes() == single.tobytes()
+        rounds = [w for w in own if w.size % 32 == 0]  # its tail calls hold 144, 48 or 16
+        assert len(rounds) >= 1 and len(calls) == len(own)
+        for shared, mine in zip(calls[-len(rounds):], rounds):
+            np.testing.assert_array_equal(shared, mine)
+        for theirs, mine in zip(seen[1], own):
+            np.testing.assert_array_equal(theirs, mine)
+
+    def test_one_call_of_g_per_round(self):
+        # the first windows of every model in one call, each round of
+        # windows off that grid in one, the decay probes in one, then one
+        # call per refinement round
+        calls = []
+
+        def g(w):
+            calls.append(w.size)
+            return quartic(w)
+        stacked(g, STACK)
+        rounds = [alone(quartic, *model)[1] for model in STACK]
+        refinement = max(len([w for w in own if w.size % 32 == 0]) for own in rounds)
+        tail = max(len([w for w in own if w.size % 32 != 0]) for own in rounds)
+        assert calls[0] == 144 and len(calls) <= tail + refinement
+
+    def test_empty_stack(self):
+        assert integrate_real_line(quartic, [], DEFAULT_QUAD, [], spots=FIVE_XS, factors=[]) == []
+
+    def test_stack_needs_an_order_and_a_seed_per_model(self):
+        with pytest.raises(InvalidParametersError):
+            integrate_real_line(quartic, [4.0], DEFAULT_QUAD, [0.0, 0.0], spots=FIVE_XS,
+                                factors=[None, None])
+
+    def test_middle_model_failure_is_its_own(self):
+        # the middle model oscillates past the node budget; the last one
+        # fails too, later in the stack
+        wild = (lambda w, gw: gw * np.cos(500.0 * w), 4.0, 0.0)
+        stack = [STACK[1], wild, STACK[2], wild]
+        spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-10, max_nodes=1 << 12)
+        alone(quartic, *STACK[1], spec)
+        want = raised(lambda: alone(quartic, *wild, spec))
+        assert raised(lambda: stacked(quartic, stack, spec)) == want
+        with pytest.raises(AccuracyError) as exc:
+            stacked(quartic, stack, spec)
+        assert exc.value.index == 1
+
+    def test_middle_model_tail_failure_is_its_own(self):
+        # a bump near w = 1000 that only the middle model's decay probe
+        # samples
+        bump = (lambda w, gw: gw + 1e-3 * np.exp(-(((w - 1000.0) / 50.0) ** 2)), 4.0, 0.0)
+        stack = [STACK[2], bump, STACK[1]]
+        spec = QuadSpec(abs_tol=1e-6)
+        with pytest.raises(TailBoundError) as single:
+            alone(quartic, *bump, spec)
+        with pytest.raises(TailBoundError) as exc:
+            stacked(quartic, stack, spec)
+        assert str(exc.value) == str(single.value) and "contradicts" in str(exc.value)
+        assert exc.value.best is None and exc.value.bound == single.value.bound
+        assert exc.value.index == 1
+
+    @pytest.mark.parametrize("max_nodes", [1 << 10, 1 << 8])
+    def test_small_budget_keeps_the_bits(self, max_nodes):
+        # a round split over calls to fit the budget gives each model its
+        # default-budget bits; g and every factor see at most the budget
+        sizes = []
+
+        def g(w):
+            sizes.append(w.size)
+            return quartic(w)
+        spec, spots = QuadSpec(max_nodes=max_nodes), FIVE_XS[:2]
+        stack = [STACK[0], (STACK[1][0], 5.0, 0.0)]
+        got, seen = stacked(g, stack, spec, spots)
+        want, _ = stacked(quartic, stack, DEFAULT_QUAD, spots)
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+        assert max(sizes + [w.size for own in seen for w in own]) <= max_nodes
+
+
 class TestSpots:
     def test_scalar_gives_a_float(self):
         shapes = []
