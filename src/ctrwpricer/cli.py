@@ -22,7 +22,7 @@ import numpy as np
 
 from . import american, blackscholes, european, fourier, montecarlo
 from .densities import Family, JumpDensity, exp_moment, fit_from_moments
-from .errors import AccuracyError, OutOfBandError, PricingError, ValidationError
+from .errors import AccuracyError, PricingError, ValidationError
 from .european import Contract, OptionStyle, PayoffKind, PriceMethod
 from .numerics import QuadSpec
 from .riskneutral import MarketParams, risk_neutral_intensity, validate
@@ -136,25 +136,22 @@ def _fig_european(meta) -> FigureData:
 def _iv_table(meta: dict, models: dict, sigma: float | None = None) -> FigureData:
     """Each model's implied-vol column over the s/K grid and, given sigma,
     ``bs_check``: the implied vol of the Black-Scholes price at sigma (a
-    self-check).  Out-of-band model cells stay empty, counted in the meta."""
+    self-check).  Every column's prices, one row each, are inverted in one
+    array ``implied_vol`` call; a cell it returns as NaN, out of band,
+    stays empty, and the model columns' empty cells are counted in the
+    meta."""
     K, T, r = meta["K"], meta["T"], meta["r"]
     grid = _grid(meta["grid"])
     spots = [mny * K for mny in grid]
-
-    def iv(price, spot):
-        try:
-            return blackscholes.implied_vol(price, spot, K, r, T)
-        except OutOfBandError:
-            return None
-
     xs = np.array([math.log(s) for s in spots])
-    columns = {name: [iv(price, s) for price, s in
-                      zip(european.vanilla_call_closed(m, K, xs, T), spots)]
-               for name, m in models.items()}
-    skipped = sum(v is None for col in columns.values() for v in col)
+    prices = {name: european.vanilla_call_closed(m, K, xs, T) for name, m in models.items()}
     if sigma is not None:
-        columns["bs_check"] = [iv(blackscholes.bs_vanilla_call(s, K, r, sigma, T), s)
-                               for s in spots]
+        prices["bs_check"] = [blackscholes.bs_vanilla_call(s, K, r, sigma, T) for s in spots]
+    vols = blackscholes.implied_vol(np.array(list(prices.values())).reshape(-1, len(spots)),
+                                    np.array(spots), K, r, T)
+    skipped = int(np.isnan(vols[:len(models)]).sum())
+    columns = {name: [None if math.isnan(v) else v for v in row]
+               for name, row in zip(prices, vols.tolist())}
     return _table(dict(meta, out_of_band=skipped), "s_over_k", grid, columns)
 
 

@@ -47,9 +47,10 @@ column of spots, and a single market is a stack of one.  Each market's
 integrand is its own factor weight(h~(-w))/2pi applied to the shared
 Phi~(w), so one stacked integral evaluates Phi~, the offset tables and the
 slice phases once per panel geometry for all of them, while every market
-keeps the nodes, panels and bits of its own call.  The stack raises the
-error its first failing market would raise alone.  The fig3 and fig4
-builders price their transform columns in one call per figure.
+keeps the nodes, panels and bits of its own call.  A market listed twice
+is integrated once.  The stack raises the error its first failing market
+would raise alone.  The fig3 and fig4 builders price their transform
+columns in one call per figure.
 """
 
 from __future__ import annotations
@@ -274,7 +275,10 @@ def price_fourier(params, payoff: Payoff, x, t_bar: float, spec: QuadSpec = DEFA
     a list of one such price per market from one stacked integral
     (``integrate_real_line``'s ``factors``): each market's prices are
     those of its own call, bit for bit, and the stack raises what the
-    first market that fails would raise alone.
+    first market that fails would raise alone.  Equal markets are priced
+    once: each distinct market joins the stack at its first position and
+    its prices serve every position it holds, so an AccuracyError's
+    ``index`` names the failing market's first position.
     """
     if payoff.transform is None:
         raise InvalidParametersError("the transform route needs a payoff with a transform")
@@ -285,16 +289,27 @@ def price_fourier(params, payoff: Payoff, x, t_bar: float, spec: QuadSpec = DEFA
     if t_bar == 0.0:
         prices = [over_spots(payoff.value, x) for _ in markets]
     else:
-        terms = [_jump_terms(m, t_bar) for m in markets]
+        # equal markets price equally: each distinct one is stacked once, in
+        # order of its first position, and its prices serve every position
+        slot = {}
+        for m in markets:
+            slot.setdefault(m, len(slot))
+        distinct = list(slot)
+        terms = [_jump_terms(m, t_bar) for m in distinct]
         stack = []
 
-        def column(i):
+        def column(j):
             def priced(xs):  # the first column prices the whole stack
                 if not stack:
-                    stack.extend(_stack_prices(terms, payoff, xs, spec))
-                return stack[i]
+                    try:
+                        stack.extend(_stack_prices(terms, payoff, xs, spec))
+                    except AccuracyError as exc:
+                        if exc.index is not None:  # a position in ``markets``
+                            exc.index = markets.index(distinct[exc.index])
+                        raise
+                return stack[j].copy()  # positions that share a market own their arrays
             return priced
-        prices = [over_spots(column(i), x) for i in range(len(markets))]
+        prices = [over_spots(column(slot[m]), x) for m in markets]
     return prices[0] if one else prices
 
 

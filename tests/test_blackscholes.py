@@ -3,10 +3,12 @@
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ctrwpricer import (
+    InvalidParametersError,
     OutOfBandError,
     blackscholes,
     bs_binary_call,
@@ -147,6 +149,116 @@ class TestImpliedVol:
         near = implied_vol(intrinsic + 1e-10, 1.05, 1.0, 0.04, 0.25)
         nearer = implied_vol(intrinsic + 1e-14, 1.05, 1.0, 0.04, 0.25)
         assert nearer < near < 0.05
+
+
+def float_outcome(price, spot, T):
+    """The float solve's vol, or None where it raises OutOfBandError."""
+    try:
+        return implied_vol(price, spot, 1.0, 0.04, T)
+    except OutOfBandError:
+        return None
+
+
+# the hard cases of the float solve, grouped by expiry since a call shares
+# one T: (price, spot) pairs
+HARD_CASES = {
+    5.0: [
+        (2.156638760748209, 2.9753694783052795),  # subnormal vega, bisection
+        (bs_vanilla_call(0.3, 1.0, 0.04, 0.2, 5.0), 0.3),
+        (bs_vanilla_call(1.0, 1.0, 0.04, 0.05, 5.0), 1.0),
+        (bs_vanilla_call(2.0, 1.0, 0.04, 1e-4, 5.0), 2.0),  # the band's ends
+        (bs_vanilla_call(2.0, 1.0, 0.04, 5.0, 5.0), 2.0),
+        (bs_vanilla_call(2.0, 1.0, 0.04, 1e-4, 5.0) - 1e-6, 2.0),  # just outside
+        (bs_vanilla_call(2.0, 1.0, 0.04, 5.0, 5.0) + 1e-6, 2.0),
+        (math.nan, 1.0),
+        # deep in the money the price's rounding, 1.9e-9, passes the
+        # 1e-10 * K residual gate: the last refuses, the first prices
+        (1e7 - 0.65, 1e7),
+        (1e7 - 0.7, 1e7),
+    ],
+    0.25: [
+        (bs_vanilla_call(1.19, 1.0, 0.04, 0.1, 0.25), 1.19),  # residual floor
+        (1.05 - math.exp(-0.01) - 1e-6, 1.05),  # below intrinsic
+        (1.05 - math.exp(-0.01) + 1e-14, 1.05),  # vanishing vol
+        (1.06, 1.05),  # above the spot
+        *[(bs_vanilla_call(1.05, 1.0, 0.04, sigma, 0.25), 1.05)
+          for sigma in (0.05, 0.1, 0.2, 0.5, 1.0)],
+    ],
+    0.01: [
+        (bs_vanilla_call(0.467, 1.0, 0.04, 0.5, 0.01), 0.467),  # log steps
+        (0.0, 0.35),  # zero price
+        (bs_vanilla_call(0.97, 1.0, 0.04, 0.1, 0.01), 0.97),
+        (math.nan, 0.97),
+    ],
+    1e-4: [
+        (bs_vanilla_call(0.3, 1.0, 0.04, 0.2, 1e-4), 0.3),  # flat bands
+        (bs_vanilla_call(3.0, 1.0, 0.04, 0.2, 1e-4), 3.0),
+        (bs_vanilla_call(1.0, 1.0, 0.04, 0.2, 1e-4), 1.0),
+        (bs_vanilla_call(1.05, 1.0, 0.04, 0.8, 1e-4), 1.05),
+    ],
+}
+
+
+class TestImpliedVolArray:
+    """Arrays of prices and spots are solved cell by cell by the float
+    loop's rules in one array loop; NaN stands where a float call raises."""
+
+    @pytest.mark.parametrize("T", sorted(HARD_CASES))
+    def test_cells_match_the_float_solve(self, T):
+        prices, spots = (np.array(v) for v in zip(*HARD_CASES[T]))
+        vols = implied_vol(prices, spots, 1.0, 0.04, T)
+        assert vols.shape == prices.shape
+        for price, spot, iv in zip(prices.tolist(), spots.tolist(), vols.tolist()):
+            want = float_outcome(price, spot, T)
+            assert math.isnan(iv) == (want is None), (price, spot)
+            if want is None:
+                continue
+            assert abs(bs_vanilla_call(spot, 1.0, 0.04, iv, T) - price) <= 1e-10
+            # both solves stop where the price's rounding over the vega hides sigma
+            d1 = (math.log(spot) + (0.04 + 0.5 * want * want) * T) / (want * math.sqrt(T))
+            vega = spot * math.sqrt(T) * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+            assert vega == 0.0 or abs(iv - want) <= 1e-12 + 1e-15 * max(price, 1.0) / vega
+
+    @pytest.mark.parametrize("T", sorted(HARD_CASES))
+    def test_each_cell_costs_its_float_solve(self, monkeypatch, T):
+        # the array loop evaluates normal_cdf on the cells still solving
+        # only, so it costs what the float solves cost together, and it
+        # stops before the 100-iteration cap: 2 band prices, then one price
+        # per iteration and the final residual's, two cdf calls each
+        prices, spots = zip(*HARD_CASES[T])
+        calls = TestImpliedVol.counted_cdf(monkeypatch)
+        for price, spot in zip(prices, spots):
+            float_outcome(price, spot, T)
+        per_float = sum(np.size(z) for z in calls)
+        calls.clear()
+        implied_vol(np.array(prices), np.array(spots), 1.0, 0.04, T)
+        assert sum(np.size(z) for z in calls) == per_float
+        assert (len(calls) - 6) // 2 < 100
+
+    def test_shape_is_kept(self):
+        # a table of prices against a row of spots, broadcast
+        spots = np.array([0.9, 1.0, 1.1, 1.2])
+        prices = np.array([[bs_vanilla_call(s, 1.0, 0.04, sigma, 0.5) for s in spots]
+                           for sigma in (0.1, 0.3, 0.9)])
+        vols = implied_vol(prices, spots, 1.0, 0.04, 0.5)
+        assert vols.shape == (3, 4)
+        assert np.allclose(vols, [[0.1], [0.3], [0.9]], rtol=0, atol=1e-9)
+        one = implied_vol(np.array(prices[1, 2]), 1.1, 1.0, 0.04, 0.5)
+        assert one.shape == () and abs(one - 0.3) <= 1e-9
+        assert implied_vol(np.empty((0, 4)), spots, 1.0, 0.04, 0.5).shape == (0, 4)
+
+    def test_floats_take_the_float_loop(self):
+        price = bs_vanilla_call(1.05, 1.0, 0.04, 0.2, 0.25)
+        assert type(implied_vol(price, 1.05, 1.0, 0.04, 0.25)) is float
+        assert type(implied_vol(np.float64(price), 1.05, 1.0, 0.04, 0.25)) is float
+
+    @pytest.mark.parametrize("spot, strike, T", [
+        ([1.0, 0.0], 1.0, 0.25), ([1.0, -1.0], 1.0, 0.25), ([1.0, 1.1], 0.0, 0.25),
+        ([1.0, 1.1], 1.0, 0.0), ([1.0, 1.1], 1.0, -1.0),
+    ])
+    def test_invalid_inputs_raise(self, spot, strike, T):
+        with pytest.raises(InvalidParametersError):
+            implied_vol(np.array([0.05, 0.1]), np.array(spot), strike, 0.04, T)
 
 
 class TestWienerPerpetual:

@@ -11,14 +11,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import ctrwpricer
 
-from ctrwpricer import american, cli, european, fourier
+from ctrwpricer import american, blackscholes, cli, european, fourier
 from ctrwpricer.cli import FIGURES, build_figure, main, read_meta
 from ctrwpricer.densities import Family, fit_from_moments
-from ctrwpricer.errors import AccuracyError, ValidationError
+from ctrwpricer.errors import AccuracyError, OutOfBandError, ValidationError
 from ctrwpricer.european import (
     Contract,
     PayoffKind,
@@ -439,6 +440,75 @@ class TestIvCommand:
         assert stdout == ""
         assert "iv CSV" in err
         assert not again.exists()
+
+
+def float_loop_iv_table(meta: dict, models: dict, sigma=None) -> tuple:
+    """An iv table's model and bs_check columns and its out_of_band count
+    as one float ``implied_vol`` call per cell gives them."""
+    K, T, r = meta["K"], meta["T"], meta["r"]
+    spots = [mny * K for mny in cli._grid(meta["grid"])]
+
+    def iv(price, spot):
+        try:
+            return blackscholes.implied_vol(float(price), spot, K, r, T)
+        except OutOfBandError:
+            return None
+
+    xs = np.log(spots)
+    columns = {name: [iv(p, s) for p, s in zip(european.vanilla_call_closed(m, K, xs, T), spots)]
+               for name, m in models.items()}
+    skipped = sum(v is None for col in columns.values() for v in col)
+    if sigma is not None:
+        columns["bs_check"] = [iv(blackscholes.bs_vanilla_call(s, K, r, sigma, T), s)
+                               for s in spots]
+    return columns, skipped
+
+
+class TestIvFigures:
+    """iv1 and iv2 solve all their cells in one array implied_vol call."""
+
+    def test_one_solve_per_figure(self, monkeypatch):
+        # one implied_vol call per figure, and normal_cdf on no more
+        # elements than the 124 + 31 float solves took: 3,546 with the
+        # bs_check column's prices (2,940 for iv1, 606 for iv2)
+        solves, cdf = [], []
+        solve, cdf_inner = blackscholes.implied_vol, blackscholes.normal_cdf
+        monkeypatch.setattr(blackscholes, "implied_vol",
+                            lambda *args: (solves.append(args), solve(*args))[1])
+        monkeypatch.setattr(blackscholes, "normal_cdf",
+                            lambda z: (cdf.append(np.size(z)), cdf_inner(z))[1])
+        for fig_id in ("iv1", "iv2"):
+            solves.clear()
+            build_figure(fig_id)
+            assert len(solves) == 1, fig_id
+        assert sum(cdf) <= 3546
+
+    @pytest.mark.parametrize("fig_id, T, grid, tol", [
+        ("iv1", None, None, 1e-13),
+        ("iv2", None, None, 1e-13),
+        # flat bands in both wings; short-dated cells whose vega of about
+        # 1e-5 leaves their last few ulps of price to rounding, up to 3e-12
+        ("iv1", 1e-4, [0.3, 3.0, 41], 1e-11),
+        ("iv1", 1e-3, [0.05, 20.0, 25], 1e-11),
+        ("iv2", 1e-4, [0.5, 2.0, 16], 1e-11),
+    ])
+    def test_cells_and_out_of_band_match_the_float_loop(self, fig_id, T, grid, tol):
+        meta = dict(FIGURES[fig_id][1], figure=fig_id)
+        if T is not None:
+            meta.update(T=T, grid=grid)
+        fig = build_figure(meta=meta)
+        if fig_id == "iv1":
+            columns, skipped = float_loop_iv_table(meta, cli._exp_models(meta), meta["sigma"])
+        else:
+            market = MarketParams.from_rho_sigma(meta["rho"], meta["r"], meta["sigma"])
+            columns, skipped = float_loop_iv_table(meta, {"model_iv": market})
+        assert fig.meta["out_of_band"] == skipped
+        assert T is None or skipped > 0
+        assert fig.columns[1:] == list(columns)
+        for j, want in enumerate(columns.values(), start=1):
+            got = [row[j] for row in fig.rows]
+            assert [v is None for v in got] == [v is None for v in want]
+            assert all(v is None or abs(v - w) <= tol for v, w in zip(got, want))
 
 
 class TestMcCommand:

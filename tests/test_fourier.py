@@ -650,6 +650,48 @@ class TestStackedMarkets:
             assert failed or got == want
         assert max(arrays) <= max_nodes
 
+    def test_a_repeated_market_is_integrated_once(self, monkeypatch):
+        # a market listed again adds no call of the shared factor and no
+        # node of a model factor; every position it holds gets its prices,
+        # in an array of its own
+        markets, pay, xs, t_bar, spec = figure_stack("fig4")
+        calls = []
+        inner = fourier.integrate_real_line
+
+        def counted(g, *args, factors, **kwargs):
+            def recorded(w):
+                calls.append(("g", np.size(w)))
+                return g(w)
+
+            def model(factor):
+                return lambda w, gw: (calls.append(("f", np.size(w))), factor(w, gw))[1]
+            return inner(recorded, *args, factors=[model(f) for f in factors], **kwargs)
+
+        monkeypatch.setattr(fourier, "integrate_real_line", counted)
+        once = price_fourier(markets, pay, xs, t_bar, spec)
+        once_calls = list(calls)
+        calls.clear()
+        again = [dataclasses.replace(m) for m in markets[::2]]  # equal, not the same objects
+        twice = price_fourier(markets + again, pay, xs, t_bar, spec)
+        assert calls == once_calls
+        assert [c.tobytes() for c in twice] == [c.tobytes() for c in once + once[::2]]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(twice) for b in twice[:i])
+
+    def test_a_repeated_market_fails_at_its_first_position(self):
+        # the uniform fit fails at this budget; its error names the first
+        # position it holds in the stack, not its place among distinct markets
+        pay = butterfly_payoff(100.0, 10.0)
+        xs = np.log(cli._grid([86, 122, 13]))
+        spec = QuadSpec(rel_tol=1e-12, abs_tol=1e-10, max_nodes=1 << 12)
+        gaussian, uniform = fitted_market(Family.GAUSSIAN), fitted_market(Family.CONSTANT)
+        alone = outcome(lambda: price_fourier(uniform, pay, xs, T_BAR, spec))
+        for stack, first in (([gaussian, uniform, gaussian, uniform], 1),
+                             ([gaussian, gaussian, uniform, uniform], 2)):
+            with pytest.raises(AccuracyError) as exc:
+                price_fourier(stack, pay, xs, T_BAR, spec)
+            assert exc.value.index == first
+            assert outcome(lambda: price_fourier(stack, pay, xs, T_BAR, spec)) == alone
+
     def test_empty_stack_and_empty_column(self):
         markets, pay, xs, t_bar, spec = figure_stack("fig3")
         assert price_fourier([], pay, xs, t_bar, spec) == []
@@ -658,7 +700,8 @@ class TestStackedMarkets:
         assert price_fourier(markets[0], pay, np.empty(0), t_bar, spec).shape == (0,)
 
     @pytest.mark.parametrize("families", [[], ["discrete"], ["gaussian", "exp", "gaussian"],
-                                          ["pareto", "discrete", "pareto"]], ids=str)
+                                          ["pareto", "discrete", "pareto"],
+                                          [*(f.value for f in Family), "exp", "gumbel"]], ids=str)
     def test_fig4_family_lists(self, tmp_path, families):
         # the CSV a call per column gives, and exit 0 from the meta line
         meta = dict(cli.FIGURES["fig4"][1], figure="fig4", families=families)
