@@ -448,6 +448,8 @@ def _cmd_iv(args) -> int:
     smin, smax = _price_flag(args, "--smin"), _price_flag(args, "--smax")
     if args.spoints < 1:
         raise ValidationError(f"--spoints must be at least 1, got {args.spoints!r}")
+    if not 0.0 <= args.T < math.inf:  # the horizons fig --from-meta refuses
+        raise ValidationError(f"--T must be non-negative and finite, got {args.T!r}")
     market = _build_market(args)
     rho, gamma = market.exponential_rates()
     meta = {

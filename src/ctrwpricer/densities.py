@@ -29,13 +29,15 @@ from .numerics import expm1_ratio, log_gamma
 
 __all__ = ["Family", "JumpDensity", "char_fn", "exp_moment", "pdf", "mean_var",
            "fit_from_moments", "sample", "sample_sum", "check_draw_budget",
-           "symmetry_point", "MAX_JUMP_DRAWS"]
+           "symmetry_point", "MAX_JUMP_DRAWS", "SUMMED_BY_JUMP"]
 
 EULER_GAMMA = float(np.euler_gamma)
 
-# Jump draws one block of paths may make: the per-jump summation holds the
-# jumps, their cumulative sum and its shifted copy, 24 bytes a draw, so a
-# block at this budget peaks near 200 MB.
+# Expected jump draws that the blocks of paths in flight may make together:
+# one block is refused above it, and montecarlo runs no more blocks at once
+# than stay within it.  The per-jump summation holds the jumps, their
+# cumulative sum and its shifted copy, 24 bytes a draw, so the blocks in
+# flight at this budget peak near 200 MB together, on any number of cores.
 MAX_JUMP_DRAWS = 1 << 23
 
 
@@ -81,6 +83,10 @@ class JumpDensity:
     @classmethod
     def from_dict(cls, d: dict) -> "JumpDensity":
         return cls(Family(d["family"]), float(d["a"]), float(d["b"]))
+
+
+# Families not closed under convolution: sample_sum draws each of their jumps.
+SUMMED_BY_JUMP = frozenset({Family.CONSTANT, Family.LOGISTIC, Family.GUMBEL})
 
 
 def _guard_pole(den, what: str):
@@ -286,10 +292,10 @@ def sample_sum(d: JumpDensity, rng: np.random.Generator, counts: np.ndarray,
     as a binomial, Gaussian as one scaled normal.  The tempered power
     tail has infinite activity and no count: its increment is the
     difference of two inverse-Gaussian variables (Michael, Schucany &
-    Haas 1976), drawn from lam_t alone.  The other families draw every
-    jump and are refused when counts.size * lam_t exceeds MAX_JUMP_DRAWS.
-    Draw sizes depend only on ``counts``, so equal counts and streams
-    give equal sums.
+    Haas 1976), drawn from lam_t alone.  The other families
+    (``SUMMED_BY_JUMP``) draw every jump and are refused when
+    counts.size * lam_t exceeds MAX_JUMP_DRAWS.  Draw sizes depend only
+    on ``counts``, so equal counts and streams give equal sums.
     """
     a, b = d.a, d.b
     f = d.family
@@ -297,7 +303,7 @@ def sample_sum(d: JumpDensity, rng: np.random.Generator, counts: np.ndarray,
         scale = 2.0 * math.sqrt(math.pi) * lam_t
         return (_wald(rng, scale * a, b, counts.size)
                 - _wald(rng, scale * (1.0 - a), b, counts.size))
-    if f not in (Family.EXPONENTIAL, Family.DISCRETE, Family.GAUSSIAN):
+    if f in SUMMED_BY_JUMP:
         check_draw_budget(counts.size * lam_t, f"summing {f.value} jumps one by one")
         total = int(counts.sum())
         if not total:

@@ -9,9 +9,21 @@ difference of two inverse-Gaussian variables.  The first-passage
 estimator draws every jump.  It, and the families summed jump by jump,
 refuse a block expected to make more than ``densities.MAX_JUMP_DRAWS``
 draws.  Paths are organised in fixed-size blocks, each driven by its own
-counter-based Philox stream keyed on (seed, block index); the estimate
-therefore does not depend on execution order and is bit-for-bit
-reproducible whether blocks run serially or in parallel.
+counter-based Philox stream keyed on (seed, block index) (Salmon et al.
+2011, "Parallel random numbers: as easy as 1, 2, 3"), so a block's draws
+do not depend on which thread makes them, or when.
+
+The blocks run on one thread per core the process may use; numpy's
+generators release the interpreter lock while they draw.  With W threads,
+worker w takes blocks w, w + W, ... in order, the calling thread being
+worker 0, so a one-block call starts no thread.  Each worker reduces its
+block to the elementwise discounted payoff where it was drawn, and the
+estimators join only those values, in block order: every estimate is
+bit-for-bit the one a serial run gives.  A failing block raises what a
+serial run raises, the error of the lowest-numbered failing block.  The
+families summed jump by jump run no more blocks at once than keep their
+expected draws together within ``densities.MAX_JUMP_DRAWS``.  A non-finite
+log-price or horizon is refused before any block is drawn.
 
 Summation of payoffs uses numpy's pairwise reduction, which keeps the
 accumulated rounding error at the 1e-12 level for millions of paths.
@@ -20,11 +32,20 @@ accumulated rounding error at the 1e-12 level for millions of paths.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .densities import check_draw_budget, sample, sample_sum, symmetry_point
+from .densities import (
+    MAX_JUMP_DRAWS,
+    SUMMED_BY_JUMP,
+    check_draw_budget,
+    sample,
+    sample_sum,
+    symmetry_point,
+)
 from .errors import InvalidParametersError, UnsupportedFamilyError
 from .european import Contract
 from .riskneutral import MarketParams
@@ -39,6 +60,9 @@ __all__ = [
 ]
 
 BLOCK = 1 << 14  # paths per substream
+# threads that run blocks: one per core this process may run on
+_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
 
 @dataclass(frozen=True)
@@ -74,39 +98,97 @@ def _blocks(paths: int):
         yield block, min(BLOCK, paths - lo)
 
 
-def _terminal_block(params: MarketParams, x0: float, horizon: float,
+def _map_blocks(run_block, paths: int, width: int) -> list:
+    """``run_block(block, n)`` of every block of ``paths``, in block order,
+    on ``min(width, blocks)`` threads, the calling thread among them.
+
+    Worker w runs blocks w, w + width, ... in order and stops at its first
+    failing block; the lowest-numbered failing block's error is raised.
+    """
+    blocks = list(_blocks(paths))
+    width = min(width, len(blocks))
+    results = [None] * len(blocks)
+    errors = [None] * len(blocks)
+
+    def work(w):
+        for i in range(w, len(blocks), width):
+            try:
+                results[i] = run_block(*blocks[i])
+            except Exception as exc:  # re-raised on the calling thread below
+                errors[i] = exc
+                return
+
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, width)]
+    for t in threads:
+        t.start()
+    try:
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    failed = next((exc for exc in errors if exc is not None), None)
+    if failed is not None:
+        raise failed
+    return results
+
+
+def _width(draws_per_block: float) -> int:
+    """Blocks to run at once: one per worker, but no more than keep their
+    expected jump draws together within MAX_JUMP_DRAWS."""
+    if draws_per_block <= 0.0:
+        return _WORKERS
+    return max(1, min(_WORKERS, int(MAX_JUMP_DRAWS // draws_per_block)))
+
+
+def _check_start(x0: float, horizon: float) -> None:
+    # the negated range refuses NaN as well as infinities
+    if not math.isfinite(x0):
+        raise InvalidParametersError("x0 must be a finite log-price")
+    if not 0.0 <= horizon < math.inf:
+        raise InvalidParametersError("horizon must be non-negative and finite")
+
+
+def _terminal_block(params: MarketParams, x0: float, lam_t: float,
                     rng: np.random.Generator, n: int,
-                    antithetic: bool) -> np.ndarray:
+                    pivot: float | None) -> np.ndarray:
     # Draw for the full block even when fewer paths are needed: the sum
     # sampler makes several bulk draws whose stream offsets depend on the
     # counts, so slicing a full block is the only way a partial block can
     # be a prefix of the same block drawn in a longer run.
-    lam_t = params.lam * horizon
     counts = rng.poisson(lam_t, size=BLOCK)
     sums = sample_sum(params.density, rng, counts, lam_t)
     counts, sums = counts[:n], sums[:n]
-    if not antithetic:
-        return x0 + sums
-    pivot = symmetry_point(params.density)
     if pivot is None:
-        raise UnsupportedFamilyError(
-            "antithetic sampling needs a jump law symmetric about a point"
-        )
+        return x0 + sums
     mirrored = 2.0 * pivot * counts - sums
     return x0 + np.stack([sums, mirrored], axis=1)
+
+
+def _terminal_values(params: MarketParams, x0: float, horizon: float,
+                     config: MCConfig, reduce) -> np.ndarray:
+    """``reduce`` of each block's terminal log-prices, joined in block order."""
+    _check_start(x0, horizon)
+    pivot = None
+    if config.antithetic:
+        pivot = symmetry_point(params.density)
+        if pivot is None:
+            raise UnsupportedFamilyError(
+                "antithetic sampling needs a jump law symmetric about a point"
+            )
+    lam_t = params.lam * horizon
+    draws = BLOCK * lam_t if params.density.family in SUMMED_BY_JUMP else 0.0
+
+    def run_block(block, n):
+        rng = _block_rng(config.seed, block)
+        return reduce(_terminal_block(params, x0, lam_t, rng, n, pivot))
+
+    return np.concatenate(_map_blocks(run_block, config.paths, _width(draws)))
 
 
 def simulate_terminal(params: MarketParams, x0: float, horizon: float,
                       config: MCConfig) -> np.ndarray:
     """Terminal log-prices; shape (paths,) or (paths, 2) with antithetic pairs."""
-    if horizon < 0:
-        raise InvalidParametersError("horizon must be non-negative")
-    parts = [
-        _terminal_block(params, x0, horizon, _block_rng(config.seed, block), n,
-                        config.antithetic)
-        for block, n in _blocks(config.paths)
-    ]
-    return np.concatenate(parts)
+    return _terminal_values(params, x0, horizon, config, lambda xt: xt)
 
 
 def _estimate(values: np.ndarray, config: MCConfig) -> MCEstimate:
@@ -121,9 +203,10 @@ def _estimate(values: np.ndarray, config: MCConfig) -> MCEstimate:
 def price_european_mc(params: MarketParams, contract: Contract, x0: float,
                       config: MCConfig) -> MCEstimate:
     """Discounted-payoff estimator for any European contract."""
-    xt = simulate_terminal(params, x0, contract.t_bar, config)
     disc = math.exp(-params.r * contract.t_bar)
-    return _estimate(disc * contract.payoff.value(xt), config)
+    payoff = contract.payoff.value
+    values = _terminal_values(params, x0, contract.t_bar, config, lambda xt: disc * payoff(xt))
+    return _estimate(values, config)
 
 
 def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
@@ -137,11 +220,12 @@ def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
     """
     if config.antithetic:
         raise UnsupportedFamilyError("antithetic sampling is not defined for first passage")
+    _check_start(x0, horizon)
     if x0 <= k:
         return MCEstimate(1.0, 0.0, config.paths, config.seed)
     check_draw_budget(BLOCK * params.lam * horizon, "first-passage simulation")
-    values = []
-    for block, n in _blocks(config.paths):
+
+    def run_block(block, n):
         rng = _block_rng(config.seed, block)
         # Full-block simulation keeps partial blocks prefix-stable; the
         # survivor set, and with it every draw size, would otherwise
@@ -161,16 +245,17 @@ def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
             hit_idx = alive[hit]
             out[hit_idx] = np.exp(-params.r * t[hit_idx])
             alive = alive[~hit]
-        values.append(out[:n])
-    return _estimate(np.concatenate(values), config)
+        return out[:n]
+
+    return _estimate(np.concatenate(_map_blocks(run_block, config.paths, _WORKERS)), config)
 
 
 def martingale_check(params: MarketParams, x0: float, horizon: float,
                      config: MCConfig) -> dict:
     """Estimate E[e^{-r T} S_T] - S_0, which must vanish under a risk-neutral lam."""
-    xt = simulate_terminal(params, x0, horizon, config)
-    disc = math.exp(-params.r * horizon)
-    drift = _estimate(disc * np.exp(xt) - math.exp(x0), config)
+    disc, s0 = math.exp(-params.r * horizon), math.exp(x0)
+    values = _terminal_values(params, x0, horizon, config, lambda xt: disc * np.exp(xt) - s0)
+    drift = _estimate(values, config)
     return {
         "drift": drift.value,
         "std_error": drift.std_error,

@@ -429,6 +429,23 @@ class TestIvCommand:
         assert meta.startswith("# {")
         assert body == stdout
 
+    @pytest.mark.parametrize("T", [0.0, -1.0, math.nan, math.inf, 1e-300], ids=repr)
+    def test_horizon_refused_as_fig_from_meta_refuses_it(self, capsys, tmp_path, T):
+        # iv --T and the T of an iv1 meta line: both exit 2, before any
+        # pricing, or both price
+        table = tmp_path / "iv1.csv"
+        run_json(capsys, "fig", "--figure", "iv1", "--out", str(table))
+        meta = dict(read_meta(str(table)), T=T)
+        table.write_text("# " + json.dumps(meta) + "\n")
+        fig_code, _, fig_err = run(capsys, "fig", "--from-meta", str(table),
+                                   "--out", str(tmp_path / "again.csv"))
+        code, out, err = run(capsys, "iv", "--rho", "2", "--gamma", "9",
+                             "--spoints", "3", "--T", repr(T))
+        assert code == fig_code
+        if code:
+            assert code == 2 and out == ""
+            assert err.startswith("validation error:") and fig_err.startswith("validation error:")
+
     def test_fig_from_meta_refuses_iv_csv(self, capsys, tmp_path):
         # an iv meta line describes its curve but is not a figure recipe
         out = tmp_path / "iv.csv"
@@ -565,6 +582,9 @@ class TestBadNumericInputs:
         ("iv", "--smax", "inf"),
         ("iv", "--spoints", "-3"),
         ("iv", "--spoints", "0"),
+        ("iv", "--T", "-1"),
+        ("iv", "--T", "nan"),
+        ("iv", "--T", "inf"),
         ("calibrate-lambda", "--rate", "nan"),
         ("price", "--tol", "nan"),
         ("price", "--tol", "inf", "--method", "laplace"),

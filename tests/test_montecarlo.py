@@ -1,6 +1,8 @@
 """Tests for the exact compound-Poisson path simulator."""
 
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -16,9 +18,10 @@ from ctrwpricer import (
     MCConfig,
     PayoffKind,
     fit_from_moments,
+    montecarlo,
 )
 from ctrwpricer.american import binary_put_price
-from ctrwpricer.densities import char_fn, mean_var
+from ctrwpricer.densities import MAX_JUMP_DRAWS, char_fn, mean_var, sample_sum
 from ctrwpricer.errors import (
     InvalidParametersError,
     UnsupportedFamilyError,
@@ -51,6 +54,42 @@ def assert_refused_before_drawing(call):
         tracemalloc.stop()
     assert elapsed < 0.5
     assert peak < 4 * BLOCK * 8
+
+
+def run_entry(name: str, params: MarketParams, config: MCConfig,
+              x0: float = 0.0, horizon: float = 1.0):
+    """One of the four Monte Carlo entry points on a log-spot and horizon."""
+    if name == "simulate_terminal":
+        return simulate_terminal(params, x0, horizon, config)
+    if name == "price_european_mc":
+        return price_european_mc(params, Contract(PayoffKind.VANILLA_CALL, 1.0, horizon),
+                                 x0, config)
+    if name == "martingale_check":
+        return martingale_check(params, x0, horizon, config)
+    return price_american_binary_put_mc(params, -0.02, x0, horizon, config)
+
+
+ENTRY_POINTS = ("simulate_terminal", "price_european_mc", "martingale_check",
+                "price_american_binary_put_mc")
+
+
+def bits(result):
+    """A result as an exact string: array bytes, or the repr of its floats."""
+    return result.tobytes() if isinstance(result, np.ndarray) else repr(result)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch) -> list:
+    """The threads montecarlo starts, in the order they start."""
+    started = []
+
+    class Recorded(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(montecarlo.threading, "Thread", Recorded)
+    return started
 
 
 @pytest.fixture
@@ -327,3 +366,127 @@ class TestMartingaleCheck:
         report = martingale_check(market, 0.0, 0.0, MCConfig(paths=1000, seed=0))
         assert report["drift"] == 0.0
         assert report["passed"]
+
+
+class TestBlockThreads:
+    """Blocks run on up to ``montecarlo._WORKERS`` threads with serial bits."""
+
+    @pytest.mark.parametrize("name,antithetic", [
+        *[(name, False) for name in ENTRY_POINTS],
+        *[(name, True) for name in ENTRY_POINTS[:3]],  # first passage has no pairs
+    ])
+    @pytest.mark.parametrize("paths", [16_385, 50_000])
+    def test_threads_give_the_serial_bits(self, monkeypatch, thread_starts,
+                                          gaussian_market, name, antithetic, paths):
+        config = MCConfig(paths=paths, seed=31, antithetic=antithetic)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        serial = run_entry(name, gaussian_market, config)
+        assert thread_starts == []
+        # more workers than cores and blocks, switching threads often
+        monkeypatch.setattr(montecarlo, "_WORKERS", 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_entry(name, gaussian_market, config)
+        finally:
+            sys.setswitchinterval(interval)
+        blocks = math.ceil(paths / BLOCK)
+        assert len(thread_starts) == min(5, blocks) - 1
+        assert not any(t.is_alive() for t in thread_starts)
+        assert bits(threaded) == bits(serial)
+
+    def test_one_block_starts_no_thread(self, monkeypatch, thread_starts, gaussian_market):
+        monkeypatch.setattr(montecarlo, "_WORKERS", 4)
+        for paths in (100, BLOCK):
+            for name in ENTRY_POINTS:
+                run_entry(name, gaussian_market, MCConfig(paths=paths, seed=2))
+        assert thread_starts == []
+        for name in ENTRY_POINTS:
+            run_entry(name, gaussian_market, MCConfig(paths=BLOCK + 1, seed=2))
+        assert len(thread_starts) == len(ENTRY_POINTS)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_lowest_failing_block_is_raised(self, thread_starts, width):
+        # block 2 fails first in time, block 1 later: a serial run would
+        # stop at block 1, so its error is the one raised
+        block_2_failed = threading.Event()
+        ran = []
+
+        def run_block(block, n):
+            ran.append(block)
+            if block == 1:
+                if width > 1:
+                    assert block_2_failed.wait(timeout=10.0)
+                raise ValueError("block 1 failed")
+            if block == 2:
+                block_2_failed.set()
+                raise MemoryError("block 2 failed")
+            return block
+
+        with pytest.raises(ValueError, match="^block 1 failed$"):
+            montecarlo._map_blocks(run_block, 6 * BLOCK, width)
+        assert len(thread_starts) == width - 1
+        assert not any(t.is_alive() for t in thread_starts)
+        if width == 1:
+            assert ran == [0, 1]
+
+    def test_width_keeps_jump_draws_in_flight_within_budget(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_WORKERS", 64)
+        for lam_t in (1e-3, 0.5, 2.0, 7.3, 100.0, 512 / 3, 256.0, 511.0, 512.0, 513.0, 1e4):
+            draws = BLOCK * lam_t
+            width = montecarlo._width(draws)
+            assert 1 <= width <= 64
+            assert width == 1 or width * draws <= MAX_JUMP_DRAWS, lam_t
+            assert width == 64 or (width + 1) * draws > MAX_JUMP_DRAWS, lam_t
+        assert montecarlo._width(0.0) == 64
+
+    @pytest.mark.parametrize("family,width", [(Family.LOGISTIC, 3), (Family.GAUSSIAN, 6)])
+    def test_summed_by_jump_blocks_in_flight(self, monkeypatch, thread_starts, family, width):
+        # with the budget cut to three blocks' expected draws, the law summed
+        # jump by jump runs three blocks at once and the closed one all six
+        lam_t = 2.0
+        monkeypatch.setattr(montecarlo, "_WORKERS", 8)
+        monkeypatch.setattr(montecarlo, "MAX_JUMP_DRAWS", 3 * BLOCK * lam_t)
+        in_flight, peak, lock = [0], [0], threading.Lock()
+
+        def counted(d, rng, counts, lt):
+            with lock:
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            try:
+                time.sleep(0.02)
+                return sample_sum(d, rng, counts, lt)
+            finally:
+                with lock:
+                    in_flight[0] -= 1
+
+        monkeypatch.setattr(montecarlo, "sample_sum", counted)
+        mp = MarketParams(r=R, density=JumpDensity(family, 0.0, 1e-3), lam=lam_t)
+        simulate_terminal(mp, 0.0, 1.0, MCConfig(paths=6 * BLOCK, seed=4))
+        assert len(thread_starts) == width - 1
+        assert peak[0] <= width
+        if family is Family.LOGISTIC:
+            assert peak[0] * BLOCK * lam_t <= montecarlo.MAX_JUMP_DRAWS
+
+
+class TestRefusedStart:
+    """A non-finite log-price or horizon is refused before any block is drawn."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch):
+        def refuse(seed, block):
+            raise AssertionError(f"block {block} was drawn")
+        monkeypatch.setattr(montecarlo, "_block_rng", refuse)
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_non_finite_log_price(self, market, name, x0):
+        with pytest.raises(InvalidParametersError, match="finite log-price"):
+            run_entry(name, market, MCConfig(paths=2 * BLOCK, seed=0), x0=x0)
+
+    @pytest.mark.parametrize("horizon", [math.nan, math.inf, -1.0], ids=repr)
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_bad_horizon(self, market, name, horizon):
+        with pytest.raises(InvalidParametersError, match="non-negative and finite"):
+            run_entry(name, market, MCConfig(paths=2 * BLOCK, seed=0), x0=0.1,
+                      horizon=horizon)
