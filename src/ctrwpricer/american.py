@@ -42,6 +42,17 @@ __all__ = [
 ]
 
 
+def _check_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise InvalidParametersError(f"{name} must be finite")
+
+
+def _check_strike(K: float) -> None:
+    # the negated range refuses NaN as well as infinities
+    if not 0.0 < K < math.inf:
+        raise InvalidParametersError("strike K must be positive and finite")
+
+
 def _martingale_rates(m: MarketParams, formula: str) -> tuple[float, float]:
     """(rho, gamma) of a market at its martingale intensity, which ``formula`` assumes."""
     rates = m.exponential_rates()
@@ -76,7 +87,9 @@ def _continuation(k: float, t_bar: float, price):
     are exactly 1, the others 0 at expiry and before it ``price`` of their
     rows (``as_rows``).  An AccuracyError from ``price`` is widened to one
     best value and bound per spot of xs, exercised spots carrying 1 and 0.
-    A negative or non-finite t_bar is refused before any spot is priced."""
+    A non-finite k, or a negative or non-finite t_bar, is refused before
+    any spot is priced."""
+    _check_finite("log-strike k", k)
     if not 0.0 <= t_bar < math.inf:
         raise InvalidParametersError("remaining time must be non-negative and finite")
 
@@ -164,6 +177,8 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
 def perpetual_binary_put(m: MarketParams, k: float, x: float) -> float:
     """t_bar -> infinity limit of the American binary put, at any intensity."""
     _, g = m.exponential_rates()
+    _check_finite("log-strike k", k)
+    _check_finite("log-price x", x)
     if x <= k:
         return 1.0
     bm = float(beta_pm(m, 0.0)[1].real)
@@ -181,19 +196,22 @@ def vanilla_exercise_trigger(m: MarketParams, K: float) -> float:
     vanilla put payoff; it sits slightly above the perpetual boundary.
     """
     p, g = _martingale_rates(m, "the exercise trigger")
+    _check_strike(K)
     return K * ((g + p) * (g - p + 1.0) / (g * (g + 1.0))) ** (1.0 / p)
 
 
 def perpetual_exercise_boundary(m: MarketParams, K: float) -> float:
     """Optimal exercise level of the perpetual vanilla put."""
     p, g = _martingale_rates(m, "the perpetual vanilla put")
+    _check_strike(K)
     return K * (g + 1.0) * (g - p + 1.0) / (g * (g - p + 2.0))
 
 
 def perpetual_vanilla_put(m: MarketParams, K: float, x: float) -> float:
     """Value of the perpetual vanilla put at log-price x."""
     p, g = m.exponential_rates()
-    zs = perpetual_exercise_boundary(m, K)  # refuses other intensities
+    _check_finite("log-price x", x)
+    zs = perpetual_exercise_boundary(m, K)  # refuses other intensities and a bad K
     if math.exp(x) <= zs:
         return K - math.exp(x)
     ls = math.log(zs)

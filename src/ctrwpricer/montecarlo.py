@@ -16,17 +16,20 @@ do not depend on which thread makes them, or when.
 The blocks run on one thread per core the process may use; numpy's
 generators release the interpreter lock while they draw.  With W threads,
 worker w takes blocks w, w + W, ... in order, the calling thread being
-worker 0, so a one-block call starts no thread.  Each worker reduces its
-block to the elementwise discounted payoff where it was drawn, and the
-estimators join only those values, in block order: every estimate is
-bit-for-bit the one a serial run gives.  A failing block raises what a
-serial run raises, the error of the lowest-numbered failing block.  The
-families summed jump by jump run no more blocks at once than keep their
-expected draws together within ``densities.MAX_JUMP_DRAWS``.  A non-finite
-log-price or horizon is refused before any block is drawn.
+worker 0, so a one-block call starts no thread.  A failing block raises
+what a serial run raises, the error of the lowest-numbered failing block.
+The families summed jump by jump run no more blocks at once than keep
+their expected draws together within ``densities.MAX_JUMP_DRAWS``.  A
+non-finite log-price, horizon or log-strike is refused before any block is
+drawn.
 
-Summation of payoffs uses numpy's pairwise reduction, which keeps the
-accumulated rounding error at the 1e-12 level for millions of paths.
+Each estimator's worker reduces its block, where it was drawn, to the
+count, mean and sum of squared deviations of its discounted payoffs (of
+each antithetic pair's mean payoff), by numpy's pairwise reductions.  The
+estimate merges these triples in block order (Chan, Golub & LeVeque 1983,
+"Algorithms for computing the sample variance"), so it holds nothing per
+path beyond the blocks in flight, whatever the path count, and has the
+same bits at any thread count.
 """
 
 from __future__ import annotations
@@ -164,9 +167,9 @@ def _terminal_block(params: MarketParams, x0: float, lam_t: float,
     return x0 + np.stack([sums, mirrored], axis=1)
 
 
-def _terminal_values(params: MarketParams, x0: float, horizon: float,
-                     config: MCConfig, reduce) -> np.ndarray:
-    """``reduce`` of each block's terminal log-prices, joined in block order."""
+def _terminal_blocks(params: MarketParams, x0: float, horizon: float,
+                     config: MCConfig, reduce) -> list:
+    """``reduce`` of each block's terminal log-prices, in block order."""
     _check_start(x0, horizon)
     pivot = None
     if config.antithetic:
@@ -182,22 +185,37 @@ def _terminal_values(params: MarketParams, x0: float, horizon: float,
         rng = _block_rng(config.seed, block)
         return reduce(_terminal_block(params, x0, lam_t, rng, n, pivot))
 
-    return np.concatenate(_map_blocks(run_block, config.paths, _width(draws)))
+    return _map_blocks(run_block, config.paths, _width(draws))
 
 
 def simulate_terminal(params: MarketParams, x0: float, horizon: float,
                       config: MCConfig) -> np.ndarray:
     """Terminal log-prices; shape (paths,) or (paths, 2) with antithetic pairs."""
-    return _terminal_values(params, x0, horizon, config, lambda xt: xt)
+    return np.concatenate(_terminal_blocks(params, x0, horizon, config, lambda xt: xt))
 
 
-def _estimate(values: np.ndarray, config: MCConfig) -> MCEstimate:
+def _moments(values: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, sum of squared deviations) of one block's payoffs,
+    an antithetic pair's payoffs (a row of two) taken as their mean."""
     if values.ndim == 2:
         values = values.mean(axis=1)
-    n = values.shape[0]
-    mean = float(values.mean())
-    se = float(values.std(ddof=1) / math.sqrt(n))
-    return MCEstimate(mean, se, config.paths, config.seed)
+    mean = values.mean()
+    dev = values - mean
+    return values.shape[0], float(mean), float(np.multiply(dev, dev, out=dev).sum())
+
+
+def _estimate(blocks: list, config: MCConfig) -> MCEstimate:
+    """Mean and standard error from the blocks' ``_moments``, merged in
+    block order (Chan, Golub & LeVeque 1983); the standard error is
+    sqrt(M2 / (n - 1)) / sqrt(n) for the n merged payoffs."""
+    n, mean, m2 = blocks[0]
+    for nb, mean_b, m2_b in blocks[1:]:
+        total = n + nb
+        delta = mean_b - mean
+        mean += delta * nb / total
+        m2 += m2_b + delta * delta * n * nb / total
+        n = total
+    return MCEstimate(mean, math.sqrt(m2 / (n - 1)) / math.sqrt(n), config.paths, config.seed)
 
 
 def price_european_mc(params: MarketParams, contract: Contract, x0: float,
@@ -205,8 +223,9 @@ def price_european_mc(params: MarketParams, contract: Contract, x0: float,
     """Discounted-payoff estimator for any European contract."""
     disc = math.exp(-params.r * contract.t_bar)
     payoff = contract.payoff.value
-    values = _terminal_values(params, x0, contract.t_bar, config, lambda xt: disc * payoff(xt))
-    return _estimate(values, config)
+    blocks = _terminal_blocks(params, x0, contract.t_bar, config,
+                              lambda xt: _moments(disc * payoff(xt)))
+    return _estimate(blocks, config)
 
 
 def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
@@ -221,6 +240,8 @@ def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
     if config.antithetic:
         raise UnsupportedFamilyError("antithetic sampling is not defined for first passage")
     _check_start(x0, horizon)
+    if not math.isfinite(k):
+        raise InvalidParametersError("k must be a finite log-strike")
     if x0 <= k:
         return MCEstimate(1.0, 0.0, config.paths, config.seed)
     check_draw_budget(BLOCK * params.lam * horizon, "first-passage simulation")
@@ -245,17 +266,18 @@ def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
             hit_idx = alive[hit]
             out[hit_idx] = np.exp(-params.r * t[hit_idx])
             alive = alive[~hit]
-        return out[:n]
+        return _moments(out[:n])
 
-    return _estimate(np.concatenate(_map_blocks(run_block, config.paths, _WORKERS)), config)
+    return _estimate(_map_blocks(run_block, config.paths, _WORKERS), config)
 
 
 def martingale_check(params: MarketParams, x0: float, horizon: float,
                      config: MCConfig) -> dict:
     """Estimate E[e^{-r T} S_T] - S_0, which must vanish under a risk-neutral lam."""
     disc, s0 = math.exp(-params.r * horizon), math.exp(x0)
-    values = _terminal_values(params, x0, horizon, config, lambda xt: disc * np.exp(xt) - s0)
-    drift = _estimate(values, config)
+    blocks = _terminal_blocks(params, x0, horizon, config,
+                              lambda xt: _moments(disc * np.exp(xt) - s0))
+    drift = _estimate(blocks, config)
     return {
         "drift": drift.value,
         "std_error": drift.std_error,

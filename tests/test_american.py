@@ -173,6 +173,49 @@ class TestBatchedSpots:
             binary_put_price(de_model, 0.0, np.zeros((2, 2)), 1.0, method)
 
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestRefusedInputs:
+    """A non-finite log-strike or log-price, or a strike that is not
+    positive and finite, is refused before any kernel runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_kernels(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a kernel ran")
+
+        for kernel in ("beta_pm", "laplace_invert", "integrate_semi_infinite"):
+            monkeypatch.setattr(american, kernel, refuse)
+
+    @pytest.mark.parametrize("k", NON_FINITE, ids=repr)
+    @pytest.mark.parametrize("t_bar", [0.0, 1.0])
+    @pytest.mark.parametrize("method", ["closed", "laplace"])
+    def test_binary_put_log_strike(self, de_model, method, t_bar, k):
+        for x in (0.1, np.array([-0.1, 0.1])):
+            with pytest.raises(InvalidParametersError, match="log-strike k must be finite"):
+                binary_put_price(de_model, k, x, t_bar, method)
+
+    @pytest.mark.parametrize("bad", NON_FINITE, ids=repr)
+    def test_perpetual_log_strike_and_price(self, de_model, bad):
+        with pytest.raises(InvalidParametersError, match="log-strike k must be finite"):
+            perpetual_binary_put(de_model, bad, 0.1)
+        for call in (lambda: perpetual_binary_put(de_model, 0.0, bad),
+                     lambda: perpetual_vanilla_put(de_model, 1.0, bad)):
+            with pytest.raises(InvalidParametersError, match="log-price x must be finite"):
+                call()
+
+    @pytest.mark.parametrize("K", [math.nan, math.inf, 0.0, -1.0], ids=repr)
+    @pytest.mark.parametrize("formula", [
+        lambda m, K: vanilla_exercise_trigger(m, K),
+        lambda m, K: perpetual_exercise_boundary(m, K),
+        lambda m, K: perpetual_vanilla_put(m, K, 0.0),
+    ], ids=["vanilla_exercise_trigger", "perpetual_exercise_boundary", "perpetual_vanilla_put"])
+    def test_strike_positive_and_finite(self, de_model, formula, K):
+        with pytest.raises(InvalidParametersError, match="positive and finite"):
+            formula(de_model, K)
+
+
 class TestPerpetualBinaryPut:
     def test_exercised_region(self, de_model):
         assert perpetual_binary_put(de_model, 0.0, -0.3) == 1.0

@@ -469,6 +469,45 @@ class TestBlockThreads:
             assert peak[0] * BLOCK * lam_t <= montecarlo.MAX_JUMP_DRAWS
 
 
+class TestBlockMoments:
+    """Each block is reduced to its payoffs' count, mean and sum of squared
+    deviations where it is drawn, and the estimate merges them in order."""
+
+    @pytest.mark.parametrize("antithetic", [False, True])
+    @pytest.mark.parametrize("paths", [100, BLOCK, 3 * BLOCK + 1, 7 * BLOCK - 4321])
+    def test_merge_matches_two_pass_reference(self, gaussian_market, paths, antithetic):
+        config = MCConfig(paths=paths, seed=11, antithetic=antithetic)
+        xt = simulate_terminal(gaussian_market, 0.0, 1.0, config)
+        disc = math.exp(-R)
+        contract = Contract(PayoffKind.VANILLA_CALL, 1.0, 1.0)
+        price = price_european_mc(gaussian_market, contract, 0.0, config)
+        drift = martingale_check(gaussian_market, 0.0, 1.0, config)
+        for (value, std_error), payoffs in [
+            ((price.value, price.std_error), disc * contract.payoff.value(xt)),
+            ((drift["drift"], drift["std_error"]), disc * np.exp(xt) - 1.0),
+        ]:
+            if antithetic:
+                payoffs = payoffs.mean(axis=1)
+            assert payoffs.shape == (paths,)
+            assert value == pytest.approx(payoffs.mean(), rel=1e-12, abs=0.0)
+            assert std_error == pytest.approx(payoffs.std(ddof=1) / math.sqrt(paths),
+                                              rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS[1:])
+    def test_peak_memory_does_not_grow_with_paths(self, monkeypatch, market, name):
+        # two blocks in flight at most; 16 blocks of joined payoffs alone
+        # would take 2 MiB, and the two-pass std another 2
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        for blocks in (16, 128):
+            tracemalloc.start()
+            try:
+                run_entry(name, market, MCConfig(paths=blocks * BLOCK, seed=3))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * 2**20, (blocks, peak)
+
+
 class TestRefusedStart:
     """A non-finite log-price or horizon is refused before any block is drawn."""
 
@@ -490,3 +529,8 @@ class TestRefusedStart:
         with pytest.raises(InvalidParametersError, match="non-negative and finite"):
             run_entry(name, market, MCConfig(paths=2 * BLOCK, seed=0), x0=0.1,
                       horizon=horizon)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_log_strike(self, market, k):
+        with pytest.raises(InvalidParametersError, match="finite log-strike"):
+            price_american_binary_put_mc(market, k, 0.1, 1.0, MCConfig(paths=2 * BLOCK, seed=0))
