@@ -167,6 +167,7 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
     if method not in (PriceMethod.CLOSED, PriceMethod.LAPLACE):
         raise InvalidParametersError(f"unsupported method {method!r} for American binary puts")
     m.exponential_rates()  # refuses other markets, also on the shortcut below
+    m.check_horizon(t_bar)
     if method is PriceMethod.CLOSED:
         return binary_put_closed(m, k, x, t_bar, spec)
     live = _continuation(k, t_bar, lambda x: laplace_invert(

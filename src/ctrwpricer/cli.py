@@ -363,6 +363,9 @@ def _build_density(args) -> JumpDensity:
             g = european.gamma_for_sigma(args.rho, args.rate, args.sigma)
         else:
             raise ValidationError("--rho needs --gamma or --sigma to fix the down tail")
+        if args.rho == 0.0 or g == 0.0:  # a rate of 0 has no mean jump size 1/rate
+            raise ValidationError(f"the jump rates must be nonzero, got rho={args.rho!r}, "
+                                  f"gamma={g!r}")
         return JumpDensity(fam, 1.0 / args.rho, 1.0 / g)
     raise ValidationError("specify the jump law via --a/--b, --rho, or --mu1/--mu2")
 
@@ -393,7 +396,14 @@ def _price_flag(args, flag: str) -> float:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    """Print ``payload`` as strict JSON.  A NaN or an infinity, which
+    strict JSON parsers refuse, is not printed: it raises AccuracyError."""
+    try:
+        text = json.dumps(payload, sort_keys=True, allow_nan=False)
+    except ValueError:
+        bad = [k for k, v in payload.items() if isinstance(v, float) and not math.isfinite(v)]
+        raise AccuracyError(f"non-finite result: {', '.join(sorted(bad))}") from None
+    print(text)
 
 
 # ----------------------------------------------------------------------

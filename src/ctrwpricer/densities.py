@@ -147,7 +147,10 @@ def exp_moment(d: JumpDensity) -> float:
         raise DivergentMomentError(
             f"E[e^J] diverges for {d.family.value} with b={b!r} >= 1"
         )
-    val = char_fn(d, -1j)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        val = char_fn(d, -1j)
+    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
+        raise DivergentMomentError(f"E[e^J] is not finite in double precision: {val!r}")
     if abs(val.imag) > 1e-12 * max(1.0, abs(val.real)) or val.real <= 0.0:
         raise DivergentMomentError(f"exponential moment came out non-positive: {val!r}")
     return float(val.real)

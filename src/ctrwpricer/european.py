@@ -298,6 +298,7 @@ def european_price(m: MarketParams, c: Contract, x,
     if c.style is not OptionStyle.EUROPEAN or call is None:
         raise InvalidParametersError(f"european_price prices European calls and puts, not {c}")
     k, t_bar, legs = c.log_strike, c.t_bar, _LEGS[call](c.strike)
+    m.check_horizon(t_bar)
     if method is PriceMethod.LAPLACE and t_bar > 0.0:
         def price(x):  # one value per row of x, in its shape
             return mapped(lambda: laplace_invert(lambda s: _legs_laplace(m, k, x, s, legs),

@@ -47,10 +47,9 @@ column of spots, and a single market is a stack of one.  Each market's
 integrand is its own factor weight(h~(-w))/2pi applied to the shared
 Phi~(w), so one stacked integral evaluates Phi~, the offset tables and the
 slice phases once per panel geometry for all of them, while every market
-keeps the nodes, panels and bits of its own call.  A market listed twice
-is integrated once.  The stack raises the error its first failing market
-would raise alone.  The fig3 and fig4 builders price their transform
-columns in one call per figure.
+keeps the nodes, panels and bits of its own call.  The stack raises the
+error its first failing market would raise alone.  The fig3 and fig4
+builders price their transform columns in one call per figure.
 """
 
 from __future__ import annotations
@@ -93,6 +92,8 @@ _DECAYING_FAMILIES = {
 # decay rate of |Phi~(w)|: a continuous profile with kinks (the butterfly)
 # has |Phi~(w)| ~ w^-2
 _TAIL_ORDER = 2.0
+# the Poisson mass the two-point net-count sum leaves out
+_TAIL_MASS = 1e-14
 
 
 @dataclass(frozen=True)
@@ -275,10 +276,8 @@ def price_fourier(params, payoff: Payoff, x, t_bar: float, spec: QuadSpec = DEFA
     a list of one such price per market from one stacked integral
     (``integrate_real_line``'s ``factors``): each market's prices are
     those of its own call, bit for bit, and the stack raises what the
-    first market that fails would raise alone.  Equal markets are priced
-    once: each distinct market joins the stack at its first position and
-    its prices serve every position it holds, so an AccuracyError's
-    ``index`` names the failing market's first position.
+    first market that fails would raise alone; an AccuracyError of its
+    integral carries its position in the sequence as ``index``.
     """
     if payoff.transform is None:
         raise InvalidParametersError("the transform route needs a payoff with a transform")
@@ -289,38 +288,26 @@ def price_fourier(params, payoff: Payoff, x, t_bar: float, spec: QuadSpec = DEFA
     if t_bar == 0.0:
         prices = [over_spots(payoff.value, x) for _ in markets]
     else:
-        # equal markets price equally: each distinct one is stacked once, in
-        # order of its first position, and its prices serve every position
-        slot = {}
-        for m in markets:
-            slot.setdefault(m, len(slot))
-        distinct = list(slot)
-        terms = [_jump_terms(m, t_bar) for m in distinct]
+        terms = [_jump_terms(m, t_bar) for m in markets]
         stack = []
 
         def column(j):
             def priced(xs):  # the first column prices the whole stack
                 if not stack:
-                    try:
-                        stack.extend(_stack_prices(terms, payoff, xs, spec))
-                    except AccuracyError as exc:
-                        if exc.index is not None:  # a position in ``markets``
-                            exc.index = markets.index(distinct[exc.index])
-                        raise
-                return stack[j].copy()  # positions that share a market own their arrays
+                    stack.extend(_stack_prices(terms, payoff, xs, spec))
+                return stack[j]
             return priced
-        prices = [over_spots(column(slot[m]), x) for m in markets]
+        prices = [over_spots(column(j), x) for j in range(len(markets))]
     return prices[0] if one else prices
 
 
-def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
-                          t_bar: float, tail_mass: float = 1e-14):
+def price_two_point_exact(params: MarketParams, payoff: Payoff, x, t_bar: float):
     """Exact price under the two-point jump law by net-jump-count conditioning.
 
     With jumps of +/- b the log-price after n_up - n_down net jumps is
     x + b (n_up - n_down), and the net count follows the difference of two
     independent Poisson laws.  The sum below is exact up to a Poisson tail
-    of mass below ``tail_mass``; it replaces the transform route, which
+    of mass below ``_TAIL_MASS``; it replaces the transform route, which
     converges slowly for lattice jump laws.  ``x`` is a float or a 1-D
     array of log-prices, as for ``price_fourier``; each spot's sum is
     formed exactly as for a single-spot call.
@@ -338,8 +325,8 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x,
         down = params.lam * t_bar * (1.0 - d.a)
         total = up + down
         # the net count is bounded by the total count, and Poisson(total) mass
-        # beyond total + 12 sqrt(total) + 30 - log10(tail_mass) is negligible
-        m_max = int(math.ceil(total + 12.0 * math.sqrt(total) + 30.0 - math.log10(tail_mass)))
+        # beyond total + 12 sqrt(total) + 30 - log10(_TAIL_MASS) is negligible
+        m_max = int(math.ceil(total + 12.0 * math.sqrt(total) + 30.0 - math.log10(_TAIL_MASS)))
         m = np.arange(-m_max, m_max + 1)
         pmf = poisson_difference_pmf(m_max, up, down)
         values = payoff.value(xs[:, None] + d.b * m[None, :])

@@ -171,6 +171,7 @@ def _terminal_blocks(params: MarketParams, x0: float, horizon: float,
                      config: MCConfig, reduce) -> list:
     """``reduce`` of each block's terminal log-prices, in block order."""
     _check_start(x0, horizon)
+    params.check_horizon(horizon)  # within numpy's Poisson draw, which stops near 9.2e18
     pivot = None
     if config.antithetic:
         pivot = symmetry_point(params.density)
@@ -199,9 +200,10 @@ def _moments(values: np.ndarray) -> tuple[int, float, float]:
     an antithetic pair's payoffs (a row of two) taken as their mean."""
     if values.ndim == 2:
         values = values.mean(axis=1)
-    mean = values.mean()
-    dev = values - mean
-    return values.shape[0], float(mean), float(np.multiply(dev, dev, out=dev).sum())
+    with np.errstate(over="ignore"):  # a moment past the double range is inf: the CLI refuses it
+        mean = values.mean()
+        dev = values - mean
+        return values.shape[0], float(mean), float(np.multiply(dev, dev, out=dev).sum())
 
 
 def _estimate(blocks: list, config: MCConfig) -> MCEstimate:

@@ -19,18 +19,19 @@ own threshold; a panel integral hands its integrand each spot's
 constants as rows (``as_rows``: a single spot's as floats), refines each
 spot until its own tolerance holds and freezes it there, as its single
 integral would stop, and splits every call of the integrand to fit the
-node budget.  The real-line integral takes one form: a spot-free
-integrand, one value per node, and the spots, whose phases e^{-iwx} it
-applies itself, per Gauss-Legendre slice rather than per node; or a stack
-of such integrands, one per model, each a factor of its own applied to
-one factor they share.  It holds the column to its worst spot, samples
-every model's first three tail windows in one call, refines all panels
-of all models together, one call of the shared factor per round on each
-distinct panel geometry, and charges the budget a call's nodes, slices x
-spots or 32 x spots table per panel, never nodes x spots; it forms the
-tail samples' nodes x spots in chunks of spots within the budget.  Every
-model keeps the nodes and values of its own integral, and a stack raises
-what its first failing model would raise alone.  Every pricer takes
+node budget.  The real-line integral takes one form: a stack of
+integrands, one per model, each a factor of its own applied to one
+spot-free factor they share (one value per node), and the spots, whose
+phases e^{-iwx} it applies itself, per Gauss-Legendre slice rather than
+per node; one model is a stack of one.  It holds the column to its
+worst spot, samples every model's first three tail windows in one call,
+refines all panels of all models together, one call of the shared
+factor per round on each distinct panel geometry, and charges the budget
+a call's nodes, slices x spots or 32 x spots table per panel, never
+nodes x spots; it forms the tail samples' nodes x spots in chunks of
+spots within the budget.  Every model keeps the nodes and values of its
+own integral, and a stack raises what its first failing model would
+raise alone.  Every pricer takes
 its spots through one adapter (``over_spots``), and every estimate in an
 AccuracyError is mapped as its price is (``mapped``).  Special functions
 are thin wrappers over scipy.special, which the first of them to run
@@ -468,13 +469,13 @@ def _gl_sums(vals: np.ndarray, half: float) -> np.ndarray:
     return (vals.reshape(vals.shape[0], -1, _GL_NODES.size) @ _GL_WEIGHTS).sum(axis=1) * half
 
 
-def _phased_panels(g, lo, hi, slices, xs: np.ndarray, factors=(None,), model=None) -> np.ndarray:
+def _phased_panels(g, lo, hi, slices, xs: np.ndarray, factors, model=None) -> np.ndarray:
     """The composite rule's sums of 2 Re(F(w) e^{-iwx}) over panels, one
     row per panel and one entry per spot x, from one call of g on the
-    nodes of ``_slice_nodes`` (lo, hi and slices given as arrays).  F is
-    g or, given ``model`` (one index into ``factors`` per panel), panel
+    nodes of ``_slice_nodes`` (lo, hi and slices given as arrays).  Panel
     i's F(w) is factors[model[i]](w, g(w)), each factor called once on the
-    nodes of all its panels (a factor None is g itself).
+    nodes of all its panels; without ``model`` every panel takes
+    factors[0].
 
     A node is its slice's midpoint c plus half t, t a Gauss-Legendre node
     of [-1, 1], so its phase e^{-iwx} is e^{-icx} e^{-i half t x}.  Per
@@ -511,8 +512,7 @@ def _phased_panels(g, lo, hi, slices, xs: np.ndarray, factors=(None,), model=Non
     def sums(factor, u, sl, owned: bool):
         """The rows of the panels of geometries ``u`` (None: all), whose
         slices are ``sl``; ``owned``: the slice phases are theirs alone."""
-        f = gw[sl] if factor is None else np.reshape(factor(w[sl].ravel(), gw[sl].ravel()),
-                                                     (-1, 32))
+        f = np.reshape(factor(w[sl].ravel(), gw[sl].ravel()), (-1, 32))
         n_sl = sl_u if u is None else sl_u[u]
         first = np.cumsum(n_sl) - n_sl  # each panel's first slice
         inner = np.empty((f.shape[0], xs.size), dtype=complex)
@@ -673,72 +673,65 @@ def _refine(parts, n: int, k: int, tol, max_nodes: int, unit=None, floor: int = 
     return (*out, converged and not (left_out or stopped))
 
 
-def integrate_real_line(g, tail_order, spec: QuadSpec = DEFAULT_QUAD, osc_hint=0.0, *,
-                        spots, factors=None):
-    """Integrate g(w) e^{-iwx} over the whole real line at each of the
-    spots x, a 1-D array of n_x reals; the result is a complex array of
-    shape (n_x,) whose imaginary part is exactly 0.
+def integrate_real_line(g, tail_order, spec: QuadSpec, osc_hint, *, spots, factors):
+    """Integrate a stack of integrands F_m(w) e^{-iwx} over the whole real
+    line at each of the spots x, a 1-D array of n_x reals, in one
+    refinement; the result is a list of one complex array of shape (n_x,)
+    per integrand, whose imaginary part is exactly 0 (an empty stack gives
+    an empty list).
 
-    ``g(w)`` is spot-free: it returns one value per node.  The caller
-    guarantees g(-w) = conj(g(w)), as for the transform of any real
-    function; g is then evaluated once per node for the whole column, at
-    w >= 0 only, and the interior is integrated as
-    \\int_0^Omega 2 Re(g(w) e^{-iwx}) dw.  The integral applies each
-    spot's phase itself, per Gauss-Legendre slice rather than per node
-    (``_phased_panels``), so no nodes x n_x block is formed inside a panel.
+    F_m(w) = f_m(w, g(w)): ``factors`` holds one callable f_m per model,
+    and ``tail_order`` and ``osc_hint`` one entry per factor.  g, the factor
+    the models share, is spot-free: it returns one value per node.  The
+    caller guarantees g(-w) = conj(g(w)), as for the transform of any real
+    function, and each f_m must be Hermitian like g; g is then evaluated
+    once per node for the whole column, at w >= 0 only, and the interior is
+    integrated as \\int_0^Omega 2 Re(F_m(w) e^{-iwx}) dw.  The integral
+    applies each spot's phase itself, per Gauss-Legendre slice rather than
+    per node (``_phased_panels``), so no nodes x n_x block is formed inside
+    a panel.  Each model keeps its own truncation point, tail order, phase
+    seed, tolerances and panels, so its nodes and every value below are
+    those of its own integral of F_m.  Each call of g serves all models: the
+    tail windows on the shared grid and, in each round, every panel
+    geometry (lo, hi, slices) that any model is refining, once, with its
+    offset table and slice phases; each model's factor is called once on
+    its own nodes.  A stack raises what the first of its models that fails
+    would raise alone, with that model's message, ``best`` and ``bound``;
+    an AccuracyError also carries the model's position as ``index``.
 
-    Given ``factors``, a sequence of callables f(w, g(w)), one per model,
-    it integrates the stack of integrands F_m(w) = f_m(w, g(w)) on the
-    same spots in one refinement, and ``tail_order`` and ``osc_hint`` are
-    sequences of one entry per factor; the result is a list of one such
-    array per factor (an empty stack gives an empty list).  g is the
-    factor the models share, each f_m must be Hermitian like g, and each
-    model keeps its own truncation point, tail order, phase seed,
-    tolerances and panels, so its nodes and every value below are those of
-    its own integral of F_m.  Each call of g serves all models: the tail
-    windows on the shared grid and, in each round, every panel geometry
-    (lo, hi, slices) that any model is refining, once, with its offset
-    table and slice phases; each model's factor is called once on its own
-    nodes.  A stack raises what the first of its models that fails would
-    raise alone, with that model's message, ``best`` and ``bound``; an
-    AccuracyError also carries the model's position as ``index``.
-
-    The caller also guarantees |F(w)| <= C |w|^-tail_order for large |w|
-    with tail_order > 1.  C is estimated by sampling windows [w, 4w] of 48
-    nodes, and the domain is truncated where the analytic tail bound
-    2 C Omega^(1-p) / (p - 1) drops below half the absolute tolerance.
-    The search starts at w = 64 and grows w fourfold while the bound is
-    far from met, so its first windows, w = 64, 256 and 1024, are sampled
-    in one call of g, for every model; each round of windows off that
-    grid, or past it, takes one call, and so do the decay probes beyond
-    every Omega.  The sampled rows F(w) e^{-iwx} are formed in chunks of
-    spots of at most max_nodes entries.  The interior is integrated on
-    geometrically growing panels, each refined until converged and then
-    frozen (``_refine``, each panel one integral whose parts are the n_x
-    spots).  The tail constant, the decay probe and each panel's
-    convergence test take the worst spot, so every entry carries the
-    certificate its single-spot call would.  Each refinement round calls
-    g once on the nodes of every panel still refining, split only where
-    an array of the call would exceed max_nodes: a call is charged, over
-    all models, the sum per panel of its nodes, its slices x n_x or its
+    The caller also guarantees |F_m(w)| <= C |w|^-p for large |w|, p the
+    model's tail order, with p > 1.  C is estimated by sampling windows
+    [w, 4w] of 48 nodes, and the domain is truncated where the analytic
+    tail bound 2 C Omega^(1-p) / (p - 1) drops below half the absolute
+    tolerance.  The search starts at w = 64 and grows w fourfold while the
+    bound is far from met, so its first windows, w = 64, 256 and 1024, are
+    sampled in one call of g, for every model; each round of windows off
+    that grid, or past it, takes one call, and so do the decay probes
+    beyond every Omega.  The sampled rows F_m(w) e^{-iwx} are formed in
+    chunks of spots of at most max_nodes entries.  The interior is
+    integrated on geometrically growing panels, each refined until
+    converged and then frozen (``_refine``, each panel one integral whose
+    parts are the n_x spots).  The tail constant, the decay probe and each
+    panel's convergence test take the worst spot, so every entry carries
+    the certificate its single-spot call would.  Each refinement round calls
+    g once on the nodes of every panel still refining, split only where an
+    array of the call would exceed max_nodes: a call is charged, over all
+    models, the sum per panel of its nodes, its slices x n_x or its
     32 x n_x offset table, whichever is largest; the first round takes
-    every panel's first two passes where they fit together.  Every
-    panel's value, and so the result, is what refining the panels one by
-    one gives.  AccuracyError carries the sum of every panel's current
-    value as ``best``, shaped as the result, and the summed last changes
-    plus the tail budget as ``bound``.
+    every panel's first two passes where they fit together.  Every panel's
+    value, and so the result, is what refining the panels one by one
+    gives.  AccuracyError carries the sum of every panel's current value
+    as ``best``, shaped as the result, and the summed last changes plus
+    the tail budget as ``bound``.
 
-    ``osc_hint`` bounds the phase speed of F(w) e^{-iwx} in radians per
-    unit of w; it seeds each panel with a slice per 40 radians, enough to
-    resolve the oscillation instead of discovering it by repeated
+    Each ``osc_hint`` bounds the phase speed of F_m(w) e^{-iwx} in radians
+    per unit of w; it seeds each panel with a slice per 40 radians, enough
+    to resolve the oscillation instead of discovering it by repeated
     refinement (0 seeds one slice).  It sets only the cost: every panel
     is still judged by its second pass.  A panel whose seeded first pass
     alone exceeds the node budget is never handed to g, and the integral
     raises AccuracyError.
     """
-    stack = factors is not None
-    if not stack:
-        factors, tail_order, osc_hint = (None,), (tail_order,), (osc_hint,)
     if not len(tail_order) == len(osc_hint) == len(factors):
         raise InvalidParametersError("a stack takes one tail order and one phase seed per factor")
     p = [float(order) for order in tail_order]
@@ -759,7 +752,7 @@ def integrate_real_line(g, tail_order, spec: QuadSpec = DEFAULT_QUAD, osc_hint=0
         rows, worst = [], []  # per model its nodes, F and w^p
         for j, i in enumerate(models):
             wj, gj = (w[0], gw) if shared else (w[j], gw[j])
-            rows.append((wj, gj if factors[i] is None else factors[i](wj, gj), wj**p[i]))
+            rows.append((wj, factors[i](wj, gj), wj**p[i]))
             worst.append(0.0)
         step = max(1, spec.max_nodes // w.shape[1])
         for a in range(0, n_x, step):
@@ -892,4 +885,4 @@ def integrate_real_line(g, tail_order, spec: QuadSpec = DEFAULT_QUAD, osc_hint=0
             if isinstance(err, AccuracyError):
                 err.index = i
             raise err
-    return results if stack else results[0]
+    return results

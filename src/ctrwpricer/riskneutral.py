@@ -30,6 +30,9 @@ __all__ = ["MarketParams", "risk_neutral_intensity", "validate", "Diagnostics",
            "gamma_for_sigma"]
 
 _RN_REL_TOL = 1e-9
+# from (r + lam) T = 2^52 on, one rounding of r or lam moves an exponent such
+# as the forward's (lam E[e^J] - lam - r) T by order one
+_MAX_RATE_TIME = 2.0**52
 
 
 def gamma_for_sigma(rho: float, r: float, sigma: float) -> float:
@@ -122,6 +125,15 @@ class MarketParams:
         rho, gamma = 1.0 / d.a, 1.0 / d.b
         _check_rates(rho, gamma)
         return rho, gamma
+
+    def check_horizon(self, t_bar: float) -> None:
+        """Refuse a horizon over which the discount and forward exponents
+        cannot be formed to better than order one (``_MAX_RATE_TIME``)."""
+        rate_time = (self.r + self.lam) * t_bar
+        if not rate_time < _MAX_RATE_TIME:
+            raise InvalidParametersError(
+                f"(r + lam) T = {rate_time:.4g} is not below 2^52, where a rounding of r "
+                "or lam moves the discount's exponent by order one")
 
     @property
     def is_risk_neutral(self) -> bool:

@@ -54,6 +54,15 @@ class TestVanilla:
         val = bs_vanilla_call(1e4, 100.0, 0.04, 0.2, 1.0)
         assert abs(val - (1e4 - 100.0 * math.exp(-0.04))) <= 1e-8
 
+    @pytest.mark.parametrize("price", [bs_vanilla_call, bs_binary_call])
+    @pytest.mark.parametrize("spot, strike, sigma, T, message", [
+        (0.0, 1.0, 0.2, 0.25, "spot and strike"), (1.0, -1.0, 0.2, 0.25, "spot and strike"),
+        (1.0, 1.0, 0.0, 0.25, "sigma"), (1.0, 1.0, 0.2, -1.0, "sigma"),
+    ])
+    def test_invalid_inputs_raise(self, price, spot, strike, sigma, T, message):
+        with pytest.raises(InvalidParametersError, match=message):
+            price(spot, strike, 0.04, sigma, T)
+
     @settings(max_examples=80)
     @given(st.floats(50.0, 200.0), st.floats(0.01, 2.0), st.floats(0.05, 1.5))
     def test_vanilla_parity(self, s, t, sigma):
@@ -128,6 +137,14 @@ class TestImpliedVol:
         calls = self.counted_cdf(monkeypatch)
         assert implied_vol(0.0, 0.35, 1.0, 0.04, 0.01) == 1e-4
         assert len(calls) == 4  # the band's two ends
+
+    @pytest.mark.parametrize("spot, strike, T, message", [
+        (1.0, 1.0, 0.0, "T must be positive"), (1.0, 1.0, -1.0, "T must be positive"),
+        (0.0, 1.0, 0.25, "spot and strike"), (1.0, -1.0, 0.25, "spot and strike"),
+    ])
+    def test_invalid_inputs_raise(self, spot, strike, T, message):
+        with pytest.raises(InvalidParametersError, match=message):
+            implied_vol(0.05, spot, strike, 0.04, T)
 
     def test_band_edges_rejected(self):
         intrinsic = 1.05 - math.exp(-0.01)

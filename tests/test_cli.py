@@ -597,6 +597,82 @@ class TestBadNumericInputs:
         assert err.startswith("validation error:")
 
 
+def strict_json(text: str):
+    """``json.loads`` that refuses NaN and Infinity, as strict parsers do."""
+    def refuse(name):
+        raise ValueError(f"non-finite JSON number {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestHostileInputs:
+    """Inputs a fuzz of every command found to end in a traceback or in a
+    non-finite success: each is now refused (exit 2 or 3) or prints only
+    finite numbers, with no warning (pytest turns one into an error)."""
+
+    @pytest.mark.parametrize("argv", [
+        ("price", "--rho", "0", "--sigma", "0.1"),
+        ("price", "--rho", "2", "--gamma", "0"),
+        ("mc", "--rho", "2", "--gamma", "9", "--rate", "1e300", "--paths", "1000"),
+        ("price", "--rho", "1.5", "--sigma", "0.1", "--rate", "1e300", "--contract",
+         "vanilla-put", "--T", "9", "--strike", "100"),
+        ("calibrate-lambda", "--density", "gaussian", "--a", "0.01", "--b", "1e300"),
+    ], ids=" ".join)
+    def test_refused_with_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("validation error:")
+
+    def test_an_infinite_exponential_moment_fails_validate(self, capsys):
+        code, out, _ = run(capsys, "validate", "--density", "gaussian", "--a", "1e300",
+                           "--b", "0.02", "--lambda-override", "5")
+        assert code == 2
+        checks = {c["name"]: c for c in strict_json(out)["checks"]}
+        assert checks["exp_moment_finite"]["passed"] is False
+        assert "not finite" in checks["exp_moment_finite"]["detail"]
+
+    def test_an_infinite_standard_error_exits_3(self, capsys):
+        # the payoff's squared deviations pass the double range at spot 1e300
+        code, out, err = run(capsys, "mc", "--density", "discrete", "--mu1", "1e-3",
+                             "--mu2", "1e-4", "--contract", "vanilla-call", "--spot", "1e300",
+                             "--paths", "1000")
+        assert code == 3
+        assert out == ""
+        assert err == "accuracy error: non-finite result: std_error\n"
+
+    def test_output_is_strict_json(self, capsys):
+        code, out, _ = run(capsys, "mc", "--density", "discrete", "--mu1", "1e-3",
+                           "--mu2", "1e-4", "--contract", "vanilla-call", "--paths", "1000")
+        assert code == 0
+        payload = strict_json(out)
+        assert math.isfinite(payload["price"]) and math.isfinite(payload["std_error"])
+
+
+class TestRefusals:
+    """Each route and jump-law rule the CLI enforces, named in its refusal."""
+
+    MARKET = ("--rho", "2", "--gamma", "9")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("price", "--method", "fourier", "--contract", "butterfly", "--L", "10", "--style",
+          "american", *MARKET), "the transform route prices European claims"),
+        (("price", "--style", "american", "--contract", "vanilla-put", *MARKET),
+         "finite-expiry American pricing covers binary puts only"),
+        (("mc", "--style", "american", "--contract", "binary-call", *MARKET),
+         "American simulation covers binary puts only"),
+        (("price", "--density", "gaussian", "--mu1", "1e-3"),
+         "--mu1 and --mu2 must be given together"),
+        (("price", "--density", "gaussian", *MARKET),
+         "--rho applies to the exponential family only"),
+        (("price", "--rho", "2"), "--rho needs --gamma or --sigma to fix the down tail"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v[:3]))
+    def test_refusal_names_its_rule(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {message}\n"
+
+
 class TestFigCommand:
     @pytest.mark.parametrize("fig_id", sorted(cli.FIGURES))
     def test_regeneration_is_bit_identical(self, capsys, tmp_path, fig_id):

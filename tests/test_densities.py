@@ -93,6 +93,18 @@ class TestPdf:
         with pytest.raises(UnsupportedFamilyError):
             pdf(JumpDensity(Family.DISCRETE, 0.5, 0.5), 0.0)
 
+    def test_tempered_kernel_carries_the_moments(self):
+        # the tempered power tail's kernel is not normalisable (infinite at
+        # 0), but its first two moments are the law's, side weights a, 1 - a
+        d = JumpDensity(Family.PARETO_HALF, 0.3, 0.02)
+        assert pdf(d, 0.0) == math.inf
+        assert pdf(d, 0.01) / pdf(d, -0.01) == pytest.approx(0.3 / 0.7, rel=1e-15)
+        mean, var = mean_var(d)
+        for power, want in ((1, mean), (2, var + mean * mean)):
+            got = sum(integrate.quad(lambda x: x**power * pdf(d, x), lo, hi, limit=400)[0]
+                      for lo, hi in ((-np.inf, 0.0), (0.0, np.inf)))
+            assert got == pytest.approx(want, rel=1e-7)  # quad's own accuracy
+
     @pytest.mark.parametrize("d", INTEGRABLE, ids=lambda d: d.family.value)
     def test_unit_mass(self, d):
         lo, hi = (d.a, d.b) if d.family is Family.CONSTANT else (-np.inf, np.inf)
@@ -249,6 +261,13 @@ class TestExpMoment:
             exp_moment(JumpDensity(Family.LOGISTIC, 0.0, 1.0))
         with pytest.raises(DivergentMomentError):
             exp_moment(JumpDensity(Family.GUMBEL, 0.0, 1.2))
+
+    @pytest.mark.parametrize("a, b", [(0.01, 1e300), (1e300, 0.02)])
+    def test_overflowing_moment_is_divergent(self, a, b):
+        # E[e^J] = e^{a + b^2/2} passes the double range: refused, with no
+        # overflow warning (pytest turns one into an error)
+        with pytest.raises(DivergentMomentError, match="not finite"):
+            exp_moment(JumpDensity(Family.GAUSSIAN, a, b))
 
     def test_gaussian_unit_moment(self):
         b = 0.3

@@ -498,7 +498,8 @@ def per_panel_reference(g, omega, spec, spots, osc_hint=0.0, direct=False):
         if direct:
             half, w = _slice_nodes(lo, hi, slices)
             return _gl_sums(direct_rows(g, spots, w), half)
-        return _phased_panels(g, np.array([lo]), np.array([hi]), np.array([slices]), spots)[0]
+        return _phased_panels(g, np.array([lo]), np.array([hi]), np.array([slices]), spots,
+                              [itself])[0]
 
     total, passes = 0.0, []
     for lo, hi in zip(edges[:-1], edges[1:]):
@@ -559,52 +560,65 @@ def gaussian(w):
     return np.exp(-0.5 * w * w)
 
 
+def itself(w, gw):
+    """The model factor of a stack of one whose integrand is g itself."""
+    return gw
+
+
 class TestRealLineQuadrature:
     def test_lorentzian(self):
-        val = integrate_real_line(lambda w: 1.0 / (1.0 + w * w), 2.0, DEFAULT_QUAD, spots=[0.0])
+        val, = integrate_real_line(lambda w: 1.0 / (1.0 + w * w), [2.0], DEFAULT_QUAD, [0.0],
+                                   spots=[0.0], factors=[itself])
         assert abs(val[0] - math.pi) <= 1e-9
 
     def test_gaussian(self):
-        val = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=[0.0])
+        val, = integrate_real_line(gaussian, [4.0], DEFAULT_QUAD, [0.0], spots=[0.0],
+                                   factors=[itself])
         assert abs(val[0] - math.sqrt(2.0 * math.pi)) <= 1e-9
 
     def test_complex_integrand_real_result(self):
         # e^{-w^2/2 - iw} integrates to sqrt(2 pi) e^{-1/2}
-        val = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=[1.0])
+        val, = integrate_real_line(gaussian, [4.0], DEFAULT_QUAD, [0.0], spots=[1.0],
+                                   factors=[itself])
         assert abs(val[0] - math.sqrt(2.0 * math.pi) * math.exp(-0.5)) <= 1e-9
 
     def test_tail_bound_violation_detected(self):
         # claims cubic decay but only decays like 1/w^1.2: the probe must object
         g = lambda w: 1.0 / (1.0 + abs(w)) ** 1.2
         with pytest.raises(TailBoundError):
-            integrate_real_line(g, 3.0, QuadSpec(rel_tol=1e-9, abs_tol=1e-8), spots=[0.0])
+            integrate_real_line(g, [3.0], QuadSpec(rel_tol=1e-9, abs_tol=1e-8), [0.0], spots=[0.0],
+                                factors=[itself])
 
     def test_decay_probe_contradiction_detected(self):
         # quartic decay up to the truncation point, then a bump near w = 1000
         # that only the probe beyond it samples
         g = lambda w: 1.0 / (1.0 + w * w) ** 2 + 1e-3 * np.exp(-(((w - 1000.0) / 50.0) ** 2))
         with pytest.raises(TailBoundError, match="contradicts") as exc:
-            integrate_real_line(g, 4.0, QuadSpec(abs_tol=1e-6), spots=[0.0])
+            integrate_real_line(g, [4.0], QuadSpec(abs_tol=1e-6), [0.0], spots=[0.0],
+                                factors=[itself])
         assert exc.value.best is None and exc.value.bound > 0.0
 
     @pytest.mark.parametrize("tail_order", [1.0, 0.5])
     def test_tail_order_must_exceed_one(self, tail_order):
         with pytest.raises(InvalidParametersError):
-            integrate_real_line(lambda w: 1.0 / (1.0 + w * w), tail_order, DEFAULT_QUAD,
-                                spots=[0.0])
+            integrate_real_line(lambda w: 1.0 / (1.0 + w * w), [tail_order], DEFAULT_QUAD, [0.0],
+                                spots=[0.0], factors=[itself])
 
     @pytest.mark.parametrize("spots", [[0.0], FIVE_XS], ids=["one", "five"])
     def test_result_is_complex_one_entry_per_spot(self, spots):
-        val = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=spots)
+        val, = integrate_real_line(gaussian, [4.0], DEFAULT_QUAD, [0.0], spots=spots,
+                                   factors=[itself])
         assert isinstance(val, np.ndarray) and val.dtype == complex
         assert val.shape == (len(spots),)
 
     def test_fourier_pairs_of_a_column(self):
-        val = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=FIVE_XS)
+        val, = integrate_real_line(gaussian, [4.0], DEFAULT_QUAD, [0.0], spots=FIVE_XS,
+                                   factors=[itself])
         exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * FIVE_XS * FIVE_XS)
         assert np.max(np.abs(val - exact)) <= 1e-9
         for x, v in zip(FIVE_XS, val):
-            single = integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=[x])
+            single, = integrate_real_line(gaussian, [4.0], DEFAULT_QUAD, [0.0], spots=[x],
+                                          factors=[itself])
             assert abs(v - single[0]) <= 1e-9
 
     def test_evaluates_non_negative_nodes_only(self):
@@ -617,8 +631,9 @@ class TestRealLineQuadrature:
             seen.append(np.array(w))
             return gaussian(w)
 
-        column = integrate_real_line(g, 4.0, DEFAULT_QUAD, spots=xs)
-        single = integrate_real_line(g, 4.0, DEFAULT_QUAD, spots=xs[1:2])
+        column, = integrate_real_line(g, [4.0], DEFAULT_QUAD, [0.0], spots=xs, factors=[itself])
+        single, = integrate_real_line(g, [4.0], DEFAULT_QUAD, [0.0], spots=xs[1:2],
+                                      factors=[itself])
         assert min(float(np.min(w)) for w in seen) >= 0.0
         assert np.all(column.imag == 0.0) and np.all(single.imag == 0.0)
         exact = math.sqrt(2.0 * math.pi) * np.exp(-0.5 * xs * xs)
@@ -634,7 +649,8 @@ class TestRealLineQuadrature:
         # first two passes.  A |w|^-4 tail puts Omega near 3000.
         g = lambda w: 1.0 / (1.0 + w * w) ** 2
         seen, sizes, probe = probed(g)
-        got = integrate_real_line(seen, 4.0, DEFAULT_QUAD, osc_hint, spots=spots)
+        got, = integrate_real_line(seen, [4.0], DEFAULT_QUAD, [osc_hint], spots=spots,
+                                   factors=[itself])
         want, passes = per_panel_reference(g, probe[0], DEFAULT_QUAD, spots, osc_hint)
         np.testing.assert_array_equal(np.real(got), want)
         # the first two passes of every panel share one call
@@ -656,7 +672,7 @@ class TestRealLineQuadrature:
         elif case == "past-the-batch":
             g, p, spots = lambda w: 1.0 / (1.0 + w * w) ** 1.5, 3.0, np.array([1.0])
         seen, sizes, probe = probed(g)
-        got = integrate_real_line(seen, p, DEFAULT_QUAD, spots=spots)
+        got, = integrate_real_line(seen, [p], DEFAULT_QUAD, [0.0], spots=spots, factors=[itself])
         omega, starts = per_window_reference(g, p, DEFAULT_QUAD, spots)
         batched = 0
         while batched < min(3, len(starts)) and starts[batched] == 64.0 * 4.0**batched:
@@ -676,7 +692,8 @@ class TestRealLineQuadrature:
         # panels, up to rounding of the row's largest value (max |g| = 1
         # for both g).  Both g vanish at w = 64, so Omega is 64 and no
         # probe runs
-        phased = integrate_real_line(f, 4.0, DEFAULT_QUAD, 60.0, spots=FIVE_XS)
+        phased, = integrate_real_line(f, [4.0], DEFAULT_QUAD, [60.0], spots=FIVE_XS,
+                                      factors=[itself])
         omega, _ = per_window_reference(f, 4.0, DEFAULT_QUAD, FIVE_XS)
         assert omega == 64.0
         direct, _ = per_panel_reference(f, omega, DEFAULT_QUAD, FIVE_XS, 60.0, direct=True)
@@ -695,7 +712,8 @@ class TestRealLineQuadrature:
             def recorded(w):
                 seen.append(w.copy())
                 return g(w)
-            return seen, integrate_real_line(recorded, 4.0, DEFAULT_QUAD, 5.0, spots=spots)
+            return seen, integrate_real_line(recorded, [4.0], DEFAULT_QUAD, [5.0], spots=spots,
+                                             factors=[itself])[0]
         one, single = nodes(np.array([x]))
         three, column = nodes(np.array([x, x, x]))
         assert len(one) == len(three)
@@ -716,7 +734,8 @@ class TestRealLineQuadrature:
             def g(w):
                 sizes.append(w.size)
                 return gaussian(w)
-            return lambda: integrate_real_line(g, 4.0, spec, osc_hint, spots=FIVE_XS), sizes
+            return lambda: integrate_real_line(g, [4.0], spec, [osc_hint], spots=FIVE_XS,
+                                               factors=[itself])[0], sizes
 
         spec = QuadSpec(max_nodes=1 << 10)
         price, sizes = run(spec)
@@ -743,7 +762,7 @@ class TestRealLineQuadrature:
             def g(w):
                 sizes.append(w.size)
                 return gaussian(w)
-            got = integrate_real_line(g, 4.0, spec, 5.0, spots=FIVE_XS)
+            got, = integrate_real_line(g, [4.0], spec, [5.0], spots=FIVE_XS, factors=[itself])
             return got, [n for n in sizes if n % 32 == 0]
 
         spec = QuadSpec(max_nodes=1 << 8)
@@ -762,7 +781,8 @@ class TestRealLineQuadrature:
         tracemalloc.start()
         try:
             with pytest.raises(AccuracyError) as exc:
-                integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=xs)
+                integrate_real_line(gaussian, [4.0], DEFAULT_QUAD, [0.0], spots=xs,
+                                    factors=[itself])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -779,7 +799,8 @@ class TestRealLineQuadrature:
         tracemalloc.start()
         try:
             with pytest.raises(AccuracyError) as exc:
-                integrate_real_line(gaussian, 4.0, DEFAULT_QUAD, spots=xs)
+                integrate_real_line(gaussian, [4.0], DEFAULT_QUAD, [0.0], spots=xs,
+                                    factors=[itself])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -789,7 +810,8 @@ class TestRealLineQuadrature:
     def test_node_budget_exhaustion_raises(self):
         spec = QuadSpec(rel_tol=1e-9, abs_tol=1e-10, max_nodes=1 << 10)
         with pytest.raises(AccuracyError):
-            integrate_real_line(lambda w: np.cos(500.0 * w) / (1.0 + w * w), 2.0, spec, spots=[0.0])
+            integrate_real_line(lambda w: np.cos(500.0 * w) / (1.0 + w * w), [2.0], spec, [0.0],
+                                spots=[0.0], factors=[itself])
 
 
 def quartic(w):
@@ -798,7 +820,7 @@ def quartic(w):
 
 # a stack's model factors f(w, g(w)), each Hermitian with g, their tail
 # orders and phase seeds: g itself, a faster complex tail, and g damped
-STACK = [(lambda w, gw: gw, 4.0, 0.0),
+STACK = [(itself, 4.0, 0.0),
          (lambda w, gw: gw * (1.0 + 0.5j * w) / (1.0 + w * w), 5.0, 5.0),
          (lambda w, gw: gw * np.exp(-w * w / 8.0), 4.0, 60.0)]
 
@@ -820,13 +842,13 @@ def stacked(g, stack, spec=DEFAULT_QUAD, spots=FIVE_XS):
 
 
 def alone(g, f, p, hint, spec=DEFAULT_QUAD, spots=FIVE_XS):
-    """The single integral of f(w, g(w)), and the nodes its integrand sees."""
+    """The integral of f(w, g(w)) in a stack of one, and the nodes g sees."""
     seen = []
 
-    def integrand(w):
+    def recorded(w):
         seen.append(w.copy())
-        return f(w, g(w))
-    return integrate_real_line(integrand, p, spec, hint, spots=spots), seen
+        return g(w)
+    return integrate_real_line(recorded, [p], spec, [hint], spots=spots, factors=[f])[0], seen
 
 
 def raised(call):
@@ -851,22 +873,6 @@ class TestRealLineStack:
             assert len(nodes) == len(own)
             for a, b in zip(nodes, own):
                 np.testing.assert_array_equal(a, b)
-
-    def test_stack_of_one_is_the_single_form(self):
-        def run(stack):
-            seen = []
-
-            def g(w):
-                seen.append(w.copy())
-                return quartic(w)
-            if stack:
-                return integrate_real_line(g, [4.0], DEFAULT_QUAD, [5.0], spots=FIVE_XS,
-                                           factors=[None])[0], seen
-            return integrate_real_line(g, 4.0, DEFAULT_QUAD, 5.0, spots=FIVE_XS), seen
-        (one, nodes), (single, own) = run(True), run(False)
-        assert one.tobytes() == single.tobytes() and len(nodes) == len(own)
-        for a, b in zip(nodes, own):
-            np.testing.assert_array_equal(a, b)
 
     def test_equal_models_share_every_refinement_call_of_g(self):
         # two models of one geometry: each refinement round hands g what
@@ -907,7 +913,7 @@ class TestRealLineStack:
     def test_stack_needs_an_order_and_a_seed_per_model(self):
         with pytest.raises(InvalidParametersError):
             integrate_real_line(quartic, [4.0], DEFAULT_QUAD, [0.0, 0.0], spots=FIVE_XS,
-                                factors=[None, None])
+                                factors=[itself, itself])
 
     def test_middle_model_failure_is_its_own(self):
         # the middle model oscillates past the node budget; the last one

@@ -122,6 +122,29 @@ class TestMarketParams:
             MarketParams(r=0.04, density=EXP_29, lam=bad)
 
 
+class TestHorizon:
+    """Pricing refuses a horizon T with (r + lam) T at or past 2^52, where a
+    rounding of r or lam moves a discount or forward exponent by order
+    one, before any kernel runs."""
+
+    def test_bound(self):
+        m = MarketParams.exponential(2.0, 9.0, 0.04)
+        limit = 2.0**52 / (m.r + m.lam)
+        m.check_horizon(0.5 * limit)
+        for t_bar in (2.0 * limit, math.inf):
+            with pytest.raises(InvalidParametersError, match="2\\^52"):
+                m.check_horizon(t_bar)
+
+    @pytest.mark.parametrize("kind", [PayoffKind.VANILLA_CALL, PayoffKind.VANILLA_PUT])
+    @pytest.mark.parametrize("method", [PriceMethod.CLOSED, PriceMethod.LAPLACE])
+    def test_european_and_american_prices_refuse_it(self, kind, method):
+        m = MarketParams.from_rho_sigma(1.5, 1e300, 0.1)
+        with pytest.raises(InvalidParametersError, match="2\\^52"):
+            european_price(m, Contract(kind, 100.0, 9.0), 0.0, method)
+        with pytest.raises(InvalidParametersError, match="2\\^52"):
+            binary_put_price(m, 0.0, 0.1, 9.0, method)
+
+
 class TestValidate:
     def test_reference_market_passes(self):
         diag = validate(MarketParams.risk_neutral(0.04, EXP_29))
@@ -141,6 +164,12 @@ class TestValidate:
         assert not diag.passed
         failing = [name for name, ok, _ in diag if not ok]
         assert failing
+
+    def test_infinite_exponential_moment_fails(self):
+        m = MarketParams(0.04, JumpDensity(Family.GAUSSIAN, 1e300, 0.02), 5.0)
+        checks = {name: (ok, detail) for name, ok, detail in validate(m)}
+        assert checks["exp_moment_finite"][0] is False
+        assert "not finite" in checks["exp_moment_finite"][1]
 
     def test_intensity_mismatch_reported(self):
         diag = validate(MarketParams(r=0.04, density=EXP_29, lam=0.25))
