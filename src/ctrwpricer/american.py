@@ -87,11 +87,8 @@ def _continuation(k: float, t_bar: float, price):
     are exactly 1, the others 0 at expiry and before it ``price`` of their
     rows (``as_rows``).  An AccuracyError from ``price`` is widened to one
     best value and bound per spot of xs, exercised spots carrying 1 and 0.
-    A non-finite k, or a negative or non-finite t_bar, is refused before
-    any spot is priced."""
+    A non-finite k is refused before any spot is priced."""
     _check_finite("log-strike k", k)
-    if not 0.0 <= t_bar < math.inf:
-        raise InvalidParametersError("remaining time must be non-negative and finite")
 
     def priced(xs):
         exercised = xs <= k
@@ -117,6 +114,7 @@ def binary_put_closed(m: MarketParams, k: float, x, t_bar: float,
     array of log-spots x is priced by one batched quadrature over the
     spots above the strike; exercised spots (x <= k) are exactly 1.
     """
+    m.check_horizon(t_bar)
     p, g = _martingale_rates(m, "the closed route (use --method laplace)")
     live = _continuation(k, t_bar, lambda x: _binary_put_integral(m, p, g, k - x, t_bar, spec))
     return over_spots(live, x)
@@ -167,9 +165,9 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
     if method not in (PriceMethod.CLOSED, PriceMethod.LAPLACE):
         raise InvalidParametersError(f"unsupported method {method!r} for American binary puts")
     m.exponential_rates()  # refuses other markets, also on the shortcut below
-    m.check_horizon(t_bar)
     if method is PriceMethod.CLOSED:
         return binary_put_closed(m, k, x, t_bar, spec)
+    m.check_horizon(t_bar)
     live = _continuation(k, t_bar, lambda x: laplace_invert(
         lambda s: binary_put_laplace(m, k, x, s), t_bar, spec))
     return over_spots(live, x)

@@ -136,15 +136,16 @@ def _fig_european(meta) -> FigureData:
 def _iv_table(meta: dict, models: dict, sigma: float | None = None) -> FigureData:
     """Each model's implied-vol column over the s/K grid and, given sigma,
     ``bs_check``: the implied vol of the Black-Scholes price at sigma (a
-    self-check).  Every column's prices, one row each, are inverted in one
-    array ``implied_vol`` call; a cell it returns as NaN, out of band,
-    stays empty, and the model columns' empty cells are counted in the
-    meta."""
+    self-check), each model pricing K and T as one vanilla-call ``Contract``
+    by ``european_price``.  Every column's prices, one row each, are inverted
+    in one array ``implied_vol`` call; a cell it returns as NaN, out of band,
+    stays empty, and the model columns' empty cells are counted in the meta."""
     K, T, r = meta["K"], meta["T"], meta["r"]
+    contract = Contract(PayoffKind.VANILLA_CALL, K, T)
     grid = _grid(meta["grid"])
     spots = [mny * K for mny in grid]
     xs = np.array([math.log(s) for s in spots])
-    prices = {name: european.vanilla_call_closed(m, K, xs, T) for name, m in models.items()}
+    prices = {name: european.european_price(m, contract, xs) for name, m in models.items()}
     if sigma is not None:
         prices["bs_check"] = [blackscholes.bs_vanilla_call(s, K, r, sigma, T) for s in spots]
     vols = blackscholes.implied_vol(np.array(list(prices.values())).reshape(-1, len(spots)),
@@ -458,8 +459,6 @@ def _cmd_iv(args) -> int:
     smin, smax = _price_flag(args, "--smin"), _price_flag(args, "--smax")
     if args.spoints < 1:
         raise ValidationError(f"--spoints must be at least 1, got {args.spoints!r}")
-    if not 0.0 <= args.T < math.inf:  # the horizons fig --from-meta refuses
-        raise ValidationError(f"--T must be non-negative and finite, got {args.T!r}")
     market = _build_market(args)
     rho, gamma = market.exponential_rates()
     meta = {

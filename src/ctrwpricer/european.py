@@ -252,12 +252,14 @@ def vanilla_call_laplace(m: MarketParams, K: float, x, s):
 
 def binary_call_closed(m: MarketParams, k: float, x, t_bar: float,
                        spec: QuadSpec = DEFAULT_QUAD):
+    m.check_horizon(t_bar)
     legs = _LEGS[PayoffKind.BINARY_CALL](math.exp(k))
     return over_spots(lambda xs: _legs_closed(m, k, as_rows(xs), t_bar, legs, spec), x)
 
 
 def vanilla_call_closed(m: MarketParams, K: float, x, t_bar: float,
                         spec: QuadSpec = DEFAULT_QUAD):
+    m.check_horizon(t_bar)
     legs = _LEGS[PayoffKind.VANILLA_CALL](K)
     return over_spots(lambda xs: _legs_closed(m, math.log(K), as_rows(xs), t_bar, legs, spec), x)
 
@@ -329,8 +331,7 @@ def no_trade_vanilla_call(K: float, x: float, t_bar: float, r: float) -> float:
 
 def log_return_moments(m: MarketParams, dt: float) -> tuple[float, float]:
     """Mean and variance of the log-return over a horizon dt, for any jump law."""
-    if dt < 0:
-        raise InvalidParametersError("horizon must be non-negative")
+    m.check_horizon(dt)
     mean, var = mean_var(m.density)
     return m.lam * dt * mean, m.lam * dt * (var + mean * mean)
 

@@ -281,10 +281,10 @@ def price_fourier(params, payoff: Payoff, x, t_bar: float, spec: QuadSpec = DEFA
     """
     if payoff.transform is None:
         raise InvalidParametersError("the transform route needs a payoff with a transform")
-    if not 0.0 <= t_bar < math.inf:
-        raise InvalidParametersError("remaining time must be non-negative and finite")
     one = isinstance(params, MarketParams)
     markets = [params] if one else list(params)
+    for m in markets:
+        m.check_horizon(t_bar)
     if t_bar == 0.0:
         prices = [over_spots(payoff.value, x) for _ in markets]
     else:
@@ -315,8 +315,7 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x, t_bar: float)
     d = params.density
     if d.family is not Family.DISCRETE:
         raise InvalidParametersError("net-count conditioning applies to the two-point law")
-    if not 0.0 <= t_bar < math.inf:
-        raise InvalidParametersError("remaining time must be non-negative and finite")
+    params.check_horizon(t_bar)
     if t_bar == 0.0:
         return over_spots(payoff.value, x)
 

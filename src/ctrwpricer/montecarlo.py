@@ -20,8 +20,8 @@ worker 0, so a one-block call starts no thread.  A failing block raises
 what a serial run raises, the error of the lowest-numbered failing block.
 The families summed jump by jump run no more blocks at once than keep
 their expected draws together within ``densities.MAX_JUMP_DRAWS``.  A
-non-finite log-price, horizon or log-strike is refused before any block is
-drawn.
+non-finite log-price or log-strike, or a horizon ``check_horizon`` refuses,
+is refused before any block is drawn.
 
 Each estimator's worker reduces its block, where it was drawn, to the
 count, mean and sum of squared deviations of its discounted payoffs (of
@@ -143,12 +143,10 @@ def _width(draws_per_block: float) -> int:
     return max(1, min(_WORKERS, int(MAX_JUMP_DRAWS // draws_per_block)))
 
 
-def _check_start(x0: float, horizon: float) -> None:
-    # the negated range refuses NaN as well as infinities
+def _check_start(params: MarketParams, x0: float, horizon: float) -> None:
     if not math.isfinite(x0):
         raise InvalidParametersError("x0 must be a finite log-price")
-    if not 0.0 <= horizon < math.inf:
-        raise InvalidParametersError("horizon must be non-negative and finite")
+    params.check_horizon(horizon)  # within numpy's Poisson draw, which stops near 9.2e18
 
 
 def _terminal_block(params: MarketParams, x0: float, lam_t: float,
@@ -170,8 +168,7 @@ def _terminal_block(params: MarketParams, x0: float, lam_t: float,
 def _terminal_blocks(params: MarketParams, x0: float, horizon: float,
                      config: MCConfig, reduce) -> list:
     """``reduce`` of each block's terminal log-prices, in block order."""
-    _check_start(x0, horizon)
-    params.check_horizon(horizon)  # within numpy's Poisson draw, which stops near 9.2e18
+    _check_start(params, x0, horizon)
     pivot = None
     if config.antithetic:
         pivot = symmetry_point(params.density)
@@ -241,7 +238,7 @@ def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
     """
     if config.antithetic:
         raise UnsupportedFamilyError("antithetic sampling is not defined for first passage")
-    _check_start(x0, horizon)
+    _check_start(params, x0, horizon)
     if not math.isfinite(k):
         raise InvalidParametersError("k must be a finite log-strike")
     if x0 <= k:
@@ -276,9 +273,9 @@ def price_american_binary_put_mc(params: MarketParams, k: float, x0: float,
 def martingale_check(params: MarketParams, x0: float, horizon: float,
                      config: MCConfig) -> dict:
     """Estimate E[e^{-r T} S_T] - S_0, which must vanish under a risk-neutral lam."""
-    disc, s0 = math.exp(-params.r * horizon), math.exp(x0)
-    blocks = _terminal_blocks(params, x0, horizon, config,
-                              lambda xt: _moments(disc * np.exp(xt) - s0))
+    # the discount and spot are formed in each block, once the horizon and x0 are admitted
+    blocks = _terminal_blocks(params, x0, horizon, config, lambda xt: _moments(
+        math.exp(-params.r * horizon) * np.exp(xt) - math.exp(x0)))
     drift = _estimate(blocks, config)
     return {
         "drift": drift.value,

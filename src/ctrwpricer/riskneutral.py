@@ -127,13 +127,11 @@ class MarketParams:
         return rho, gamma
 
     def check_horizon(self, t_bar: float) -> None:
-        """Refuse a horizon over which the discount and forward exponents
-        cannot be formed to better than order one (``_MAX_RATE_TIME``)."""
-        rate_time = (self.r + self.lam) * t_bar
-        if not rate_time < _MAX_RATE_TIME:
-            raise InvalidParametersError(
-                f"(r + lam) T = {rate_time:.4g} is not below 2^52, where a rounding of r "
-                "or lam moves the discount's exponent by order one")
+        """The one horizon rule of every pricer: refuse a negative, NaN or infinite
+        t_bar, or one at which (r + lam) t_bar reaches ``_MAX_RATE_TIME``."""
+        if not (t_bar >= 0.0 and (self.r + self.lam) * t_bar < _MAX_RATE_TIME):
+            raise InvalidParametersError("remaining time must be non-negative and finite, "
+                                         f"with (r + lam) T below 2^52, got T = {t_bar!r}")
 
     @property
     def is_risk_neutral(self) -> bool:

@@ -1,6 +1,8 @@
 """Every pricer takes its spots through one adapter and reports its estimate
 in one shape: a finite log-spot prices to a float, a 1-D column to an array
-of its shape, and so does an AccuracyError's best value and bound."""
+of its shape, and so does an AccuracyError's best value and bound.  Every
+market-priced entry refuses a bad horizon by one rule before any kernel
+runs or any Monte Carlo block is drawn."""
 
 import math
 
@@ -19,10 +21,17 @@ from ctrwpricer import (
     fit_from_moments,
     price_fourier,
 )
-from ctrwpricer import american, european, fourier
+from ctrwpricer import american, european, fourier, montecarlo
 from ctrwpricer.american import binary_put_price
 from ctrwpricer.errors import AccuracyError, InvalidParametersError
 from ctrwpricer.fourier import price_two_point_exact
+from ctrwpricer.montecarlo import (
+    MCConfig,
+    martingale_check,
+    price_american_binary_put_mc,
+    price_european_mc,
+    simulate_terminal,
+)
 
 R = 0.04
 CALL = Contract(PayoffKind.VANILLA_CALL, 1.0, 0.25)
@@ -66,14 +75,17 @@ SPOT["two-point"] = math.log(95.0)
 
 @pytest.fixture
 def no_kernel(monkeypatch):
-    """Every kernel a pricer could reach fails the test if it runs."""
+    """Every kernel a pricer could reach, and every Monte Carlo block, fails
+    the test if it runs."""
     def kernel(*args, **kwargs):
         raise AssertionError("a kernel ran")
 
-    for module, names in ((european, ("integrate_semi_infinite", "laplace_invert")),
+    for module, names in ((european, ("integrate_semi_infinite", "laplace_invert",
+                                      "mean_var")),
                           (american, ("integrate_semi_infinite", "laplace_invert")),
                           (fourier, ("integrate_real_line", "integrate_panels",
-                                     "poisson_difference_pmf"))):
+                                     "poisson_difference_pmf")),
+                          (montecarlo, ("_block_rng",))):
         for name in names:
             monkeypatch.setattr(module, name, kernel)
 
@@ -87,24 +99,65 @@ def test_non_finite_spot_refused_before_any_kernel(no_kernel, name, bad, column)
         PRICERS[name](x, QuadSpec())
 
 
-# name: pricer of (x, t_bar), for every pricer that takes its own horizon
+AMERICAN = MarketParams.exponential(2.0, 9.0, R)
+MC = MCConfig(paths=1000, seed=0)
+
+
+def _halved(m):
+    """m at half its intensity: a market that admits every horizon m does."""
+    return MarketParams(m.r, m.density, 0.5 * m.lam)
+
+
+# name: (market, pricer of (market, t_bar)), for every market-priced entry
+# that takes its own horizon
 HORIZON = {
-    "european-closed": lambda x, t: european_price(_exp(2.0, 0.1), Contract(
-        PayoffKind.VANILLA_CALL, 1.0, t), x, PriceMethod.CLOSED),
-    "american-closed": lambda x, t: binary_put_price(MarketParams.exponential(2.0, 9.0, R),
-                                                     0.0, x, t, PriceMethod.CLOSED),
-    "american-laplace": lambda x, t: binary_put_price(_exp(20.0, 0.05), 0.0, x, t,
-                                                      PriceMethod.LAPLACE),
-    "fourier": lambda x, t: price_fourier(_exp(2.0, 0.1), BUTTERFLY, x, t),
-    "two-point": lambda x, t: price_two_point_exact(TWO_POINT, BUTTERFLY, x, t),
+    "european-closed": (_exp(2.0, 0.1), lambda m, t: european_price(m, Contract(
+        PayoffKind.VANILLA_CALL, 1.0, t), SPOT["european-closed"], PriceMethod.CLOSED)),
+    "vanilla-call-closed": (_exp(2.0, 0.1), lambda m, t: european.vanilla_call_closed(
+        m, 1.0, SPOT["european-closed"], t)),
+    "binary-call-closed": (_exp(2.0, 0.1), lambda m, t: european.binary_call_closed(
+        m, 0.0, SPOT["european-closed"], t)),
+    "american-closed": (AMERICAN, lambda m, t: binary_put_price(
+        m, 0.0, SPOT["american-closed"], t, PriceMethod.CLOSED)),
+    "american-laplace": (_exp(20.0, 0.05), lambda m, t: binary_put_price(
+        m, 0.0, SPOT["american-laplace"], t, PriceMethod.LAPLACE)),
+    "binary-put-closed": (AMERICAN, lambda m, t: american.binary_put_closed(
+        m, 0.0, SPOT["american-closed"], t)),
+    "fourier": (_exp(2.0, 0.1), lambda m, t: price_fourier(m, BUTTERFLY, SPOT["fourier"], t)),
+    # the first market admits the edge horizon of the second
+    "fourier-stack": (_exp(2.0, 0.1), lambda m, t: price_fourier(
+        [_halved(m), m], BUTTERFLY, SPOT["fourier"], t)),
+    "two-point": (TWO_POINT, lambda m, t: price_two_point_exact(
+        m, BUTTERFLY, SPOT["two-point"], t)),
+    "simulate_terminal": (AMERICAN, lambda m, t: simulate_terminal(m, 0.1, t, MC)),
+    "price_european_mc": (AMERICAN, lambda m, t: price_european_mc(
+        m, Contract(PayoffKind.VANILLA_CALL, 1.0, t), 0.1, MC)),
+    "martingale_check": (AMERICAN, lambda m, t: martingale_check(m, 0.1, t, MC)),
+    "price_american_binary_put_mc": (AMERICAN, lambda m, t: price_american_binary_put_mc(
+        m, -0.02, 0.1, t, MC)),
+    "log_return_moments": (AMERICAN, lambda m, t: european.log_return_moments(m, t)),
 }
 
 
+def _edge(m):
+    """The least horizon T with (r + lam) T = 2^52 or more: 2^52 / (r + lam),
+    one ulp up where the product rounds below 2^52."""
+    t_bar = 2.0**52 / (m.r + m.lam)
+    return t_bar if (m.r + m.lam) * t_bar >= 2.0**52 else math.nextafter(t_bar, math.inf)
+
+
 @pytest.mark.parametrize("name", sorted(HORIZON))
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_horizon_refused_before_any_kernel(no_kernel, name, bad):
+@pytest.mark.parametrize("bad", [-1.0, -1e300, math.nan, math.inf, -math.inf, "edge"])
+def test_bad_horizon_refused_before_any_kernel(no_kernel, name, bad):
+    market, price = HORIZON[name]
     with pytest.raises(InvalidParametersError):
-        HORIZON[name](SPOT[name], bad)
+        price(market, _edge(market) if bad == "edge" else bad)
+
+
+def test_a_stack_admits_the_edge_of_its_second_market_in_its_first():
+    # so fourier-stack's edge is refused by the second market's check
+    market = HORIZON["fourier-stack"][0]
+    _halved(market).check_horizon(_edge(market))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
