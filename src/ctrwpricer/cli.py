@@ -144,6 +144,9 @@ def _iv_table(meta: dict, models: dict, sigma: float | None = None) -> FigureDat
     contract = Contract(PayoffKind.VANILLA_CALL, K, T)
     grid = _grid(meta["grid"])
     spots = [mny * K for mny in grid]
+    if not all(0.0 < s < math.inf for s in spots):  # grid points round, and K scales them
+        raise ValidationError(f"the s/K grid {meta['grid']!r} at strike {K!r} reaches a spot "
+                              "that is not positive and finite")
     xs = np.array([math.log(s) for s in spots])
     prices = {name: european.european_price(m, contract, xs) for name, m in models.items()}
     if sigma is not None:

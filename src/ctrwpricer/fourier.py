@@ -60,7 +60,7 @@ from typing import Callable
 
 import numpy as np
 from .densities import Family, char_fn, mean_var
-from .errors import AccuracyError, InvalidParametersError
+from .errors import AccuracyError, InvalidParametersError, ValidationError
 from .numerics import (
     DEFAULT_QUAD,
     QuadSpec,
@@ -94,6 +94,14 @@ _DECAYING_FAMILIES = {
 _TAIL_ORDER = 2.0
 # the Poisson mass the two-point net-count sum leaves out
 _TAIL_MASS = 1e-14
+# Reach of the two-point net-count sum, in jumps either way.  Its pmf costs
+# O(reach^2) and each spot's lattice row 16 bytes a jump: at this budget
+# about 0.2 s and 0.5 MB on one core.  It admits lam T up to about 3.1e4,
+# sixteen times the largest the figures and tests take (1.9e3).
+MAX_NET_JUMPS = 1 << 15
+# the largest lattice log-price: twice its e^x, the butterfly's long legs,
+# stays below the largest double (below it, e^x underflows harmlessly to 0)
+_MAX_LOG_PRICE = math.log(np.finfo(float).max / 2.0)
 
 
 @dataclass(frozen=True)
@@ -310,7 +318,10 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x, t_bar: float)
     of mass below ``_TAIL_MASS``; it replaces the transform route, which
     converges slowly for lattice jump laws.  ``x`` is a float or a 1-D
     array of log-prices, as for ``price_fourier``; each spot's sum is
-    formed exactly as for a single-spot call.
+    formed exactly as for a single-spot call.  A sum that reaches past
+    ``MAX_NET_JUMPS`` jumps, or a lattice log-price past where the payoff
+    overflows, is refused with ValidationError before anything is
+    allocated.
     """
     d = params.density
     if d.family is not Family.DISCRETE:
@@ -318,14 +329,21 @@ def price_two_point_exact(params: MarketParams, payoff: Payoff, x, t_bar: float)
     params.check_horizon(t_bar)
     if t_bar == 0.0:
         return over_spots(payoff.value, x)
+    up = params.lam * t_bar * d.a
+    down = params.lam * t_bar * (1.0 - d.a)
+    total = up + down
+    # the net count is bounded by the total count, and Poisson(total) mass
+    # beyond total + 12 sqrt(total) + 30 - log10(_TAIL_MASS) is negligible
+    m_max = math.ceil(total + 12.0 * math.sqrt(total) + 30.0 - math.log10(_TAIL_MASS))
+    if m_max > MAX_NET_JUMPS:
+        raise ValidationError(f"the two-point net-count sum reaches {m_max} jumps at "
+                              f"lam T = {total:.4g}, above the budget of {MAX_NET_JUMPS}")
 
     def priced(xs):
-        up = params.lam * t_bar * d.a
-        down = params.lam * t_bar * (1.0 - d.a)
-        total = up + down
-        # the net count is bounded by the total count, and Poisson(total) mass
-        # beyond total + 12 sqrt(total) + 30 - log10(_TAIL_MASS) is negligible
-        m_max = int(math.ceil(total + 12.0 * math.sqrt(total) + 30.0 - math.log10(_TAIL_MASS)))
+        top = xs.max() + d.b * m_max
+        if not top < _MAX_LOG_PRICE:
+            raise ValidationError(f"the two-point lattice reaches log-price {top:.4g}, past "
+                                  f"{_MAX_LOG_PRICE:.4g} where the payoff overflows")
         m = np.arange(-m_max, m_max + 1)
         pmf = poisson_difference_pmf(m_max, up, down)
         values = payoff.value(xs[:, None] + d.b * m[None, :])

@@ -180,8 +180,10 @@ def _terminal_blocks(params: MarketParams, x0: float, horizon: float,
     draws = BLOCK * lam_t if params.density.family in SUMMED_BY_JUMP else 0.0
 
     def run_block(block, n):
-        rng = _block_rng(config.seed, block)
-        return reduce(_terminal_block(params, x0, lam_t, rng, n, pivot))
+        xt = _terminal_block(params, x0, lam_t, _block_rng(config.seed, block), n, pivot)
+        # a payoff or moment past the double range is inf or NaN: the CLI refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            return reduce(xt)
 
     return _map_blocks(run_block, config.paths, _width(draws))
 
@@ -197,10 +199,9 @@ def _moments(values: np.ndarray) -> tuple[int, float, float]:
     an antithetic pair's payoffs (a row of two) taken as their mean."""
     if values.ndim == 2:
         values = values.mean(axis=1)
-    with np.errstate(over="ignore"):  # a moment past the double range is inf: the CLI refuses it
-        mean = values.mean()
-        dev = values - mean
-        return values.shape[0], float(mean), float(np.multiply(dev, dev, out=dev).sum())
+    mean = values.mean()
+    dev = values - mean
+    return values.shape[0], float(mean), float(np.multiply(dev, dev, out=dev).sum())
 
 
 def _estimate(blocks: list, config: MCConfig) -> MCEstimate:

@@ -31,13 +31,14 @@ a call's nodes, slices x spots or 32 x spots table per panel, never
 nodes x spots; it forms the tail samples' nodes x spots in chunks of
 spots within the budget.  Every model keeps the nodes and values of its
 own integral, and a stack raises what its first failing model would
-raise alone.  Every pricer takes
-its spots through one adapter (``over_spots``), and every estimate in an
-AccuracyError is mapped as its price is (``mapped``).  Special functions
-are thin wrappers over scipy.special, which the first of them to run
-imports: only the exponential closed forms, Black-Scholes and the Gumbel
-law need it, and it takes longer to import than numpy and this package
-together.
+raise alone.  Every finite-horizon pricer of ``european``, ``american``
+and ``fourier`` takes its spots through one adapter (``over_spots``); the
+perpetual formulas and the Monte Carlo entries take one float log-price
+and check it themselves.  Every estimate in an AccuracyError is mapped as
+its price is (``mapped``).  Special functions are thin wrappers over
+scipy.special, which the first of them to run imports: only the
+exponential closed forms, Black-Scholes and the Gumbel law need it, and
+it takes longer to import than numpy and this package together.
 """
 
 from __future__ import annotations

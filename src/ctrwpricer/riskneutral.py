@@ -43,7 +43,13 @@ def gamma_for_sigma(rho: float, r: float, sigma: float) -> float:
     """
     if sigma <= 0 or r <= 0:
         raise InvalidParametersError("sigma and r must be positive")
-    return rho - 1.0 + 2.0 * r / (sigma * sigma)
+    var = sigma * sigma
+    gamma = rho - 1.0 + 2.0 * r / var if var > 0.0 else math.nan  # var underflows to 0
+    if not 0.0 < gamma < math.inf:  # a NaN fails here too
+        raise InvalidParametersError(
+            f"rho - 1 + 2 r / sigma^2 is not a positive finite down-tail rate gamma "
+            f"(rho={rho!r}, r={r!r}, sigma={sigma!r})")
+    return gamma
 
 
 def _check_rates(rho: float, gamma: float) -> None:

@@ -585,6 +585,9 @@ class TestBadNumericInputs:
         ("iv", "--T", "-1"),
         ("iv", "--T", "nan"),
         ("iv", "--T", "inf"),
+        ("iv", "--strike", "0"),
+        ("iv", "--strike", "-1"),
+        ("iv", "--strike", "1e-300", "--smin", "1e300"),  # the grid's last spot rounds to 0
         ("calibrate-lambda", "--rate", "nan"),
         ("price", "--tol", "nan"),
         ("price", "--tol", "inf", "--method", "laplace"),
@@ -616,12 +619,32 @@ class TestHostileInputs:
         ("price", "--rho", "1.5", "--sigma", "0.1", "--rate", "1e300", "--contract",
          "vanilla-put", "--T", "9", "--strike", "100"),
         ("calibrate-lambda", "--density", "gaussian", "--a", "0.01", "--b", "1e300"),
+        ("iv", "--rho", "2", "--gamma", "9", "--rate", "1e300"),
+        ("price", "--method", "fourier", "--contract", "butterfly", "--L", "10", "--strike",
+         "100", "--spot", "100", "--rho", "2", "--gamma", "9", "--rate", "1e300"),
+        ("price", "--density", "discrete", "--mu1", "1e-3", "--mu2", "1e-4", "--method",
+         "fourier", "--contract", "butterfly", "--L", "10", "--strike", "100", "--spot", "100",
+         "--T", "1e300"),
+        *[(command, "--rho", "2", "--sigma", "1e-300", *extra) for command, extra in (
+            ("price", ()), ("mc", ("--paths", "1000")), ("iv", ()), ("calibrate-lambda", ()))],
     ], ids=" ".join)
     def test_refused_with_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
         assert err.startswith("validation error:")
+
+    @pytest.mark.parametrize("rho, sigma", [
+        ("2", "1e-300"),  # sigma^2 underflows to 0
+        ("0.5", "0.4"),  # rho - 1 + 2 r / sigma^2 rounds to -1.1e-16
+    ])
+    def test_a_down_tail_rate_that_is_not_positive_is_named(self, capsys, rho, sigma):
+        code, out, err = run(capsys, "price", "--rho", rho, "--sigma", sigma)
+        assert code == 2
+        assert out == ""
+        assert err == ("validation error: rho - 1 + 2 r / sigma^2 is not a positive finite "
+                       f"down-tail rate gamma (rho={float(rho)!r}, r=0.04, "
+                       f"sigma={float(sigma)!r})\n")
 
     def test_an_infinite_exponential_moment_fails_validate(self, capsys):
         code, out, _ = run(capsys, "validate", "--density", "gaussian", "--a", "1e300",
@@ -639,6 +662,14 @@ class TestHostileInputs:
         assert code == 3
         assert out == ""
         assert err == "accuracy error: non-finite result: std_error\n"
+
+    def test_an_infinite_payoff_exits_3(self, capsys):
+        # E[e^J] is infinite at rho = 1e-300: simulated calls pass the double range
+        code, out, err = run(capsys, "mc", "--rho", "1e-300", "--gamma", "9",
+                             "--lambda-override", "9", "--paths", "1000")
+        assert code == 3
+        assert out == ""
+        assert err == "accuracy error: non-finite result: price, std_error\n"
 
     def test_output_is_strict_json(self, capsys):
         code, out, _ = run(capsys, "mc", "--density", "discrete", "--mu1", "1e-3",

@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,12 @@ from ctrwpricer import (
     fourier,
     numerics,
 )
-from ctrwpricer.errors import AccuracyError, InvalidParametersError, TailBoundError
+from ctrwpricer.errors import (
+    AccuracyError,
+    InvalidParametersError,
+    TailBoundError,
+    ValidationError,
+)
 from ctrwpricer.european import vanilla_call_price
 from ctrwpricer.fourier import (
     Payoff,
@@ -275,6 +281,87 @@ class TestTwoPointExact:
         pay = butterfly_payoff(100.0, 10.0)
         with pytest.raises(InvalidParametersError):
             price_two_point_exact(fitted_market(Family.DISCRETE), pay, 0.0, -1.0)
+
+
+BUTTERFLY = butterfly_payoff(100.0, 10.0)
+
+
+def two_point_market(lam_t: float, b: float) -> MarketParams:
+    """A symmetric two-point law of jump size b at intensity lam_t, so that
+    lam T = lam_t exactly at T = 1."""
+    return MarketParams(r=R, density=JumpDensity(Family.DISCRETE, 0.5, b), lam=lam_t)
+
+
+def net_count_reach(lam_t: float) -> int:
+    """The reach m_max of the net-count sum at lam T = lam_t."""
+    return math.ceil(lam_t + 12.0 * math.sqrt(lam_t) + 30.0 - math.log10(fourier._TAIL_MASS))
+
+
+def no_warning_price(*args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return price_two_point_exact(*args)
+
+
+class TestTwoPointBudget:
+    """The net-count sum is refused, before any pmf or lattice is formed,
+    when it reaches past MAX_NET_JUMPS jumps or a lattice log-price where
+    the payoff overflows; on either side of each edge no warning is raised."""
+
+    @pytest.fixture
+    def no_pmf(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the net-count pmf was formed")
+        monkeypatch.setattr(fourier, "poisson_difference_pmf", refuse)
+
+    @staticmethod
+    def edge_lam_t() -> float:
+        """The largest lam T whose reach is MAX_NET_JUMPS."""
+        u = math.sqrt(36.0 + fourier.MAX_NET_JUMPS - 30.0 + math.log10(fourier._TAIL_MASS)) - 6.0
+        lam_t = u * u
+        while net_count_reach(lam_t) > fourier.MAX_NET_JUMPS:
+            lam_t = math.nextafter(lam_t, 0.0)
+        while net_count_reach(math.nextafter(lam_t, math.inf)) <= fourier.MAX_NET_JUMPS:
+            lam_t = math.nextafter(lam_t, math.inf)
+        return lam_t
+
+    def test_reach_edge(self, no_pmf):
+        lam_t = math.nextafter(self.edge_lam_t(), math.inf)
+        assert net_count_reach(lam_t) == fourier.MAX_NET_JUMPS + 1
+        with pytest.raises(ValidationError, match="above the budget of 32768"):
+            no_warning_price(two_point_market(lam_t, 1e-4), BUTTERFLY, math.log(95.0), 1.0)
+
+    def test_reach_at_the_budget_prices(self):
+        lam_t = self.edge_lam_t()
+        assert net_count_reach(lam_t) == fourier.MAX_NET_JUMPS
+        price = no_warning_price(two_point_market(lam_t, 1e-4), BUTTERFLY, math.log(95.0), 1.0)
+        assert -5.0 <= price <= 0.0  # the profile runs from 0 down to -5 at K + L/2
+
+    @pytest.mark.parametrize("t_bar", [2000.0, 1e4, 1e7])
+    def test_fitted_law_at_long_horizons(self, no_pmf, t_bar):
+        # fig4's two-point law: NaN at T = 2000 and 1e4, a 5.7 GiB allocation at 1e7
+        with pytest.raises(ValidationError):
+            no_warning_price(fitted_market(Family.DISCRETE), BUTTERFLY, math.log(95.0), t_bar)
+
+    def test_overflowing_lattice_refused(self, no_pmf):
+        # lam T = 100 with jumps of 5 reaches log-price 1325: NaN before
+        with pytest.raises(ValidationError, match="where the payoff overflows"):
+            no_warning_price(two_point_market(1.0, 5.0), BUTTERFLY, math.log(100.0), 100.0)
+
+    # reach 57 at lam T = 1 with jumps of 1/2: the top lattice point is x + 28.5
+    TOP = fourier._MAX_LOG_PRICE - 28.5
+
+    def test_log_price_edge(self, no_pmf):
+        assert self.TOP + 0.5 * net_count_reach(1.0) >= fourier._MAX_LOG_PRICE
+        with pytest.raises(ValidationError, match="where the payoff overflows"):
+            no_warning_price(two_point_market(1.0, 0.5), BUTTERFLY, np.array([0.0, self.TOP]),
+                             1.0)
+
+    def test_log_price_below_the_edge_prices(self):
+        x = math.nextafter(self.TOP, 0.0)
+        assert x + 0.5 * net_count_reach(1.0) < fourier._MAX_LOG_PRICE
+        prices = no_warning_price(two_point_market(1.0, 0.5), BUTTERFLY, np.array([0.0, x]), 1.0)
+        assert np.isfinite(prices).all()
 
 
 class TestUniformJumpWeight:
