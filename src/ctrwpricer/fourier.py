@@ -55,6 +55,7 @@ builders price their transform columns in one call per figure.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,7 +102,7 @@ _TAIL_MASS = 1e-14
 MAX_NET_JUMPS = 1 << 15
 # the largest lattice log-price: twice its e^x, the butterfly's long legs,
 # stays below the largest double (below it, e^x underflows harmlessly to 0)
-_MAX_LOG_PRICE = math.log(np.finfo(float).max / 2.0)
+_MAX_LOG_PRICE = math.log(sys.float_info.max / 2.0)
 
 
 @dataclass(frozen=True)
