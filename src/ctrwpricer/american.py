@@ -28,7 +28,7 @@ from .numerics import (
     normal_cdf,
     over_spots,
 )
-from .european import PriceMethod, beta_pm
+from .european import PriceMethod, beta_pm, check_formed
 from .riskneutral import MarketParams
 
 __all__ = [
@@ -82,18 +82,19 @@ def binary_put_laplace(m: MarketParams, k: float, x, s):
     return rows.reshape(shape)
 
 
-def _continuation(k: float, t_bar: float, price):
+def _continuation(m: MarketParams, k: float, t_bar: float, price):
     """A pricer of a 1-D array of log-spots xs: exercised spots (x <= k)
-    are exactly 1, the others 0 at expiry and before it ``price`` of their
-    rows (``as_rows``).  An AccuracyError from ``price`` is widened to one
-    best value and bound per spot of xs, exercised spots carrying 1 and 0.
-    A non-finite k is refused before any spot is priced."""
+    are exactly 1, the others 0 where no jump fits before t_bar (expiry
+    included) and else ``price`` of their rows (``as_rows``).  An
+    AccuracyError from ``price`` is widened to one best value and bound per
+    spot of xs, exercised spots carrying 1 and 0.  A non-finite k is
+    refused before any spot is priced."""
     _check_finite("log-strike k", k)
 
     def priced(xs):
         exercised = xs <= k
         prices, live = exercised.astype(float), ~exercised
-        if t_bar == 0.0 or not live.any():
+        if not (m.jumps_before(t_bar) and live.any()):
             return prices
 
         def onto(spots, live_values):  # every spot of xs, the live ones from live_values
@@ -116,7 +117,7 @@ def binary_put_closed(m: MarketParams, k: float, x, t_bar: float,
     """
     m.check_horizon(t_bar)
     p, g = _martingale_rates(m, "the closed route (use --method laplace)")
-    live = _continuation(k, t_bar, lambda x: _binary_put_integral(m, p, g, k - x, t_bar, spec))
+    live = _continuation(m, k, t_bar, lambda x: _binary_put_integral(m, p, g, k - x, t_bar, spec))
     return over_spots(live, x)
 
 
@@ -126,6 +127,8 @@ def _binary_put_integral(m: MarketParams, p: float, g: float, ys: np.ndarray, t_
     ys (``as_rows``), by one batched quadrature."""
     lam, r = m.lam, m.r
     c = lam * t_bar
+    check_formed(m, "(gamma + rho)^2", (g + p) * (g + p))
+    check_formed(m, "2 gamma rho lam T", 2.0 * g * p * c)
     c1 = g * p * c / ((g + 1.0) * (p - 1.0))
     shift1 = c1 - (lam + r) * t_bar
     xf = math.sqrt(2.0 / (g * p * c))
@@ -168,7 +171,7 @@ def binary_put_price(m: MarketParams, k: float, x, t_bar: float,
     if method is PriceMethod.CLOSED:
         return binary_put_closed(m, k, x, t_bar, spec)
     m.check_horizon(t_bar)
-    live = _continuation(k, t_bar, lambda x: laplace_invert(
+    live = _continuation(m, k, t_bar, lambda x: laplace_invert(
         lambda s: binary_put_laplace(m, k, x, s), t_bar, spec))
     return over_spots(live, x)
 
@@ -196,6 +199,7 @@ def vanilla_exercise_trigger(m: MarketParams, K: float) -> float:
     """
     p, g = _martingale_rates(m, "the exercise trigger")
     _check_strike(K)
+    check_formed(m, "(gamma + rho)^2", (g + p) * (g + p))  # bounds the products below
     return K * ((g + p) * (g - p + 1.0) / (g * (g + 1.0))) ** (1.0 / p)
 
 
@@ -203,6 +207,7 @@ def perpetual_exercise_boundary(m: MarketParams, K: float) -> float:
     """Optimal exercise level of the perpetual vanilla put."""
     p, g = _martingale_rates(m, "the perpetual vanilla put")
     _check_strike(K)
+    check_formed(m, "(gamma + rho)^2", (g + p) * (g + p))  # bounds the products below
     return K * (g + 1.0) * (g - p + 1.0) / (g * (g - p + 2.0))
 
 

@@ -29,21 +29,27 @@ _SIGMA_HI = 5.0
 _TWO_PI = 2.0 * math.pi
 
 
+def _check(spot, strike, r, sigma, T) -> None:
+    """Refuse inputs outside the formulas' domain, expiry included; each
+    negated range refuses NaN and the infinities as well."""
+    if not (0.0 < spot < math.inf and 0.0 < strike < math.inf):
+        raise InvalidParametersError("spot and strike must be positive and finite")
+    if not (0.0 < sigma < math.inf and 0.0 <= T < math.inf):
+        raise InvalidParametersError("sigma must be positive and T non-negative, both finite")
+    if not math.isfinite(r):
+        raise InvalidParametersError(f"rate must be finite, got {r!r}")
+
+
 def _d1_d2(spot, strike, r, sigma, T):
-    if spot <= 0 or strike <= 0:
-        raise InvalidParametersError("spot and strike must be positive")
-    if sigma <= 0 or T < 0:
-        raise InvalidParametersError("sigma must be positive and T non-negative")
-    if T == 0:
-        return math.inf if spot > strike else -math.inf, None
     sq = sigma * math.sqrt(T)
     d1 = (math.log(spot / strike) + (r + 0.5 * sigma * sigma) * T) / sq
     return d1, d1 - sq
 
 
 def bs_vanilla_call(spot, strike, r, sigma, T):
+    _check(spot, strike, r, sigma, T)
     if T == 0:
-        return max(spot - strike, 0.0)
+        return float(max(spot - strike, 0.0))
     d1, d2 = _d1_d2(spot, strike, r, sigma, T)
     return spot * normal_cdf(d1) - strike * math.exp(-r * T) * normal_cdf(d2)
 
@@ -55,6 +61,7 @@ def bs_vanilla_put(spot, strike, r, sigma, T):
 
 def bs_binary_call(spot, strike, r, sigma, T):
     """Cash-or-nothing call paying 1 when S_T >= K."""
+    _check(spot, strike, r, sigma, T)
     if T == 0:
         return 1.0 if spot >= strike else 0.0
     _, d2 = _d1_d2(spot, strike, r, sigma, T)

@@ -168,32 +168,23 @@ def _fig_iv2(meta) -> FigureData:
     return _iv_table(meta, {"model_iv": m})
 
 
-def _bs_butterfly(spot, K, L, r, sigma, T):
-    return sum(wt * blackscholes.bs_vanilla_call(spot, strike, r, sigma, T)
-               for wt, strike in fourier.butterfly_legs(K, L))
-
-
-def _fig_butterfly_rho(meta) -> FigureData:
-    K, L, T, r, sigma = meta["K"], meta["L"], meta["T"], meta["r"], meta["sigma"]
-    payoff = fourier.butterfly_payoff(K, L)
+def _fig_butterfly(meta) -> FigureData:
+    """fig3's exponential markets, one per rho, with the Black-Scholes
+    butterfly at sigma, or fig4's fitted risk-neutral markets, one per
+    family, each market's butterfly priced on the transform route.  The
+    figure id picks the columns, as a stored meta line may hold extra keys."""
+    K, L, T, r = meta["K"], meta["L"], meta["T"], meta["r"]
     grid = _grid(meta["grid"])
-    xs = np.log(grid)
-    models = _exp_models(meta)
-    columns = dict(zip(models, _transform_columns(list(models.values()), payoff, xs, T,
-                                                  meta["tol"])))
-    columns["bs"] = [_bs_butterfly(spot, K, L, r, sigma, T) for spot in grid]
-    return _table(meta, "spot", grid, columns)
-
-
-def _fig_butterfly_families(meta) -> FigureData:
-    r, mu1, mu2 = meta["r"], meta["mu1"], meta["mu2"]
-    payoff = fourier.butterfly_payoff(meta["K"], meta["L"])
-    grid = _grid(meta["grid"])
-    xs = np.log(grid)
-    markets = [MarketParams.risk_neutral(r, fit_from_moments(Family(f), mu1, mu2))
-               for f in meta["families"]]
-    columns = dict(zip(meta["families"],
-                       _transform_columns(markets, payoff, xs, meta["T"], meta["tol"])))
+    fig3 = meta["figure"] == "fig3"
+    models = list(_exp_models(meta).items()) if fig3 else [
+        (f, MarketParams.risk_neutral(r, fit_from_moments(Family(f), meta["mu1"], meta["mu2"])))
+        for f in meta["families"]]
+    prices = _transform_columns([m for _, m in models], fourier.butterfly_payoff(K, L),
+                                np.log(grid), T, meta["tol"])
+    columns = dict(zip([name for name, _ in models], prices))
+    if fig3:
+        columns["bs"] = [sum(wt * blackscholes.bs_vanilla_call(spot, strike, r, meta["sigma"], T)
+                             for wt, strike in fourier.butterfly_legs(K, L)) for spot in grid]
     return _table(meta, "spot", grid, columns)
 
 
@@ -219,9 +210,9 @@ FIGURES = {
                            grid=[0.9, 1.2, 31], method="closed")),
     "iv2": (_fig_iv2, {"K": 1.0, "T": 60.0 / 365.0, "r": 0.02139, "sigma": 0.2,
                        "rho": 30, "grid": [0.85, 1.15, 31], "method": "closed"}),
-    "fig3": (_fig_butterfly_rho, dict(_BASE_EXP, K=100.0, L=10.0, tol=None,
-                                      grid=[80, 125, 19], method="fourier")),
-    "fig4": (_fig_butterfly_families, {
+    "fig3": (_fig_butterfly, dict(_BASE_EXP, K=100.0, L=10.0, tol=None,
+                                  grid=[80, 125, 19], method="fourier")),
+    "fig4": (_fig_butterfly, {
         "K": 100.0, "L": 10.0, "T": 0.25, "r": 0.04,
         "mu1": 1e-3, "mu2": 1e-4, "tol": None,
         "families": [f.value for f in Family],
@@ -340,7 +331,7 @@ def _config_flags(args: argparse.Namespace) -> list:
     flags = []
     for key, val in conf.items():
         attr = key.replace("-", "_")
-        if attr in ("command", "func", "config") or not hasattr(args, attr):
+        if attr in ("command", "func", "route", "config") or not hasattr(args, attr):
             raise ValidationError(f"unknown config key {key!r}")
         flag = "--" + attr.replace("_", "-")
         if isinstance(getattr(args, attr), bool) and isinstance(val, bool):  # a switch
@@ -414,23 +405,22 @@ def _emit(payload: dict) -> None:
 # subcommands
 # ----------------------------------------------------------------------
 
-def _cmd_price(args) -> int:
-    market = _build_market(args)
-    contract = _build_contract(args)
-    kind, style, x = contract.kind, contract.style, math.log(_price_flag(args, "--spot"))
-    method = PriceMethod(args.method)
-    out = {
-        "contract": kind.value,
-        "style": style.value,
-        # perpetual prices are algebraic whatever the method
-        "method": "closed" if style is OptionStyle.PERPETUAL else method.value,
-        "spot": args.spot,
-        "strike": args.strike,
-        "risk_neutral": market.is_risk_neutral,
-    }
-    if style is not OptionStyle.PERPETUAL:
-        out["T"] = contract.t_bar
+def _cmd_contract(args) -> int:
+    """price and mc: one contract on one market at one spot, priced by the
+    command's ``route``, which returns its own output fields."""
+    market, contract = _build_market(args), _build_contract(args)
+    fields = args.route(args, market, contract, math.log(_price_flag(args, "--spot")))
+    _emit({"contract": contract.kind.value, "style": contract.style.value,
+           "risk_neutral": market.is_risk_neutral, **fields})
+    return 0
 
+
+def _price_route(args, market: MarketParams, contract: Contract, x: float) -> dict:
+    kind, style, t_bar = contract.kind, contract.style, contract.t_bar
+    method = PriceMethod(args.method)
+    perpetual = style is OptionStyle.PERPETUAL  # priced algebraically whatever the method
+    out = {"method": "closed" if perpetual else method.value, "spot": args.spot,
+           "strike": args.strike, **({} if perpetual else {"T": t_bar})}
     # a bad --tol fails every route up front but the transform's, which may not read it
     spec = None if method is PriceMethod.FOURIER else _spec(args.tol, QuadSpec.abs_tol)
     if method is PriceMethod.FOURIER:
@@ -439,14 +429,14 @@ def _cmd_price(args) -> int:
             raise ValidationError("the transform route prices butterfly portfolios")
         if style is not OptionStyle.EUROPEAN:
             raise ValidationError("the transform route prices European claims")
-        out["price"] = _transform_columns([market], payoff, x, contract.t_bar, args.tol)[0]
+        out["price"] = _transform_columns([market], payoff, x, t_bar, args.tol)[0]
     elif style is OptionStyle.EUROPEAN:
         out["price"] = european.european_price(market, contract, x, method, spec)
     elif style is OptionStyle.AMERICAN:
         if kind is not PayoffKind.BINARY_PUT:
             raise ValidationError("finite-expiry American pricing covers binary puts only")
-        out["price"] = american.binary_put_price(market, contract.log_strike, x,
-                                                 contract.t_bar, method, spec)
+        out["price"] = american.binary_put_price(market, contract.log_strike, x, t_bar,
+                                                 method, spec)
     elif kind is PayoffKind.BINARY_PUT:
         out["price"] = american.perpetual_binary_put(market, contract.log_strike, x)
     elif kind is PayoffKind.VANILLA_PUT:
@@ -454,8 +444,21 @@ def _cmd_price(args) -> int:
         out["exercise_boundary"] = american.perpetual_exercise_boundary(market, contract.strike)
     else:
         raise ValidationError("perpetual pricing covers binary and vanilla puts")
-    _emit(out)
-    return 0
+    return out
+
+
+def _mc_route(args, market: MarketParams, contract: Contract, x: float) -> dict:
+    config = montecarlo.MCConfig(paths=args.paths, seed=args.seed, antithetic=args.antithetic)
+    if contract.style is OptionStyle.AMERICAN:
+        if contract.kind is not PayoffKind.BINARY_PUT:
+            raise ValidationError("American simulation covers binary puts only")
+        est = montecarlo.price_american_binary_put_mc(market, contract.log_strike, x,
+                                                      contract.t_bar, config)
+    elif contract.style is OptionStyle.EUROPEAN:
+        est = montecarlo.price_european_mc(market, contract, x, config)
+    else:
+        raise ValidationError("no simulation estimator for perpetual claims")
+    return {"price": est.value, "std_error": est.std_error, "paths": est.paths, "seed": est.seed}
 
 
 def _cmd_iv(args) -> int:
@@ -476,30 +479,6 @@ def _cmd_iv(args) -> int:
         _emit({"written": args.out, "out_of_band": fig.meta["out_of_band"]})
     else:
         sys.stdout.write(_csv_body(fig))
-    return 0
-
-
-def _cmd_mc(args) -> int:
-    market = _build_market(args)
-    contract = _build_contract(args)
-    x = math.log(_price_flag(args, "--spot"))
-    config = montecarlo.MCConfig(paths=args.paths, seed=args.seed,
-                                 antithetic=args.antithetic)
-    if contract.style is OptionStyle.AMERICAN:
-        if contract.kind is not PayoffKind.BINARY_PUT:
-            raise ValidationError("American simulation covers binary puts only")
-        est = montecarlo.price_american_binary_put_mc(
-            market, contract.log_strike, x, contract.t_bar, config)
-    elif contract.style is OptionStyle.EUROPEAN:
-        est = montecarlo.price_european_mc(market, contract, x, config)
-    else:
-        raise ValidationError("no simulation estimator for perpetual claims")
-    _emit({
-        "contract": contract.kind.value, "style": contract.style.value,
-        "price": est.value, "std_error": est.std_error,
-        "paths": est.paths, "seed": est.seed,
-        "risk_neutral": market.is_risk_neutral,
-    })
     return 0
 
 
@@ -545,7 +524,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--method", default="closed",
                    choices=[m.value for m in PriceMethod])
     p.add_argument("--tol", type=float, help="absolute quadrature tolerance")
-    p.set_defaults(func=_cmd_price)
+    p.set_defaults(func=_cmd_contract, route=_price_route)
 
     p = sub.add_parser("iv", help="implied-volatility curve")
     _add_common(p)
@@ -562,7 +541,7 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--paths", type=int, default=montecarlo.MCConfig.paths)
     p.add_argument("--seed", type=int, default=montecarlo.MCConfig.seed)
     p.add_argument("--antithetic", action="store_true")
-    p.set_defaults(func=_cmd_mc)
+    p.set_defaults(func=_cmd_contract, route=_mc_route)
 
     p = sub.add_parser("fig", help="write a named figure CSV")
     p.add_argument("--figure", choices=sorted(FIGURES))

@@ -207,7 +207,7 @@ def mean_var(d: JumpDensity) -> tuple[float, float]:
     if f is Family.DISCRETE:
         return (2.0 * a - 1.0) * b, 4.0 * a * (1.0 - a) * b * b
     if f is Family.CONSTANT:
-        return 0.5 * (a + b), (b - a) ** 2 / 12.0
+        return 0.5 * (a + b), (b - a) * (b - a) / 12.0  # a float ** would raise on overflow
     if f is Family.GAUSSIAN:
         return a, b * b
     if f is Family.LOGISTIC:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,7 @@ __all__ = [
 ]
 
 _VIETA_TOL = 1e-12
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class PayoffKind(enum.Enum):
@@ -132,6 +134,16 @@ class PriceMethod(enum.Enum):
 # characteristic roots, legs and the public pricing API
 # ----------------------------------------------------------------------
 
+def check_formed(m: MarketParams, what: str, value: float) -> None:
+    """Refuse the market m where ``what``, a product of its rates that a route
+    forms as a float, passes the double range (a float product overflows to
+    inf without a warning)."""
+    if not value < math.inf:
+        raise InvalidParametersError(f"{what} passes the double range at rho = "
+                                     f"{1.0 / m.density.a!r}, gamma = {1.0 / m.density.b!r}, "
+                                     f"lam = {m.lam!r}")
+
+
 def beta_pm(m: MarketParams, s):
     """Roots beta_+(s) >= 0 >= beta_-(s) of the transformed jump operator.
 
@@ -147,6 +159,9 @@ def beta_pm(m: MarketParams, s):
     """
     s = np.asarray(s, dtype=complex)
     (p, g), lam, r = m.exponential_rates(), m.lam, m.r
+    # (gamma + rho)^2 bounds the discriminant, and gamma rho (r + |s|) its product term
+    check_formed(m, "(gamma + rho)^2", (g + p) * (g + p))
+    check_formed(m, "gamma rho (r + |s|)", g * p * (r + float(np.abs(s).max(initial=0.0))))
     prod_target = -g * p * (r + s) / (lam + r + s)
     root = np.sqrt((g - p) ** 2 - 4.0 * prod_target)
     big = -0.5 * ((g - p) + math.copysign(1.0, g - p) * root)  # beta_- if g >= p
@@ -180,6 +195,17 @@ def _tilted(m: MarketParams, legs) -> list:
     (p, g), lam, r = m.exponential_rates(), m.lam, m.r
     return [(alpha, w, lam * (g * p / den), lam * (alpha * (g - p + alpha) / den) - r)
             for alpha, w in legs for den in [(g + alpha) * (p - alpha)]]
+
+
+def _check_forwards(m: MarketParams, legs, xs: np.ndarray, t_bar: float) -> None:
+    """Refuse spots xs at which a leg's forward e^{alpha x + (lam E_alpha - r) t_bar},
+    which its price and the put's parity form, passes the double range."""
+    x = float(np.max(xs))
+    for alpha, _, _, drift in _tilted(m, legs):
+        top = alpha * x + drift * t_bar
+        if not top < _LOG_MAX:
+            raise InvalidParametersError(f"a leg's log-forward {top:.6g} passes the double range's "
+                                         f"{_LOG_MAX:.6g} (log-price {x!r}, T = {t_bar!r})")
 
 
 def _legs_laplace(m: MarketParams, k: float, x, s, legs):
@@ -216,8 +242,9 @@ def _legs_closed(m: MarketParams, k: float, x, t_bar: float, legs, spec: QuadSpe
     (p, g), lam, r = m.exponential_rates(), m.lam, m.r
     forward = sum(w * np.exp(alpha * x) for alpha, w in legs)  # the legs without 1{x >= k}
     intrinsic = forward * (x >= k)
-    if t_bar == 0.0:
-        return np.maximum(intrinsic, 0.0)
+    if not m.jumps_before(t_bar):  # expiry included
+        return np.maximum(intrinsic, 0.0) * math.exp(-(lam + r) * t_bar)
+    check_formed(m, "2 gamma rho lam T", 2.0 * g * p * lam * t_bar)  # gamma rho too, left to right
     s2 = math.sqrt(2.0 * g * p * lam * t_bar)
     tilted = _tilted(m, legs)
     kernels = [(w > 0.0, intensity * t_bar, (g - p + 2.0 * alpha) / s2)
@@ -261,7 +288,11 @@ def vanilla_call_closed(m: MarketParams, K: float, x, t_bar: float,
                         spec: QuadSpec = DEFAULT_QUAD):
     m.check_horizon(t_bar)
     legs = _LEGS[PayoffKind.VANILLA_CALL](K)
-    return over_spots(lambda xs: _legs_closed(m, math.log(K), as_rows(xs), t_bar, legs, spec), x)
+
+    def priced(xs):
+        _check_forwards(m, legs, xs, t_bar)
+        return _legs_closed(m, math.log(K), as_rows(xs), t_bar, legs, spec)
+    return over_spots(priced, x)
 
 
 def binary_call_price(m: MarketParams, c: Contract, x: float,
@@ -301,17 +332,18 @@ def european_price(m: MarketParams, c: Contract, x,
         raise InvalidParametersError(f"european_price prices European calls and puts, not {c}")
     k, t_bar, legs = c.log_strike, c.t_bar, _LEGS[call](c.strike)
     m.check_horizon(t_bar)
-    if method is PriceMethod.LAPLACE and t_bar > 0.0:
+    if method is PriceMethod.LAPLACE and m.jumps_before(t_bar):
         def price(x):  # one value per row of x, in its shape
             return mapped(lambda: laplace_invert(lambda s: _legs_laplace(m, k, x, s, legs),
                                                  t_bar, spec), lambda v: v.reshape(np.shape(x)))
-    elif method in (PriceMethod.CLOSED, PriceMethod.LAPLACE):  # Laplace at expiry too
+    elif method in (PriceMethod.CLOSED, PriceMethod.LAPLACE):  # Laplace with no jump too
         def price(x):
             return _legs_closed(m, k, x, t_bar, legs, spec)
     else:
         raise InvalidParametersError(f"unsupported method {method!r} for European contracts")
 
     def priced(xs):
+        _check_forwards(m, legs, xs, t_bar)
         x = as_rows(xs)
         if call is c.kind:
             return price(x)

@@ -204,6 +204,10 @@ def _jump_terms(params: MarketParams, t_bar: float) -> tuple:
     lam t_bar, discount, integrand factor F(w) of (w, Phi~(w)) and tail
     order."""
     lam, r, d = params.lam, params.r, params.density
+    mean, var = mean_var(d)
+    if not var + mean * mean < math.inf:  # _osc_hint's sqrt(E[J^2])
+        raise ValidationError(f"the transform route needs E[J^2] in the double range, not so for "
+                              f"the {d.family.value} law at a = {d.a!r}, b = {d.b!r}")
     lt = lam * t_bar
     disc = math.exp(-r * t_bar)
     fam = d.family
@@ -243,6 +247,10 @@ def _atom(payoff: Payoff, xs: np.ndarray, d, lt: float, disc: float, spec: QuadS
         return 0.0
     atom = math.exp(-lt) * disc * payoff.value(xs)
     if d.family is Family.CONSTANT:
+        top = xs.max() + d.b
+        if not top < _MAX_LOG_PRICE:
+            raise ValidationError(f"one uniform jump reaches log-price {top:.4g}, past "
+                                  f"{_MAX_LOG_PRICE:.4g} where the payoff overflows")
         atom += lt * math.exp(-lt) * disc * np.array(
             [_one_jump_average(payoff, xi, d.a, d.b, spec) for xi in xs])
     return atom

@@ -159,7 +159,8 @@ def expm1_ratio(w):
     """(e^w - 1)/w for complex w (vectorised), equal to 1 at w = 0."""
     w = np.asarray(w, dtype=complex)
     small = np.abs(w) < 1e-8
-    return np.where(small, 1.0 + w / 2.0 + w * w / 6.0,
+    near = np.where(small, w, 0.0)  # so the series cannot overflow where it is not taken
+    return np.where(small, 1.0 + near / 2.0 + near * near / 6.0,
                     expm1_complex(w) / np.where(small, 1.0, w))
 
 
@@ -271,6 +272,8 @@ def _talbot(f, t: float, orders: tuple) -> list:
     lf = _as_laplace_fn(f)
     if not 0.0 < t < math.inf:
         raise InvalidParametersError("inversion time must be positive and finite")
+    if not 2.0 * max(orders) ** 2 / (5.0 * t) < math.inf:  # bounds every node's modulus
+        raise InvalidParametersError(f"the Talbot contour at t = {t!r} leaves the double range")
     nodes, parts = _talbot_rule(float(t), orders)
     a = 0.0
     if lf.abscissa != 0.0:

@@ -16,6 +16,7 @@ without cancellation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .densities import Family, JumpDensity, exp_moment
@@ -138,6 +139,12 @@ class MarketParams:
         if not (t_bar >= 0.0 and (self.r + self.lam) * t_bar < _MAX_RATE_TIME):
             raise InvalidParametersError("remaining time must be non-negative and finite, "
                                          f"with (r + lam) T below 2^52, got T = {t_bar!r}")
+
+    def jumps_before(self, t_bar: float) -> bool:
+        """Whether a jump fits before t_bar: lam t_bar is in the normal double
+        range.  Below it the chance of a jump, under lam t_bar, is below
+        2^-1022, and the pricers return the no-jump term."""
+        return self.lam * t_bar >= sys.float_info.min
 
     @property
     def is_risk_neutral(self) -> bool:

@@ -63,6 +63,29 @@ class TestVanilla:
         with pytest.raises(InvalidParametersError, match=message):
             price(spot, strike, 0.04, sigma, T)
 
+    @pytest.mark.parametrize("price", [bs_vanilla_call, bs_binary_call, bs_vanilla_put,
+                                       bs_binary_put])
+    @pytest.mark.parametrize("T", [0.25, 0.0])  # expiry is checked too
+    @pytest.mark.parametrize("slot, message", [
+        (0, "spot and strike"), (1, "spot and strike"), (2, "rate"), (3, "sigma"), (4, "sigma"),
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_inputs_raise(self, price, T, slot, message, bad):
+        args = [1.0, 1.0, 0.04, 0.2, T]
+        args[slot] = bad
+        with pytest.raises(InvalidParametersError, match=message):
+            price(*args)
+
+    @pytest.mark.parametrize("price", [bs_vanilla_call, bs_binary_call])
+    @pytest.mark.parametrize("spot, strike, sigma", [(1.0, 1.0, -0.2), (0.0, 1.0, 0.2),
+                                                     (1.0, -1.0, 0.2), (1.0, 1.0, 0.0)])
+    def test_expiry_checks_its_inputs(self, price, spot, strike, sigma):
+        with pytest.raises(InvalidParametersError):
+            price(spot, strike, 0.04, sigma, 0.0)
+
+    def test_expiry_value_is_a_float(self):
+        assert type(bs_vanilla_call(1, 1, 0.04, 0.2, 0)) is float
+
     @settings(max_examples=80)
     @given(st.floats(50.0, 200.0), st.floats(0.01, 2.0), st.floats(0.05, 1.5))
     def test_vanilla_parity(self, s, t, sigma):

@@ -5,11 +5,14 @@ stdout JSON, and written CSV files are all observable without
 subprocesses; the import-path checks start fresh interpreters.
 """
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -679,6 +682,101 @@ class TestHostileInputs:
         assert math.isfinite(payload["price"]) and math.isfinite(payload["std_error"])
 
 
+# the exponential routes' cells: the European calls and puts, the American
+# binary put and the two perpetual puts
+EXPONENTIAL_CELLS = [("european", c) for c in ("binary-call", "binary-put", "vanilla-call",
+                                                "vanilla-put")] + [
+    ("american", "binary-put"), ("perpetual", "binary-put"), ("perpetual", "vanilla-put")]
+STEP_LIMITED = {("closed", "european", "binary-call"), ("closed", "european", "binary-put")}
+TINY_T = ("1e-300", "1e-307", "1e-308", "1e-310", "1e-320", "5e-324")
+# (flags, spots): T and lam T down to the smallest positive double, and gamma
+# and rho up to 1e300
+EXTREME_MARKETS = [
+    *((("--rho", "2", "--gamma", "9", "--T", t, *lam), ("1.1",))
+      for t in TINY_T for lam in ((), ("--lambda-override", "1e10"))),
+    *((("--rho", "2", "--gamma", "9", "--T", t, "--lambda-override", lam), ("1.1",))
+      for lam in ("1e-300", "1e-310", "5e-324") for t in ("0.25", "1e-300")),
+    *((("--rho", rho, "--gamma", gamma, *lam), ("1.1",) if gamma != "1e300" else ("0.9", "1.1"))
+      for rho, gamma in (("2", "1e154"), ("2", "1e155"), ("2", "1e300"), ("1e100", "1e300"),
+                         ("1e300", "1e300"))
+      for lam in ((), ("--lambda-override", "1e-300"))),
+]
+
+
+class TestExtremeAdmittedInputs:
+    """Admitted inputs at the ends of the double range: each exponential
+    route prints a finite price or refuses with exit 2 where a quantity it
+    forms leaves the double range, with no warning, and the closed and
+    Laplace routes agree wherever both price."""
+
+    @pytest.mark.parametrize("argv", [
+        ("price", "--rho", "2", "--sigma", "0.1", "--gamma", "1e300", "--rate", "9", "--spot",
+         "0.5", "--method", "laplace"),
+        ("price", "--rho", "2", "--sigma", "0.1", "--lambda-override", "1e-300", "--T", "1e-300"),
+        ("price", "--style", "american", "--contract", "binary-put", "--method", "closed",
+         "--rho", "2", "--gamma", "9", "--T", "5e-324", "--spot", "1.1"),
+        ("price", "--rho", "2", "--gamma", "9", "--T", "5e-324", "--method", "laplace"),
+        ("iv", "--rho", "2", "--gamma", "9", "--T", "5e-324"),
+        ("iv", "--rho", "2", "--sigma", "0.1", "--a", "1e-8", "--b", "1e-300"),
+    ], ids=" ".join)
+    def test_mended_command_exits_cleanly(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 2), err
+        if code == 2:
+            assert out == "" and err.startswith("validation error:")
+        elif argv[0] == "price":
+            assert math.isfinite(strict_json(out)["price"])
+
+    @pytest.mark.parametrize("flags, spots", EXTREME_MARKETS,
+                             ids=[" ".join(flags) for flags, _ in EXTREME_MARKETS])
+    def test_exponential_routes(self, capsys, flags, spots):
+        prices = {}
+        for method in ("closed", "laplace"):
+            for style, contract in EXPONENTIAL_CELLS:
+                for spot in spots:
+                    cell = (method, style, contract, spot)
+                    code, out, err = run(capsys, "price", "--method", method, "--style", style,
+                                         "--contract", contract, "--spot", spot, *flags)
+                    if code == 0:
+                        prices[cell] = strict_json(out)["price"]
+                        assert math.isfinite(prices[cell]), cell
+                    elif cell[:3] in STEP_LIMITED and spot == "0.9" and float(flags[3]) >= 1e10:
+                        # the closed binaries' integrand is a step sharper than the
+                        # quadrature resolves from about gamma = 1e10 on
+                        assert out == "" and (code, err[:9]) in ((2, "validatio"), (3, "accuracy "))
+                    else:
+                        assert (code, out) == (2, ""), (cell, err)
+        for (method, *cell), price in prices.items():
+            if method == "closed" and ("laplace", *cell) in prices:
+                assert abs(price - prices["laplace", *cell]) <= 1e-6, cell
+
+    @pytest.mark.parametrize("command", ["iv", "price"])
+    def test_vanilla_forward_past_the_double_range_is_refused(self, capsys, command):
+        # lam E_1 - r = 7.16, so the vanilla leg's log-forward is about 716 > ln(DBL_MAX)
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--rho", "2", "--sigma", "0.1",
+                             "--lambda-override", "9", "--T", "100")
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("validation error: a leg's log-forward 71")
+
+    def test_binary_call_prices_where_the_forward_is_past_the_double_range(self, capsys):
+        payload = run_json(capsys, "price", "--rho", "2", "--sigma", "0.1", "--lambda-override",
+                           "9", "--T", "100", "--contract", "binary-call")
+        assert 0.0 <= payload["price"] <= math.exp(-0.04 * 100.0) * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("density", [f.value for f in Family])
+    @pytest.mark.parametrize("b", ["1e100", "1e150", "1e200", "1e300"])
+    def test_transform_route_on_wide_laws(self, capsys, density, b):
+        # sqrt(E[J^2]) passes the double range from b = 1e200 on: refused up front
+        code, out, err = run(capsys, "price", "--method", "fourier", "--contract", "butterfly",
+                             "--L", "10", "--strike", "100", "--spot", "100", "--a", "0.01",
+                             "--b", b, "--lambda-override", "1", "--density", density)
+        assert code in (2, 3) and out == ""
+        if float(b) >= 1e200 and density != "pareto":  # the tempered law needs b < 1
+            assert "E[J^2]" in err or "payoff overflows" in err
+
+
 class TestRefusals:
     """Each route and jump-law rule the CLI enforces, named in its refusal."""
 
@@ -702,6 +800,99 @@ class TestRefusals:
         assert code == 2
         assert out == ""
         assert err == f"validation error: {message}\n"
+
+
+ROUTES = {"closed": ("price", "--method", "closed"), "laplace": ("price", "--method", "laplace"),
+          "fourier": ("price", "--method", "fourier"), "mc": ("mc", "--paths", "1000")}
+STYLES = ("european", "american", "perpetual")
+CONTRACTS = ("binary-call", "binary-put", "vanilla-call", "vanilla-put", "butterfly")
+LAWS = tuple(f.value for f in Family)
+# every cell's market is its law fitted to these moments, and its contract these terms
+CELL_FLAGS = ("--mu1", "1e-3", "--mu2", "1e-4", "--strike", "100", "--spot", "104",
+              "--T", "0.25", "--L", "10")
+
+
+def route_rule(route: str, style: str, contract: str, law: str) -> str | None:
+    """The route table: None where the cell prices, else its refusal message."""
+    if route == "fourier":
+        if contract != "butterfly":
+            return "the transform route prices butterfly portfolios"
+        return None if style == "european" else "the transform route prices European claims"
+    if route == "mc":
+        if style == "perpetual":
+            return "no simulation estimator for perpetual claims"
+        if style == "american" and contract != "binary-put":
+            return "American simulation covers binary puts only"
+        if style == "american" and law == "pareto":
+            return "sampling is not available for family pareto"
+        return None
+    # closed and Laplace: the two-sided exponential law only
+    if style == "american" and contract != "binary-put":
+        return "finite-expiry American pricing covers binary puts only"
+    if style == "perpetual" and contract not in ("binary-put", "vanilla-put"):
+        return "perpetual pricing covers binary and vanilla puts"
+    if style == "european" and contract == "butterfly":
+        return ("european_price prices European calls and puts, not Contract(kind=<PayoffKind."
+                "PORTFOLIO: 'butterfly'>, strike=100.0, t_bar=0.25, style=<OptionStyle.EUROPEAN: "
+                "'european'>, width=10.0)")
+    return None if law == "exp" else f"requires the two-sided exponential family, not {law}"
+
+
+CELLS = [(route, style, contract, law) for route in ROUTES for style in STYLES
+         for contract in CONTRACTS for law in LAWS]
+
+
+class TestRouteCells:
+    """Every cell of (route, style, contract, jump law) that ``price`` and
+    ``mc`` accept, run in process: each prices or names its refusal as
+    ``route_rule`` says, and routes that both price a cell agree."""
+
+    @pytest.fixture(scope="class")
+    def outcomes(self):
+        """Each cell's exit code, stdout and stderr."""
+        results = {}
+        for route, style, contract, law in CELLS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*ROUTES[route], "--style", style, "--contract", contract,
+                             "--density", law, *CELL_FLAGS])
+            results[route, style, contract, law] = code, out.getvalue(), err.getvalue()
+        return results
+
+    def prices(self, outcomes, route):
+        """The printed estimate of each cell that ``route`` prices, by (style, contract, law)."""
+        return {cell[1:]: strict_json(out) for cell, (code, out, _) in outcomes.items()
+                if cell[0] == route and code == 0}
+
+    def test_every_cell_prices_or_names_its_refusal(self, outcomes):
+        wrong = []
+        for cell, (code, out, err) in outcomes.items():
+            refusal = route_rule(*cell)
+            if refusal is not None:
+                ok = (code, out, err) == (2, "", f"validation error: {refusal}\n")
+            else:
+                payload = strict_json(out) if code == 0 and not err else {}
+                ok = (payload.get("contract"), payload.get("style")) == (cell[2], cell[1]) \
+                    and math.isfinite(payload["price"])
+            if not ok:
+                wrong.append((cell, code, out, err))
+        assert not wrong
+        assert sum(route_rule(*cell) is None for cell in CELLS) == 62
+
+    def test_closed_and_laplace_agree(self, outcomes):
+        closed, laplace = self.prices(outcomes, "closed"), self.prices(outcomes, "laplace")
+        assert closed.keys() == laplace.keys() and len(closed) == 7
+        for cell in closed:
+            assert abs(closed[cell]["price"] - laplace[cell]["price"]) <= 1e-6, cell
+
+    def test_monte_carlo_within_four_standard_errors(self, outcomes):
+        exact = {**self.prices(outcomes, "fourier"), **self.prices(outcomes, "closed")}
+        mc = self.prices(outcomes, "mc")
+        shared = exact.keys() & mc.keys()
+        assert len(shared) == 5 + 7  # the exponential law's closed cells, every butterfly
+        for cell in shared:
+            z = (mc[cell]["price"] - exact[cell]["price"]) / mc[cell]["std_error"]
+            assert abs(z) <= 4.0, (cell, z)
 
 
 class TestFigCommand:

@@ -43,11 +43,18 @@ COMMANDS = {
 }
 
 
+# the transform route's three flags, which independent draws seldom bring together
+TRANSFORM = ("--method", "--contract", "--L")
+
+
 @st.composite
 def command_lines(draw):
     command = draw(st.sampled_from(sorted(COMMANDS)))
     fixed, flags = COMMANDS[command]
     argv = [command, *fixed]
+    if command == "price" and draw(st.booleans()):
+        argv += ["--method=fourier", "--contract=butterfly", f"--L={draw(st.sampled_from(VALUES))}"]
+        flags = {flag: values for flag, values in flags.items() if flag not in TRANSFORM}
     for flag, values in flags.items():
         if draw(st.sampled_from((False, False, True))):
             # --flag=value, so argparse reads -inf and -1 as values
