@@ -200,7 +200,7 @@ def _tilted(m: MarketParams, legs) -> list:
 def _check_forwards(m: MarketParams, legs, xs: np.ndarray, t_bar: float) -> None:
     """Refuse spots xs at which a leg's forward e^{alpha x + (lam E_alpha - r) t_bar},
     which its price and the put's parity form, passes the double range."""
-    x = float(np.max(xs))
+    x = float(xs.max())
     for alpha, _, _, drift in _tilted(m, legs):
         top = alpha * x + drift * t_bar
         if not top < _LOG_MAX:

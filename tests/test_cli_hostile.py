@@ -4,8 +4,10 @@ numbers.
 
 Each command draws each of its flags a third of the time: a numeric flag
 from a fixed set of hostile and ordinary values, a choice flag from its
-choices.  Runs are in process through ``main``, derandomized, so the same
-examples run every time.
+choices.  Half of the ``price`` lines instead take the transform route's
+three flags together, which independent draws seldom combine.  Runs are
+in process through ``main``, derandomized, so the same examples run every
+time.
 """
 
 import contextlib
